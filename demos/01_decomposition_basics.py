@@ -10,31 +10,24 @@ script verifies against a large Monte Carlo sample.
 
 import numpy as np
 
-from winduq.network import GaussianPrediction
-from winduq.uncertainty import decompose, decompose_arrays
+from winduq.uncertainty import decompose_arrays
 
 
 def main() -> None:
     rng = np.random.default_rng(7)
 
-    # five draws for one input, as a posterior sampler would produce them
-    draws = [
-        GaussianPrediction(mean=1.52, variance=0.30),
-        GaussianPrediction(mean=1.44, variance=0.28),
-        GaussianPrediction(mean=1.61, variance=0.35),
-        GaussianPrediction(mean=1.49, variance=0.31),
-        GaussianPrediction(mean=1.55, variance=0.29),
-    ]
-    est = decompose(draws)
+    # five (mean, variance) draws for one input, as a posterior sampler
+    # would produce them
+    means = np.array([1.52, 1.44, 1.61, 1.49, 1.55])
+    variances = np.array([0.30, 0.28, 0.35, 0.31, 0.29])
+    au, eu, tu, _ = decompose_arrays(means, variances)
     print("five disagreeing draws")
-    print(f"  aleatoric {est.aleatoric:.6f}  (mean of the drawn variances)")
-    print(f"  epistemic {est.epistemic:.6f}  (population variance of the drawn means)")
-    print(f"  total     {est.total:.6f}  (their sum)")
+    print(f"  aleatoric {au:.6f}  (mean of the drawn variances)")
+    print(f"  epistemic {eu:.6f}  (population variance of the drawn means)")
+    print(f"  total     {tu:.6f}  (their sum)")
 
     # the total equals the variance of the uniform mixture over the draws
-    means = np.array([d.mean for d in draws])
-    variances = np.array([d.variance for d in draws])
-    component = rng.integers(0, len(draws), size=2_000_000)
+    component = rng.integers(0, means.size, size=2_000_000)
     sample = rng.normal(means[component], np.sqrt(variances[component]))
     print(f"  mixture variance from 2e6 samples: {sample.var():.6f}")
 

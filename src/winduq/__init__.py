@@ -52,7 +52,6 @@ from .posterior import (
     EnsemblePosterior,
     PosteriorSampler,
     VariationalPosterior,
-    draw_predictions,
     fit,
     kl_to_unit_gaussian,
     load_posterior,
@@ -60,8 +59,7 @@ from .posterior import (
 )
 from .uncertainty import (
     BatchDecomposition,
-    UncertaintyEstimate,
-    decompose,
+    decompose_arrays,
     decompose_batch,
 )
 
@@ -84,14 +82,12 @@ __all__ = [
     "TrainingDivergedError",
     "TrainingTrace",
     "TwoHeadNetwork",
-    "UncertaintyEstimate",
     "VariationalPosterior",
     "backward",
     "beta_nll_loss",
     "beta_nll_output_grads",
-    "decompose",
+    "decompose_arrays",
     "decompose_batch",
-    "draw_predictions",
     "fit",
     "forward",
     "forward_batch",

@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .experiments import (
@@ -86,7 +87,9 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return build_config(experiment, entries)
 
 
-def _write_failure_manifest(cfg: ExperimentConfig | None, error: str) -> None:
+def _write_failure_manifest(
+    cfg: ExperimentConfig | None, error: str, trace: str | None = None
+) -> None:
     if cfg is None:
         return
     try:
@@ -99,6 +102,8 @@ def _write_failure_manifest(cfg: ExperimentConfig | None, error: str) -> None:
             "artifacts": [],
             "wall_time_s": 0.0,
         }
+        if trace is not None:
+            manifest["traceback"] = trace
         (cfg.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     except OSError:
         pass  # the diagnostic on stderr is the best we can do
@@ -120,6 +125,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _write_failure_manifest(cfg, str(exc))
+        return 1
+    except Exception as exc:  # unexpected: still one line, the traceback goes to the manifest
+        message = f"{type(exc).__name__}: {exc}"
+        print(f"error: {message}", file=sys.stderr)
+        _write_failure_manifest(cfg, message, traceback.format_exc())
         return 1
 
 

@@ -37,7 +37,6 @@ from .losses import (
 )
 from .network import (
     ArchitectureSpec,
-    GaussianPrediction,
     TwoHeadNetwork,
     backward_batch,
     forward_batch,
@@ -335,9 +334,11 @@ def draw_parameter_matrix(
             )
         return np.stack([m.params for m in fp.members])
     if isinstance(fp, DropConnectPosterior):
-        masks = np.stack(
-            [sample_weight_mask(fp.spec, fp.drop_rate, rng) for _ in range(n_draws)]
-        )
+        # one block of uniforms, row-major: the same stream as n_draws
+        # sequential sample_weight_mask calls
+        wpos = weight_position_mask(fp.spec)
+        masks = np.ones((n_draws, wpos.size))
+        masks[:, wpos] = rng.random((n_draws, int(wpos.sum()))) >= fp.drop_rate
         return fp.network.params[None, :] * masks
     if isinstance(fp, VariationalPosterior):
         eps = rng.standard_normal((n_draws, fp.mean.size))
@@ -357,14 +358,6 @@ def draw_prediction_arrays(
     s = fp.sample_count if n_draws is None else int(n_draws)
     thetas = draw_parameter_matrix(fp, s, spawn_rng(seed))
     return _forward_many(fp.spec, thetas, x)
-
-
-def draw_predictions(
-    fp: FittedPosterior, x: np.ndarray, n_draws: int | None = None, seed: int = 0
-) -> list[GaussianPrediction]:
-    """S Monte Carlo predictions for one input, as Gaussian mean/variance pairs."""
-    mu, sigma2 = draw_prediction_arrays(fp, x, n_draws, seed)
-    return [GaussianPrediction(float(m), float(v)) for m, v in zip(mu, sigma2)]
 
 
 # ---------------------------------------------------------------------------
@@ -407,31 +400,68 @@ def save_posterior(fp: FittedPosterior, directory: str | Path, extra: dict | Non
     (directory / "posterior.json").write_text(json.dumps(manifest, indent=1))
 
 
+_MANIFEST_KEYS = {
+    "deep_ensemble": ("members", "member_seeds"),
+    "mc_dropconnect": ("network", "drop_rate", "sample_count"),
+    "bayes_by_backprop": ("variational", "sample_count"),
+}
+
+
+def _require(record: dict, keys: tuple[str, ...], path: Path) -> None:
+    for key in keys:
+        if key not in record:
+            raise ValueError(f"{path}: missing key {key!r}")
+
+
+def _load_matching_checkpoint(path: Path, spec: ArchitectureSpec) -> TwoHeadNetwork:
+    net, _ = load_checkpoint(path)
+    if net.spec != spec:
+        raise ValueError(f"{path}: checkpoint spec {net.spec} differs from the manifest's {spec}")
+    return net
+
+
 def load_posterior(directory: str | Path) -> FittedPosterior:
+    """Read a posterior written by :func:`save_posterior`.
+
+    A missing key, an unknown kind or version, or a checkpoint whose
+    architecture differs from the manifest's ``spec`` raises ``ValueError``.
+    """
     directory = Path(directory)
-    manifest = json.loads((directory / "posterior.json").read_text())
+    manifest_path = directory / "posterior.json"
+    manifest = json.loads(manifest_path.read_text())
     version = manifest.get("format_version")
     if version != POSTERIOR_FORMAT_VERSION:
         raise ValueError(f"unsupported posterior format version {version!r}")
-    spec = ArchitectureSpec.from_dict(manifest["spec"])
+    _require(manifest, ("kind", "spec"), manifest_path)
     kind = manifest["kind"]
+    if kind not in _MANIFEST_KEYS:
+        raise ValueError(f"unknown posterior kind {kind!r}")
+    _require(manifest, _MANIFEST_KEYS[kind], manifest_path)
+    try:
+        spec = ArchitectureSpec.from_dict(manifest["spec"])
+    except KeyError as exc:
+        raise ValueError(f"{manifest_path}: missing key 'spec.{exc.args[0]}'") from None
     if kind == "deep_ensemble":
-        members = []
-        for name in manifest["members"]:
-            net, _ = load_checkpoint(directory / name)
-            members.append(net)
-        return EnsemblePosterior(spec, members, [int(s) for s in manifest["member_seeds"]])
+        members = [
+            _load_matching_checkpoint(directory / name, spec) for name in manifest["members"]
+        ]
+        seeds = [int(s) for s in manifest["member_seeds"]]
+        if len(seeds) != len(members):
+            raise ValueError(
+                f"{manifest_path}: {len(members)} members but {len(seeds)} member_seeds"
+            )
+        return EnsemblePosterior(spec, members, seeds)
     if kind == "mc_dropconnect":
-        net, _ = load_checkpoint(directory / manifest["network"])
+        net = _load_matching_checkpoint(directory / manifest["network"], spec)
         return DropConnectPosterior(
             spec, net, float(manifest["drop_rate"]), int(manifest["sample_count"])
         )
-    if kind == "bayes_by_backprop":
-        payload = json.loads((directory / manifest["variational"]).read_text())
-        return VariationalPosterior(
-            spec,
-            np.asarray(payload["mean"], dtype=np.float64),
-            np.asarray(payload["rho"], dtype=np.float64),
-            int(manifest["sample_count"]),
-        )
-    raise ValueError(f"unknown posterior kind {kind!r}")
+    payload_path = directory / manifest["variational"]
+    payload = json.loads(payload_path.read_text())
+    _require(payload, ("mean", "rho"), payload_path)
+    return VariationalPosterior(
+        spec,
+        np.asarray(payload["mean"], dtype=np.float64),
+        np.asarray(payload["rho"], dtype=np.float64),
+        int(manifest["sample_count"]),
+    )

@@ -14,71 +14,48 @@ Gaussian mixture over the draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .network import GaussianPrediction, forward_batch
-from .posterior import (
-    EnsemblePosterior,
-    FittedPosterior,
-    draw_prediction_arrays,
-)
-from .seeding import derive_seed
+from .network import TwoHeadNetwork, forward_batch
+from .posterior import FittedPosterior, draw_parameter_matrix
+from .seeding import spawn_rng
 
 _STREAM_ROW = 301
 
 
-@dataclass(frozen=True)
-class UncertaintyEstimate:
-    """Variance-scale uncertainty for one input."""
+def _reduce_draws(
+    means: np.ndarray, variances: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Axis-0 law-of-total-variance reduction over the S draws.
 
-    aleatoric: float
-    epistemic: float
-    total: float
-
-    def __post_init__(self) -> None:
-        vals = (self.aleatoric, self.epistemic, self.total)
-        if not all(np.isfinite(v) for v in vals):
-            raise ValueError(f"uncertainty components must be finite, got {vals}")
-        if self.aleatoric < 0 or self.epistemic < 0:
-            raise ValueError(f"uncertainty components must be nonnegative, got {vals}")
+    The predictive mean is computed around the first draw so that S identical
+    draws give an epistemic term of exactly zero.
+    """
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
+        raise ValueError("draws contain non-finite values")
+    if np.any(variances < 0):
+        raise ValueError("drawn variances must be nonnegative")
+    aleatoric = np.mean(variances, axis=0)
+    center = means[0]
+    mean_hat = center + np.mean(means - center, axis=0)
+    deviations = means - mean_hat
+    epistemic = np.mean(deviations * deviations, axis=0)
+    return aleatoric, epistemic, aleatoric + epistemic, mean_hat
 
 
 def decompose_arrays(
     means: np.ndarray, variances: np.ndarray
 ) -> tuple[float, float, float, float]:
-    """(aleatoric, epistemic, total, predictive mean) from S draws.
-
-    The predictive mean is computed around the first draw so that S identical
-    draws give an epistemic term of exactly zero.
-    """
+    """(aleatoric, epistemic, total, predictive mean) from S draws for one input."""
     means = np.asarray(means, dtype=np.float64)
     variances = np.asarray(variances, dtype=np.float64)
     if means.ndim != 1 or means.shape != variances.shape or means.size == 0:
         raise ValueError(
             f"expected matching non-empty 1-D draw arrays, got {means.shape} and {variances.shape}"
         )
-    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
-        raise ValueError("draws contain non-finite values")
-    if np.any(variances < 0):
-        raise ValueError("drawn variances must be nonnegative")
-    aleatoric = float(np.mean(variances))
-    center = means[0]
-    mean_hat = float(center + np.mean(means - center))
-    deviations = means - mean_hat
-    epistemic = float(np.mean(deviations * deviations))
-    return aleatoric, epistemic, aleatoric + epistemic, mean_hat
-
-
-def decompose(predictions: Sequence[GaussianPrediction]) -> UncertaintyEstimate:
-    """Decompose S drawn predictions for a single input."""
-    if len(predictions) == 0:
-        raise ValueError("decompose needs at least one prediction")
-    means = np.array([p.mean for p in predictions], dtype=np.float64)
-    variances = np.array([p.variance for p in predictions], dtype=np.float64)
-    aleatoric, epistemic, total, _ = decompose_arrays(means, variances)
-    return UncertaintyEstimate(aleatoric, epistemic, total)
+    aleatoric, epistemic, total, mean_hat = _reduce_draws(means, variances)
+    return float(aleatoric), float(epistemic), float(total), float(mean_hat)
 
 
 @dataclass
@@ -93,11 +70,6 @@ class BatchDecomposition:
     def __len__(self) -> int:
         return self.aleatoric.size
 
-    def estimate(self, i: int) -> UncertaintyEstimate:
-        return UncertaintyEstimate(
-            float(self.aleatoric[i]), float(self.epistemic[i]), float(self.total[i])
-        )
-
 
 def decompose_batch(
     fp: FittedPosterior,
@@ -105,43 +77,24 @@ def decompose_batch(
     n_draws: int | None = None,
     seed: int = 0,
 ) -> BatchDecomposition:
-    """Decompose every row of an input matrix.
+    """Decompose every row of an input matrix under one shared set of draws.
 
-    Each row gets its own derived seed, so the result for row i does not
-    depend on which other rows are present.  Deep ensembles are deterministic
-    (one draw per member, the seed is unused) and are evaluated
-    member-by-member over the whole batch.
+    One call draws one (S, P) parameter matrix,
+    ``draw_parameter_matrix(fp, S, spawn_rng(seed, 301))``, and every row is
+    predicted under those same S parameter vectors.  Row i is therefore the
+    decomposition of the S predictions for ``inputs[i]`` alone under that
+    matrix (up to BLAS rounding), and it does not depend on which other rows
+    are present.  Deep ensembles draw their K members, so the seed is unused.
     """
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != fp.spec.input_dim:
         raise ValueError(f"inputs have shape {X.shape}, expected (n, {fp.spec.input_dim})")
-    n = X.shape[0]
-    out = BatchDecomposition(
-        aleatoric=np.empty(n),
-        epistemic=np.empty(n),
-        total=np.empty(n),
-        mean=np.empty(n),
-    )
-    if isinstance(fp, EnsemblePosterior):
-        if n_draws is not None and n_draws != len(fp.members):
-            raise ValueError(
-                f"deep_ensemble yields exactly {len(fp.members)} draws, requested {n_draws}"
-            )
-        mus = []
-        sigma2s = []
-        for member in fp.members:
-            mu_m, s2_m = forward_batch(member, X)
-            mus.append(mu_m)
-            sigma2s.append(s2_m)
-        mu_matrix = np.stack(mus)  # (S, n)
-        s2_matrix = np.stack(sigma2s)
-        for i in range(n):
-            au, eu, tu, mean_hat = decompose_arrays(mu_matrix[:, i], s2_matrix[:, i])
-            out.aleatoric[i], out.epistemic[i], out.total[i], out.mean[i] = au, eu, tu, mean_hat
-        return out
-    for i in range(n):
-        row_seed = derive_seed(seed, _STREAM_ROW, i)
-        mu_i, s2_i = draw_prediction_arrays(fp, X[i], n_draws, row_seed)
-        au, eu, tu, mean_hat = decompose_arrays(mu_i, s2_i)
-        out.aleatoric[i], out.epistemic[i], out.total[i], out.mean[i] = au, eu, tu, mean_hat
-    return out
+    s = fp.sample_count if n_draws is None else int(n_draws)
+    if s < 1:
+        raise ValueError(f"n_draws must be >= 1, got {s}")
+    thetas = draw_parameter_matrix(fp, s, spawn_rng(seed, _STREAM_ROW))
+    means = np.empty((s, X.shape[0]))
+    variances = np.empty((s, X.shape[0]))
+    for k, theta in enumerate(thetas):
+        means[k], variances[k] = forward_batch(TwoHeadNetwork(fp.spec, theta), X)
+    return BatchDecomposition(*_reduce_draws(means, variances))

@@ -1,0 +1,21 @@
+"""The narrated demo scripts still run against the public API."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script", ["01_decomposition_basics.py", "05_save_load_and_cli.py"])
+def test_demo_exits_cleanly(script, tmp_path):
+    env = dict(os.environ, TMPDIR=str(tmp_path))  # demo 05 writes under mkdtemp
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / script)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from winduq import cli
 from winduq.cli import main
 from winduq.data import make_hourly_power_series
 from winduq.experiments import (
@@ -26,7 +27,7 @@ from winduq.experiments import (
     write_csv,
 )
 from winduq.network import ArchitectureSpec, init_parameters
-from winduq.posterior import DropConnectPosterior, save_posterior
+from winduq.posterior import DropConnectPosterior, EnsemblePosterior, save_posterior
 from winduq.uncertainty import decompose_batch
 
 
@@ -447,6 +448,42 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"]
+
+    def test_malformed_posterior_fails_with_manifest(self, tmp_path, capsys):
+        spec = ArchitectureSpec(1, (3,))
+        fp = EnsemblePosterior(spec, [init_parameters(spec, seed=k) for k in range(2)], [0, 1])
+        pdir = tmp_path / "posterior"
+        save_posterior(fp, pdir)
+        manifest = json.loads((pdir / "posterior.json").read_text())
+        del manifest["member_seeds"]
+        (pdir / "posterior.json").write_text(json.dumps(manifest))
+        features = tmp_path / "inputs.csv"
+        features.write_text("x\n0.5\n")
+        cfg_path = self._write_config(tmp_path / "dec.cfg", {"posterior_dir": str(pdir)})
+        out = tmp_path / "out"
+        code = main(
+            [
+                "decompose", "--config", str(cfg_path),
+                "--dataset", str(features), "--out-dir", str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "member_seeds" in err and len(err.strip().splitlines()) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and "member_seeds" in manifest["error"]
+
+    def test_unexpected_error_fails_with_manifest(self, tmp_path, capsys, monkeypatch):
+        def broken_runner(cfg):
+            raise KeyError("lost")
+
+        monkeypatch.setitem(cli.RUNNERS, "synthetic_ood", broken_runner)
+        out = tmp_path / "out"
+        assert main(["synthetic", "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == "error: KeyError: 'lost'\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"] == "KeyError: 'lost'"
+        assert "broken_runner" in manifest["traceback"]
 
     def test_config_error_exits_nonzero(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path / "bad.cfg", {"not_a_key": "1"})

@@ -21,6 +21,7 @@ from winduq.network import (
     TwoHeadNetwork,
     forward,
     init_parameters,
+    save_checkpoint,
     softplus,
 )
 from winduq.posterior import (
@@ -30,7 +31,6 @@ from winduq.posterior import (
     VariationalPosterior,
     draw_parameter_matrix,
     draw_prediction_arrays,
-    draw_predictions,
     fit,
     kl_to_unit_gaussian,
     kl_to_unit_gaussian_grads,
@@ -208,6 +208,15 @@ class TestDropConnectFit:
         assert np.all(dropped | kept)
         assert dropped.mean() == pytest.approx(0.4, abs=0.02)
 
+    def test_parameter_draws_match_sequential_masks(self):
+        spec = ArchitectureSpec(2, (5, 3))
+        net = init_parameters(spec, seed=4)
+        fp = DropConnectPosterior(spec, net, drop_rate=0.3, sample_count=9)
+        thetas = draw_parameter_matrix(fp, 9, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        masks = np.stack([sample_weight_mask(spec, 0.3, rng) for _ in range(9)])
+        assert np.array_equal(thetas, net.params[None, :] * masks)
+
 
 class TestVariationalFit:
     def test_overwhelming_prior_pulls_toward_unit_gaussian(self):
@@ -299,16 +308,6 @@ class TestDraws:
         assert np.array_equal(mu1, mu2) and np.array_equal(v1, v2)
         assert not np.array_equal(mu1, mu3)
 
-    def test_prediction_objects_mirror_arrays(self):
-        fp = self._variational()
-        x = np.array([0.0, 0.5, -0.5])
-        mu, sigma2 = draw_prediction_arrays(fp, x, n_draws=7, seed=3)
-        preds = draw_predictions(fp, x, n_draws=7, seed=3)
-        assert len(preds) == 7
-        for p, m, v in zip(preds, mu, sigma2):
-            assert p.mean == m and p.variance == v
-            assert p.variance > 0
-
     def test_input_validation(self):
         fp = self._variational()
         with pytest.raises(ValueError):
@@ -363,6 +362,36 @@ class TestPersistence:
         mu1, v1 = draw_prediction_arrays(fp, x, seed=2)
         mu2, v2 = draw_prediction_arrays(back, x, seed=2)
         assert np.array_equal(mu1, mu2) and np.array_equal(v1, v2)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda m: m.pop("member_seeds"), lambda m: m.update(member_seeds=[0])],
+        ids=["missing-key", "too-few"],
+    )
+    def test_malformed_member_seeds_rejected(self, tmp_path, edit):
+        spec = self._specs()
+        fp = EnsemblePosterior(spec, [init_parameters(spec, seed=k) for k in range(2)], [0, 1])
+        save_posterior(fp, tmp_path / "ens")
+        path = tmp_path / "ens" / "posterior.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="member_seeds") as exc:
+            load_posterior(tmp_path / "ens")
+        assert "posterior.json" in str(exc.value) and "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "member_spec",
+        [ArchitectureSpec(2, (5,)), ArchitectureSpec(2, (4,), hidden_activation="sigmoid")],
+        ids=["wider", "other-activation"],
+    )
+    def test_member_with_other_spec_rejected(self, tmp_path, member_spec):
+        spec = ArchitectureSpec(2, (4,))
+        fp = EnsemblePosterior(spec, [init_parameters(spec, seed=k) for k in range(3)], [0, 1, 2])
+        save_posterior(fp, tmp_path / "ens")
+        save_checkpoint(init_parameters(member_spec, seed=9), tmp_path / "ens" / "member_01.json")
+        with pytest.raises(ValueError, match="member_01.json"):
+            load_posterior(tmp_path / "ens")
 
     def test_unknown_format_version_rejected(self, tmp_path):
         spec = self._specs()
