@@ -15,7 +15,11 @@ from winduq.experiments import build_config, run_dataset_scaling
 
 
 def main() -> None:
-    out_dir = Path(tempfile.mkdtemp(prefix="winduq_scaling_")) / "run"
+    with tempfile.TemporaryDirectory(prefix="winduq_scaling_") as tmp:
+        run(Path(tmp) / "run")
+
+
+def run(out_dir: Path) -> None:
     cfg = build_config(
         "dataset_scaling",
         {"samplers": "deep_ensemble", "seeds": "1", "out_dir": str(out_dir)},

@@ -25,8 +25,11 @@ def main() -> None:
     spec = ArchitectureSpec(1, (16, 16))
     sampler = PosteriorSampler("mc_dropconnect", sample_count=20, drop_rate=0.05)
     fp, _ = fit(sampler, spec, train, TrainingConfig(epochs=100, seed=3))
+    with tempfile.TemporaryDirectory(prefix="winduq_cli_") as tmp:
+        save_and_decompose(fp, Path(tmp))
 
-    work = Path(tempfile.mkdtemp(prefix="winduq_cli_"))
+
+def save_and_decompose(fp, work: Path) -> None:
     posterior_dir = work / "posterior"
     save_posterior(fp, posterior_dir)
     print(f"saved posterior to {posterior_dir}")

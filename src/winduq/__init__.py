@@ -28,19 +28,13 @@ from .losses import (
     TrainingConfig,
     TrainingDivergedError,
     TrainingTrace,
-    beta_nll_loss,
-    beta_nll_output_grads,
     learning_rate_at,
-    nll_loss,
     train,
 )
 from .metrics import joint_density_ranks, mse, spearman
 from .network import (
     ArchitectureSpec,
-    GaussianPrediction,
     TwoHeadNetwork,
-    backward,
-    forward,
     forward_batch,
     init_parameters,
     load_checkpoint,
@@ -72,7 +66,6 @@ __all__ = [
     "DropConnectPosterior",
     "EnsemblePosterior",
     "FeatureScaling",
-    "GaussianPrediction",
     "PosteriorSampler",
     "PowerCurveSpec",
     "RegressionDataset",
@@ -83,13 +76,9 @@ __all__ = [
     "TrainingTrace",
     "TwoHeadNetwork",
     "VariationalPosterior",
-    "backward",
-    "beta_nll_loss",
-    "beta_nll_output_grads",
     "decompose_arrays",
     "decompose_batch",
     "fit",
-    "forward",
     "forward_batch",
     "init_parameters",
     "joint_density_ranks",
@@ -102,7 +91,6 @@ __all__ = [
     "make_power_curve_table",
     "make_sine_dataset",
     "mse",
-    "nll_loss",
     "power_curve",
     "preprocess_power_table",
     "save_checkpoint",

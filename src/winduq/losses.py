@@ -6,6 +6,10 @@ to a fixed power ``beta``, with the weight factor excluded from
 differentiation (a stop-gradient).  ``beta = 0`` recovers the plain NLL;
 ``beta = 1`` makes the mean gradient independent of the predicted variance,
 matching a squared-error fit of the mean.
+
+Every sampler trains through the one mini-batch loop here; ``train`` runs it
+on a single network, and :mod:`winduq.posterior` supplies the DropConnect and
+Bayes-by-backprop parameter draws.
 """
 
 from __future__ import annotations
@@ -14,23 +18,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import GaussianPrediction, TwoHeadNetwork, backward_batch, forward_batch
+from .network import (
+    ArchitectureSpec,
+    TwoHeadNetwork,
+    _backward_cached,
+    _forward_cached,
+    forward_batch,  # noqa: F401  kept importable here; perfbench/test_smoke.py looks it up
+    parameter_layout,
+)
 from .seeding import spawn_rng
 
 _OPTIMIZERS = ("adam", "sgd")
 
-# spawn_key tags for the independent RNG streams a training run uses
+# spawn_key tag of the per-epoch shuffle stream
 _STREAM_SHUFFLE = 101
-_STREAM_MASK = 102
-_STREAM_WEIGHT_DRAW = 103
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a non-finite loss or gradient appears during training."""
+    """Raised when a non-finite prediction, loss or gradient appears during training."""
 
 
-def _validate_terms(mu: np.ndarray, sigma2: np.ndarray, y: np.ndarray) -> None:
-    if np.any(sigma2 <= 0.0):
+def _validate_terms(sigma2: np.ndarray) -> None:
+    # written so that NaN variances fail too
+    if not np.all(sigma2 > 0.0):
         raise ValueError("predicted variance must be strictly positive")
 
 
@@ -39,7 +49,7 @@ def nll_terms(mu: np.ndarray, sigma2: np.ndarray, y: np.ndarray) -> np.ndarray:
     mu = np.asarray(mu, dtype=np.float64)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    _validate_terms(mu, sigma2, y)
+    _validate_terms(sigma2)
     return 0.5 * np.log(sigma2) + (mu - y) ** 2 / (2.0 * sigma2)
 
 
@@ -80,33 +90,10 @@ def beta_nll_grads(
     mu = np.asarray(mu, dtype=np.float64)
     sigma2 = np.asarray(sigma2, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    _validate_terms(mu, sigma2, y)
+    _validate_terms(sigma2)
     d_mean = (mu - y) / sigma2 ** (1.0 - beta)
     d_variance = (sigma2 - (y - mu) ** 2) / (2.0 * sigma2 ** (2.0 - beta))
     return d_mean, d_variance
-
-
-def nll_loss(pred: GaussianPrediction, y: float) -> float:
-    """Gaussian NLL of one prediction against one target."""
-    return float(nll_terms(np.float64(pred.mean), np.float64(pred.variance), np.float64(y)))
-
-
-def beta_nll_loss(pred: GaussianPrediction, y: float, beta: float) -> tuple[float, float]:
-    """Weighted NLL of one prediction; returns (value, stop-gradient weight)."""
-    value, weight = beta_nll_terms(
-        np.float64(pred.mean), np.float64(pred.variance), np.float64(y), beta
-    )
-    return float(value), float(weight)
-
-
-def beta_nll_output_grads(
-    pred: GaussianPrediction, y: float, beta: float
-) -> tuple[float, float]:
-    """Loss derivatives w.r.t. one prediction's mean and variance."""
-    d_mean, d_variance = beta_nll_grads(
-        np.float64(pred.mean), np.float64(pred.variance), np.float64(y), beta
-    )
-    return float(d_mean), float(d_variance)
 
 
 @dataclass(frozen=True)
@@ -151,16 +138,23 @@ def learning_rate_at(schedule: tuple[float, int, float], epoch: int) -> float:
 
 @dataclass
 class TrainingTrace:
-    """Per-epoch training record: mean loss, training MSE, learning rate."""
+    """Per-epoch training record.
+
+    ``mean_loss`` is the epoch's weighted-NLL data term per training row;
+    ``kl`` is the weighted KL prior term on the same scale, 0 for samplers
+    without a prior.  ``mse`` is the training MSE of the predicted means.
+    """
 
     epoch: list[int] = field(default_factory=list)
     mean_loss: list[float] = field(default_factory=list)
+    kl: list[float] = field(default_factory=list)
     mse: list[float] = field(default_factory=list)
     learning_rate: list[float] = field(default_factory=list)
 
-    def append(self, epoch: int, mean_loss: float, mse: float, lr: float) -> None:
+    def append(self, epoch: int, mean_loss: float, kl: float, mse: float, lr: float) -> None:
         self.epoch.append(int(epoch))
         self.mean_loss.append(float(mean_loss))
+        self.kl.append(float(kl))
         self.mse.append(float(mse))
         self.learning_rate.append(float(lr))
 
@@ -204,79 +198,88 @@ def make_optimizer(name: str, dim: int):
     raise ValueError(f"unknown optimizer {name!r}")
 
 
-def _batch_slices(n: int, batch_size: int) -> list[np.ndarray]:
-    n_batches = max(1, int(np.ceil(n / batch_size)))
-    return [np.arange(i * batch_size, min((i + 1) * batch_size, n)) for i in range(n_batches)]
+def _point_draw(phi: np.ndarray, epoch: int, b: int):
+    """theta = phi with no prior: plain training of one network."""
+    return phi, lambda g: g, 0.0
 
 
-def train(
-    net: TwoHeadNetwork,
+def _minibatch_loop(
+    phi: np.ndarray,
+    spec: ArchitectureSpec,
     data,
     cfg: TrainingConfig,
-    regularizer=None,
-    mask_sampler=None,
-) -> tuple[TwoHeadNetwork, TrainingTrace]:
-    """Mini-batch training of one network under the weighted NLL.
+    draw,
+    batch_mean: bool,
+) -> TrainingTrace:
+    """Train the flat vector ``phi`` in place; return the per-epoch trace.
 
-    ``data`` is any object with ``inputs`` (n, d) and ``targets`` (n,) arrays.
-    The input network is never mutated; a trained copy is returned together
-    with the per-epoch trace.  Shuffling is reseeded per epoch from
-    ``cfg.seed`` so a run is reproducible from the config alone.
-
-    ``regularizer``: optional callable theta -> (value, grad) added to every
-    batch objective (already weighted by the caller).
-    ``mask_sampler``: optional callable rng -> flat weight mask, drawn freshly
-    for every forward pass (one mask per batch).
+    Per batch, ``draw(phi, epoch, b)`` returns theta, the parameter vector to
+    run the network with; a pullback from the theta-gradient of the data term
+    to the phi-gradient of the whole batch objective; and the value of the
+    prior term.  One forward pass is kept for the backward pass.  Each
+    sampler fixes ``batch_mean``: the data term is the batch mean of the
+    weighted NLL, or the batch sum.  A non-finite prediction, objective or
+    gradient raises ``TrainingDivergedError`` naming the epoch and batch.
     """
     X = np.asarray(data.inputs, dtype=np.float64)
     y = np.asarray(data.targets, dtype=np.float64)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
+    if X.ndim != 2 or X.shape[1] != spec.input_dim or y.shape != (X.shape[0],):
         raise ValueError(f"bad training data shapes: inputs {X.shape}, targets {y.shape}")
     n = X.shape[0]
     if n == 0:
         raise ValueError("training data is empty")
-
-    trained = net.copy()
-    theta = trained.params
-    opt = make_optimizer(cfg.optimizer, theta.size)
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("training data contains non-finite values")
+    slots = parameter_layout(spec)
+    opt = make_optimizer(cfg.optimizer, phi.size)
     trace = TrainingTrace()
-    slices = _batch_slices(n, cfg.batch_size)
+    batches = [np.arange(i, min(i + cfg.batch_size, n)) for i in range(0, n, cfg.batch_size)]
 
     for epoch in range(cfg.epochs):
         lr = learning_rate_at(cfg.lr_schedule, epoch)
         perm = spawn_rng(cfg.seed, _STREAM_SHUFFLE, epoch).permutation(n)
         loss_sum = 0.0
+        prior_sum = 0.0
         se_sum = 0.0
-        for b, sl in enumerate(slices):
+        for b, sl in enumerate(batches):
             idx = perm[sl]
             Xb, yb = X[idx], y[idx]
-            mask = None
-            if mask_sampler is not None:
-                mask = mask_sampler(spawn_rng(cfg.seed, _STREAM_MASK, epoch, b))
-            mu, sigma2 = forward_batch(trained, Xb, mask)
+            theta, pullback, prior = draw(phi, epoch, b)
+            act = _forward_cached(spec, slots, theta, Xb)
+            mu, sigma2 = act.mu, act.sigma2
+            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma2))):
+                raise TrainingDivergedError(
+                    f"non-finite prediction at epoch {epoch}, batch {b}"
+                )
             values, _ = beta_nll_terms(mu, sigma2, yb, cfg.beta)
             batch_loss = float(values.sum())
             d_mean, d_variance = beta_nll_grads(mu, sigma2, yb, cfg.beta)
-            if not np.isfinite(batch_loss) or not (
-                np.all(np.isfinite(d_mean)) and np.all(np.isfinite(d_variance))
-            ):
+            scale = 1.0 / len(idx) if batch_mean else 1.0
+            grad = pullback(_backward_cached(spec, act, d_mean * scale, d_variance * scale))
+            del act  # hold one batch's activations at a time
+            if not (np.isfinite(batch_loss + prior) and np.all(np.isfinite(grad))):
                 raise TrainingDivergedError(
                     f"non-finite loss or gradient at epoch {epoch}, batch {b}"
                 )
-            scale = 1.0 / len(idx)
-            grad = backward_batch(trained, Xb, d_mean * scale, d_variance * scale, mask)
-            batch_objective = batch_loss * scale
-            if regularizer is not None:
-                reg_value, reg_grad = regularizer(theta)
-                batch_objective += float(reg_value)
-                grad = grad + reg_grad
-            if not np.isfinite(batch_objective) or not np.all(np.isfinite(grad)):
-                raise TrainingDivergedError(
-                    f"non-finite loss or gradient at epoch {epoch}, batch {b}"
-                )
-            opt.step(theta, grad, lr)
+            opt.step(phi, grad, lr)
             loss_sum += batch_loss
+            prior_sum += prior
             se_sum += float(((mu - yb) ** 2).sum())
-        trace.append(epoch, loss_sum / n, se_sum / n, lr)
+        trace.append(epoch, loss_sum / n, prior_sum / n, se_sum / n, lr)
 
+    return trace
+
+
+def train(
+    net: TwoHeadNetwork, data, cfg: TrainingConfig
+) -> tuple[TwoHeadNetwork, TrainingTrace]:
+    """Mini-batch training of one network under the batch-mean weighted NLL.
+
+    ``data`` is any object with ``inputs`` (n, d) and ``targets`` (n,) arrays.
+    The input network is never mutated; a trained copy is returned together
+    with the per-epoch trace.  Shuffling is reseeded per epoch from
+    ``cfg.seed`` so a run is reproducible from the config alone.
+    """
+    trained = net.copy()
+    trace = _minibatch_loop(trained.params, trained.spec, data, cfg, _point_draw, batch_mean=True)
     return trained, trace

@@ -6,6 +6,10 @@ head is linear and the variance head passes through a softplus plus a floor,
 so the predicted variance is always positive.  Parameters live in one flat
 float64 vector, which keeps optimizers, posterior samplers and checkpointing
 trivial: every consumer sees the same layout.
+
+``forward_batch`` and ``backward_batch`` validate a batch of row inputs, then
+run ``_forward_cached``; ``_backward_cached`` reads the activations it kept.
+The training loop calls that private pair directly, once per batch.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,14 +91,6 @@ class ArchitectureSpec:
         )
 
 
-@dataclass(frozen=True)
-class GaussianPrediction:
-    """Mean and variance of a single Gaussian predictive distribution."""
-
-    mean: float
-    variance: float
-
-
 @dataclass
 class _Slot:
     name: str
@@ -154,11 +151,10 @@ class TwoHeadNetwork:
     def copy(self) -> "TwoHeadNetwork":
         return TwoHeadNetwork(self.spec, self.params.copy())
 
-    def with_params(self, params: np.ndarray) -> "TwoHeadNetwork":
-        return TwoHeadNetwork(self.spec, np.asarray(params, dtype=np.float64).copy())
 
-    def _views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
-        return {s.name: flat[s.start : s.stop].reshape(s.shape) for s in self._slots}
+def _views(slots: list[_Slot], flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Named views into a flat vector, in layout order."""
+    return {s.name: flat[s.start : s.stop].reshape(s.shape) for s in slots}
 
 
 def init_parameters(spec: ArchitectureSpec, seed: int) -> TwoHeadNetwork:
@@ -171,7 +167,7 @@ def init_parameters(spec: ArchitectureSpec, seed: int) -> TwoHeadNetwork:
     rng = spawn_rng(seed)
     flat = np.zeros(spec.n_parameters, dtype=np.float64)
     net = TwoHeadNetwork(spec, flat)
-    views = net._views(net.params)
+    views = _views(net._slots, net.params)
     for slot in net._slots:
         if slot.is_weight:
             fan_in = slot.shape[0] if len(slot.shape) > 1 else spec.hidden_widths[-1]
@@ -203,22 +199,20 @@ def _check_inputs(spec: ArchitectureSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
-def _effective_params(net: TwoHeadNetwork, weight_mask: np.ndarray | None) -> np.ndarray:
-    if weight_mask is None:
-        return net.params
-    mask = np.asarray(weight_mask, dtype=np.float64)
-    if mask.shape != net.params.shape:
-        raise ValueError(
-            f"weight mask has shape {mask.shape}, expected {net.params.shape}"
-        )
-    return net.params * mask
+class _Activations(NamedTuple):
+    views: dict[str, np.ndarray]  # parameter views by slot name
+    hs: list[np.ndarray]  # hidden layer inputs, then the last hidden output
+    zs: list[np.ndarray]  # hidden pre-activations
+    s: np.ndarray  # variance-head pre-activation
+    mu: np.ndarray
+    sigma2: np.ndarray
 
 
-def _forward_cached(net: TwoHeadNetwork, X: np.ndarray, weight_mask: np.ndarray | None):
-    """Shared forward pass returning intermediate activations for backprop."""
-    params = _effective_params(net, weight_mask)
-    views = net._views(params)
-    spec = net.spec
+def _forward_cached(
+    spec: ArchitectureSpec, slots: list[_Slot], params: np.ndarray, X: np.ndarray
+) -> _Activations:
+    """Forward pass of validated inputs, keeping the activations backprop needs."""
+    views = _views(slots, params)
     h = X
     hs = [h]  # layer inputs
     zs = []
@@ -233,42 +227,53 @@ def _forward_cached(net: TwoHeadNetwork, X: np.ndarray, weight_mask: np.ndarray 
     mu = h @ views["mean.W"] + views["mean.b"]
     s = h @ views["variance.W"] + views["variance.b"]
     sigma2 = softplus(s) + spec.variance_floor
-    return views, hs, zs, s, mu, sigma2
+    return _Activations(views, hs, zs, s, mu, sigma2)
 
 
-def forward_batch(
-    net: TwoHeadNetwork, X: np.ndarray, weight_mask: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Predict (means, variances) for a batch of row-vector inputs."""
+def _backward_cached(
+    spec: ArchitectureSpec, act: _Activations, d_mean: np.ndarray, d_variance: np.ndarray
+) -> np.ndarray:
+    """Flat gradient of sum_i [d_mean_i * mu_i + d_variance_i * sigma2_i] from one forward pass."""
+    views, hs, zs = act.views, act.hs, act.zs
+    grads: dict[str, np.ndarray] = {}
+
+    # d sigma2 / d s = sigmoid(s); the floor is additive and drops out.
+    gs = d_variance * sigmoid(act.s)
+    h_last = hs[-1]
+    grads["mean.W"] = h_last.T @ d_mean
+    grads["mean.b"] = d_mean.sum()
+    grads["variance.W"] = h_last.T @ gs
+    grads["variance.b"] = gs.sum()
+
+    gh = np.outer(d_mean, views["mean.W"]) + np.outer(gs, views["variance.W"])
+    for i in reversed(range(len(spec.hidden_widths))):
+        if spec.hidden_activation == "relu":
+            gz = gh * (zs[i] > 0.0)
+        else:
+            a = hs[i + 1]
+            gz = gh * a * (1.0 - a)
+        grads[f"hidden{i}.W"] = hs[i].T @ gz
+        grads[f"hidden{i}.b"] = gz.sum(axis=0)
+        if i > 0:
+            gh = gz @ views[f"hidden{i}.W"].T
+
+    return np.concatenate([np.ravel(grads[name]) for name in views])
+
+
+def forward_batch(net: TwoHeadNetwork, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Predict (means, variances) for a batch of row-vector inputs. Never mutates the network."""
     X = _check_inputs(net.spec, X)
-    _, _, _, _, mu, sigma2 = _forward_cached(net, X, weight_mask)
-    return mu, sigma2
-
-
-def forward(
-    net: TwoHeadNetwork, x: np.ndarray, weight_mask: np.ndarray | None = None
-) -> GaussianPrediction:
-    """Predict a single input vector. Pure: never mutates the network."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D input vector, got shape {x.shape}")
-    mu, sigma2 = forward_batch(net, x[None, :], weight_mask)
-    return GaussianPrediction(mean=float(mu[0]), variance=float(sigma2[0]))
+    act = _forward_cached(net.spec, net._slots, net.params, X)
+    return act.mu, act.sigma2
 
 
 def backward_batch(
-    net: TwoHeadNetwork,
-    X: np.ndarray,
-    d_mean: np.ndarray,
-    d_variance: np.ndarray,
-    weight_mask: np.ndarray | None = None,
+    net: TwoHeadNetwork, X: np.ndarray, d_mean: np.ndarray, d_variance: np.ndarray
 ) -> np.ndarray:
     """Flat parameter gradient of sum_i [d_mean_i * mu_i + d_variance_i * sigma2_i].
 
     ``d_mean`` and ``d_variance`` are the upstream loss derivatives with
-    respect to each row's predicted mean and variance.  When a weight mask is
-    given the gradient is taken with respect to the unmasked parameters of the
-    masked network (zeroed positions receive zero gradient).
+    respect to each row's predicted mean and variance.
     """
     X = _check_inputs(net.spec, X)
     d_mean = np.asarray(d_mean, dtype=np.float64)
@@ -278,56 +283,8 @@ def backward_batch(
         raise ValueError("upstream gradients must be 1-D arrays matching the batch size")
     if not (np.all(np.isfinite(d_mean)) and np.all(np.isfinite(d_variance))):
         raise ValueError("upstream gradients contain non-finite values")
-
-    views, hs, zs, s, _, _ = _forward_cached(net, X, weight_mask)
-    spec = net.spec
-    grad = np.zeros_like(net.params)
-    gnet = TwoHeadNetwork(spec, grad)
-    gviews = gnet._views(gnet.params)
-
-    # d sigma2 / d s = sigmoid(s); the floor is additive and drops out.
-    gs = d_variance * sigmoid(s)
-    h_last = hs[-1]
-    gviews["mean.W"][...] = h_last.T @ d_mean
-    gviews["mean.b"][...] = d_mean.sum()
-    gviews["variance.W"][...] = h_last.T @ gs
-    gviews["variance.b"][...] = gs.sum()
-
-    gh = np.outer(d_mean, views["mean.W"]) + np.outer(gs, views["variance.W"])
-    for i in reversed(range(len(spec.hidden_widths))):
-        if spec.hidden_activation == "relu":
-            gz = gh * (zs[i] > 0.0)
-        else:
-            a = hs[i + 1]
-            gz = gh * a * (1.0 - a)
-        gviews[f"hidden{i}.W"][...] = hs[i].T @ gz
-        gviews[f"hidden{i}.b"][...] = gz.sum(axis=0)
-        if i > 0:
-            gh = gz @ views[f"hidden{i}.W"].T
-
-    if weight_mask is not None:
-        grad *= np.asarray(weight_mask, dtype=np.float64)
-    return grad
-
-
-def backward(
-    net: TwoHeadNetwork,
-    x: np.ndarray,
-    upstream: tuple[float, float],
-    weight_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """Single-input flat gradient given upstream (d/d mean, d/d variance)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-D input vector, got shape {x.shape}")
-    d_mean, d_variance = (float(upstream[0]), float(upstream[1]))
-    return backward_batch(
-        net,
-        x[None, :],
-        np.array([d_mean]),
-        np.array([d_variance]),
-        weight_mask,
-    )
+    act = _forward_cached(net.spec, net._slots, net.params, X)
+    return _backward_cached(net.spec, act, d_mean, d_variance)
 
 
 def save_checkpoint(net: TwoHeadNetwork, path: str | Path, seed: int | None = None) -> None:

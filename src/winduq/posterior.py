@@ -24,21 +24,13 @@ import numpy as np
 
 from .losses import (
     TrainingConfig,
-    TrainingDivergedError,
     TrainingTrace,
-    beta_nll_grads,
-    beta_nll_terms,
-    learning_rate_at,
-    make_optimizer,
+    _minibatch_loop,
     train,
-    _batch_slices,
-    _STREAM_SHUFFLE,
-    _STREAM_WEIGHT_DRAW,
 )
 from .network import (
     ArchitectureSpec,
     TwoHeadNetwork,
-    backward_batch,
     forward_batch,
     init_parameters,
     load_checkpoint,
@@ -53,9 +45,12 @@ SAMPLER_KINDS = ("deep_ensemble", "mc_dropconnect", "bayes_by_backprop")
 
 POSTERIOR_FORMAT_VERSION = 1
 
-# spawn_key tags for fit-level streams
+# spawn_key tags: per-batch training draws, fit-level streams, prediction draws
+_STREAM_MASK = 102
+_STREAM_WEIGHT_DRAW = 103
 _STREAM_MEMBER = 201
 _STREAM_INIT = 202
+_STREAM_PREDICT = 301
 
 
 @dataclass(frozen=True)
@@ -177,102 +172,34 @@ class VariationalPosterior:
 FittedPosterior = EnsemblePosterior | DropConnectPosterior | VariationalPosterior
 
 
-def _fit_ensemble(
-    sampler: PosteriorSampler,
-    spec: ArchitectureSpec,
-    data,
-    cfg: TrainingConfig,
-) -> tuple[EnsemblePosterior, list[TrainingTrace]]:
-    members = []
-    seeds = []
-    traces = []
-    for k in range(sampler.ensemble_size):
-        member_seed = derive_seed(cfg.seed, _STREAM_MEMBER, k)
-        net0 = init_parameters(spec, derive_seed(member_seed, 1))
-        cfg_k = replace(cfg, seed=derive_seed(member_seed, 2))
-        net_k, trace_k = train(net0, data, cfg_k)
-        members.append(net_k)
-        seeds.append(member_seed)
-        traces.append(trace_k)
-    return EnsemblePosterior(spec, members, seeds), traces
+def _dropconnect_draw(spec: ArchitectureSpec, rate: float, seed: int):
+    """theta = phi * m with a fresh Bernoulli keep-mask m per batch; no prior."""
+
+    def draw(phi: np.ndarray, epoch: int, b: int):
+        m = sample_weight_mask(spec, rate, spawn_rng(seed, _STREAM_MASK, epoch, b))
+        return phi * m, lambda g: g * m, 0.0
+
+    return draw
 
 
-def _fit_dropconnect(
-    sampler: PosteriorSampler,
-    spec: ArchitectureSpec,
-    data,
-    cfg: TrainingConfig,
-) -> tuple[DropConnectPosterior, list[TrainingTrace]]:
-    net0 = init_parameters(spec, derive_seed(cfg.seed, _STREAM_INIT))
-    rate = sampler.drop_rate
+def _variational_draw(n_params: int, kl_weight: float, seed: int):
+    """theta = mean + softplus(rho) * eps over phi = [mean, rho], with the
+    weighted KL to the unit Gaussian prior as the prior term."""
 
-    def mask_sampler(rng: np.random.Generator) -> np.ndarray:
-        return sample_weight_mask(spec, rate, rng)
+    def draw(phi: np.ndarray, epoch: int, b: int):
+        mean, rho = phi[:n_params], phi[n_params:]
+        eps = spawn_rng(seed, _STREAM_WEIGHT_DRAW, epoch, b).standard_normal(n_params)
+        theta = mean + softplus(rho) * eps
+        kl_d_mean, kl_d_rho = kl_to_unit_gaussian_grads(mean, rho)
 
-    net, trace = train(net0, data, cfg, mask_sampler=mask_sampler)
-    return DropConnectPosterior(spec, net, rate, sampler.sample_count), [trace]
-
-
-def _fit_variational(
-    sampler: PosteriorSampler,
-    spec: ArchitectureSpec,
-    data,
-    cfg: TrainingConfig,
-) -> tuple[VariationalPosterior, list[TrainingTrace]]:
-    X = np.asarray(data.inputs, dtype=np.float64)
-    y = np.asarray(data.targets, dtype=np.float64)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ValueError(f"bad training data shapes: inputs {X.shape}, targets {y.shape}")
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("training data is empty")
-    kl_weight = cfg.kl_weight
-    assert kl_weight is not None  # enforced by fit()
-
-    p = spec.n_parameters
-    init_net = init_parameters(spec, derive_seed(cfg.seed, _STREAM_INIT))
-    v = np.concatenate([init_net.params, np.full(p, softplus_inverse(sampler.init_sigma))])
-    mean, rho = v[:p], v[p:]
-
-    opt = make_optimizer(cfg.optimizer, 2 * p)
-    trace = TrainingTrace()
-    slices = _batch_slices(n, cfg.batch_size)
-
-    for epoch in range(cfg.epochs):
-        lr = learning_rate_at(cfg.lr_schedule, epoch)
-        perm = spawn_rng(cfg.seed, _STREAM_SHUFFLE, epoch).permutation(n)
-        loss_sum = 0.0
-        se_sum = 0.0
-        for b, sl in enumerate(slices):
-            idx = perm[sl]
-            Xb, yb = X[idx], y[idx]
-            eps = spawn_rng(cfg.seed, _STREAM_WEIGHT_DRAW, epoch, b).standard_normal(p)
-            sigma_q = softplus(rho)
-            theta = mean + sigma_q * eps
-            net_b = TwoHeadNetwork(spec, theta)
-            mu, sigma2 = forward_batch(net_b, Xb)
-            values, _ = beta_nll_terms(mu, sigma2, yb, cfg.beta)
-            d_mean_up, d_var_up = beta_nll_grads(mu, sigma2, yb, cfg.beta)
-            g_theta = backward_batch(net_b, Xb, d_mean_up, d_var_up)
-            kl_value = kl_to_unit_gaussian(mean, rho)
-            kl_d_mean, kl_d_rho = kl_to_unit_gaussian_grads(mean, rho)
-            grad = np.concatenate(
-                [
-                    g_theta + kl_weight * kl_d_mean,
-                    g_theta * eps * sigmoid(rho) + kl_weight * kl_d_rho,
-                ]
+        def pullback(g: np.ndarray) -> np.ndarray:
+            return np.concatenate(
+                [g + kl_weight * kl_d_mean, g * eps * sigmoid(rho) + kl_weight * kl_d_rho]
             )
-            batch_objective = float(values.sum()) + kl_weight * kl_value
-            if not np.isfinite(batch_objective) or not np.all(np.isfinite(grad)):
-                raise TrainingDivergedError(
-                    f"non-finite loss or gradient at epoch {epoch}, batch {b}"
-                )
-            opt.step(v, grad, lr)
-            loss_sum += batch_objective
-            se_sum += float(((mu - yb) ** 2).sum())
-        trace.append(epoch, loss_sum / n, se_sum / n, lr)
 
-    return VariationalPosterior(spec, mean.copy(), rho.copy(), sampler.sample_count), [trace]
+        return theta, pullback, kl_weight * kl_to_unit_gaussian(mean, rho)
+
+    return draw
 
 
 def fit(
@@ -290,37 +217,31 @@ def fit(
     if sampler.kind == "bayes_by_backprop":
         if cfg.kl_weight is None:
             raise ValueError("bayes_by_backprop requires cfg.kl_weight")
-        return _fit_variational(sampler, spec, data, cfg)
-    if cfg.kl_weight is not None:
+    elif cfg.kl_weight is not None:
         raise ValueError(f"kl_weight is only meaningful for bayes_by_backprop, not {sampler.kind}")
     if sampler.kind == "deep_ensemble":
-        return _fit_ensemble(sampler, spec, data, cfg)
-    return _fit_dropconnect(sampler, spec, data, cfg)
-
-
-def _param_views(spec: ArchitectureSpec, thetas: np.ndarray) -> dict[str, np.ndarray]:
-    from .network import parameter_layout
-
-    s = thetas.shape[0]
-    return {
-        slot.name: thetas[:, slot.start : slot.stop].reshape((s, *slot.shape))
-        for slot in parameter_layout(spec)
-    }
-
-
-def _forward_many(
-    spec: ArchitectureSpec, thetas: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward one input vector under S different parameter vectors at once."""
-    s = thetas.shape[0]
-    views = _param_views(spec, thetas)
-    h = np.broadcast_to(x, (s, x.size))
-    for i in range(len(spec.hidden_widths)):
-        z = np.einsum("si,sio->so", h, views[f"hidden{i}.W"]) + views[f"hidden{i}.b"]
-        h = np.maximum(z, 0.0) if spec.hidden_activation == "relu" else sigmoid(z)
-    mu = np.einsum("si,si->s", h, views["mean.W"]) + views["mean.b"]
-    pre = np.einsum("si,si->s", h, views["variance.W"]) + views["variance.b"]
-    return mu, softplus(pre) + spec.variance_floor
+        members, seeds, traces = [], [], []
+        for k in range(sampler.ensemble_size):
+            member_seed = derive_seed(cfg.seed, _STREAM_MEMBER, k)
+            net0 = init_parameters(spec, derive_seed(member_seed, 1))
+            net_k, trace_k = train(net0, data, replace(cfg, seed=derive_seed(member_seed, 2)))
+            members.append(net_k)
+            seeds.append(member_seed)
+            traces.append(trace_k)
+        return EnsemblePosterior(spec, members, seeds), traces
+    net = init_parameters(spec, derive_seed(cfg.seed, _STREAM_INIT))
+    if sampler.kind == "mc_dropconnect":
+        draw = _dropconnect_draw(spec, sampler.drop_rate, cfg.seed)
+        trace = _minibatch_loop(net.params, spec, data, cfg, draw, batch_mean=True)
+        return DropConnectPosterior(spec, net, sampler.drop_rate, sampler.sample_count), [trace]
+    p = spec.n_parameters
+    phi = np.concatenate([net.params, np.full(p, softplus_inverse(sampler.init_sigma))])
+    # the data term is the batch sum: with kl_weight = 1 / (batches per
+    # epoch), one epoch's objectives add up to the full-data negative ELBO,
+    # the minibatch weighting of Blundell et al. (2015)
+    draw = _variational_draw(p, cfg.kl_weight, cfg.seed)
+    trace = _minibatch_loop(phi, spec, data, cfg, draw, batch_mean=False)
+    return VariationalPosterior(spec, phi[:p].copy(), phi[p:].copy(), sampler.sample_count), [trace]
 
 
 def draw_parameter_matrix(
@@ -346,18 +267,35 @@ def draw_parameter_matrix(
     raise TypeError(f"not a fitted posterior: {type(fp).__name__}")
 
 
+def _predict_draws(
+    fp: FittedPosterior, X: np.ndarray, n_draws: int | None, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(S, n) means and variances of X's rows under ``draw_parameter_matrix(fp, S,
+    spawn_rng(seed, 301))``, with S defaulting to the posterior's ``sample_count``."""
+    s = fp.sample_count if n_draws is None else int(n_draws)
+    if s < 1:
+        raise ValueError(f"n_draws must be >= 1, got {s}")
+    thetas = draw_parameter_matrix(fp, s, spawn_rng(seed, _STREAM_PREDICT))
+    means = np.empty((s, X.shape[0]))
+    variances = np.empty((s, X.shape[0]))
+    for k, theta in enumerate(thetas):
+        means[k], variances[k] = forward_batch(TwoHeadNetwork(fp.spec, theta), X)
+    return means, variances
+
+
 def draw_prediction_arrays(
     fp: FittedPosterior, x: np.ndarray, n_draws: int | None = None, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(means, variances) of S posterior draws for one input vector."""
+    """(means, variances) of S posterior draws for one input vector.
+
+    These are the draws ``decompose_batch`` reduces for ``x`` with the same
+    ``n_draws`` and ``seed``.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != fp.spec.input_dim:
-        raise ValueError(f"expected an input vector of length {fp.spec.input_dim}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("input contains non-finite values")
-    s = fp.sample_count if n_draws is None else int(n_draws)
-    thetas = draw_parameter_matrix(fp, s, spawn_rng(seed))
-    return _forward_many(fp.spec, thetas, x)
+    if x.ndim != 1:
+        raise ValueError(f"expected a 1-D input vector, got shape {x.shape}")
+    means, variances = _predict_draws(fp, x[None, :], n_draws, seed)
+    return means[:, 0], variances[:, 0]
 
 
 # ---------------------------------------------------------------------------

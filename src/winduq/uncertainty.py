@@ -17,11 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import TwoHeadNetwork, forward_batch
-from .posterior import FittedPosterior, draw_parameter_matrix
-from .seeding import spawn_rng
-
-_STREAM_ROW = 301
+from .posterior import FittedPosterior, _predict_draws
 
 
 def _reduce_draws(
@@ -82,19 +78,11 @@ def decompose_batch(
     One call draws one (S, P) parameter matrix,
     ``draw_parameter_matrix(fp, S, spawn_rng(seed, 301))``, and every row is
     predicted under those same S parameter vectors.  Row i is therefore the
-    decomposition of the S predictions for ``inputs[i]`` alone under that
-    matrix (up to BLAS rounding), and it does not depend on which other rows
-    are present.  Deep ensembles draw their K members, so the seed is unused.
+    decomposition of ``draw_prediction_arrays(fp, inputs[i], S, seed)`` (up
+    to BLAS rounding), and it does not depend on which other rows are
+    present.  Deep ensembles draw their K members, so the seed is unused.
     """
     X = np.asarray(inputs, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != fp.spec.input_dim:
         raise ValueError(f"inputs have shape {X.shape}, expected (n, {fp.spec.input_dim})")
-    s = fp.sample_count if n_draws is None else int(n_draws)
-    if s < 1:
-        raise ValueError(f"n_draws must be >= 1, got {s}")
-    thetas = draw_parameter_matrix(fp, s, spawn_rng(seed, _STREAM_ROW))
-    means = np.empty((s, X.shape[0]))
-    variances = np.empty((s, X.shape[0]))
-    for k, theta in enumerate(thetas):
-        means[k], variances[k] = forward_batch(TwoHeadNetwork(fp.spec, theta), X)
-    return BatchDecomposition(*_reduce_draws(means, variances))
+    return BatchDecomposition(*_reduce_draws(*_predict_draws(fp, X, n_draws, seed)))

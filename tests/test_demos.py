@@ -10,12 +10,21 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["01_decomposition_basics.py", "05_save_load_and_cli.py"])
+@pytest.mark.parametrize(
+    "script",
+    [
+        "01_decomposition_basics.py",
+        "02_sine_extrapolation.py",
+        "04_data_volume_trend.py",
+        "05_save_load_and_cli.py",
+    ],
+)
 def test_demo_exits_cleanly(script, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))  # demo 05 writes under mkdtemp
+    env = dict(os.environ, TMPDIR=str(tmp_path))  # demos 04 and 05 write temp dirs
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / script)],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert not list(tmp_path.glob("winduq_*")), "demo left its temp dir behind"

@@ -5,6 +5,7 @@ because the weight is excluded from differentiation by construction.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,17 +15,13 @@ from winduq.losses import (
     TrainingConfig,
     TrainingDivergedError,
     beta_nll_grads,
-    beta_nll_loss,
-    beta_nll_output_grads,
     beta_nll_terms,
     learning_rate_at,
-    nll_loss,
     nll_terms,
     train,
 )
 from winduq.network import (
     ArchitectureSpec,
-    GaussianPrediction,
     TwoHeadNetwork,
     backward_batch,
     forward_batch,
@@ -32,15 +29,21 @@ from winduq.network import (
 )
 
 
+def output_grads(mu, sigma2, y, beta):
+    """beta_nll_grads of one prediction, as Python floats."""
+    d_mean, d_variance = beta_nll_grads(mu, sigma2, y, beta)
+    return float(d_mean), float(d_variance)
+
+
 class TestNllValues:
     def test_hand_computed_value(self):
-        pred = GaussianPrediction(mean=1.0, variance=4.0)
         # log(4)/2 + (1-3)^2 / (2*4)
-        assert nll_loss(pred, 3.0) == pytest.approx(math.log(4.0) / 2.0 + 0.5, rel=1e-15)
+        assert float(nll_terms(1.0, 4.0, 3.0)) == pytest.approx(
+            math.log(4.0) / 2.0 + 0.5, rel=1e-15
+        )
 
     def test_beta_one_scales_by_variance(self):
-        pred = GaussianPrediction(mean=1.0, variance=4.0)
-        value, weight = beta_nll_loss(pred, 3.0, beta=1.0)
+        value, weight = beta_nll_terms(1.0, 4.0, 3.0, beta=1.0)
         assert weight == 4.0
         assert value == pytest.approx(4.0 * (math.log(4.0) / 2.0 + 0.5), rel=1e-15)
 
@@ -56,19 +59,26 @@ class TestNllValues:
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
-            nll_loss(GaussianPrediction(0.0, 0.0), 1.0)
+            nll_terms(0.0, 0.0, 1.0)
         with pytest.raises(ValueError):
-            beta_nll_loss(GaussianPrediction(0.0, -1.0), 1.0, 0.5)
+            beta_nll_terms(0.0, -1.0, 1.0, 0.5)
+
+    def test_nan_variance_rejected(self):
+        # a NaN variance is not "strictly positive" either
+        sigma2 = np.array([np.nan, 1.0])
+        for fn in (beta_nll_terms, beta_nll_grads):
+            with pytest.raises(ValueError, match="strictly positive"):
+                fn(np.zeros(2), sigma2, np.zeros(2), 0.5)
 
     @pytest.mark.parametrize("beta", [-0.1, 1.1, 2.0])
     def test_beta_out_of_range_rejected(self, beta):
         with pytest.raises(ValueError):
-            beta_nll_loss(GaussianPrediction(0.0, 1.0), 1.0, beta)
+            beta_nll_terms(0.0, 1.0, 1.0, beta)
 
 
 class TestBetaGradients:
     def test_hand_computed_case(self):
-        d_mean, d_var = beta_nll_output_grads(GaussianPrediction(1.0, 4.0), 3.0, beta=0.5)
+        d_mean, d_var = output_grads(1.0, 4.0, 3.0, beta=0.5)
         assert d_mean == pytest.approx((1.0 - 3.0) / 4.0**0.5, rel=1e-15)
         assert d_var == pytest.approx((4.0 - 4.0) / (2.0 * 4.0**1.5), abs=1e-15)
 
@@ -87,7 +97,7 @@ class TestBetaGradients:
 
             fd_mean = (frozen(mu + h, sigma2) - frozen(mu - h, sigma2)) / (2 * h)
             fd_var = (frozen(mu, sigma2 + h) - frozen(mu, sigma2 - h)) / (2 * h)
-            d_mean, d_var = beta_nll_output_grads(GaussianPrediction(mu, sigma2), y, beta)
+            d_mean, d_var = output_grads(mu, sigma2, y, beta)
             assert d_mean == pytest.approx(fd_mean, rel=1e-7, abs=1e-9)
             assert d_var == pytest.approx(fd_var, rel=1e-6, abs=1e-8)
 
@@ -95,7 +105,7 @@ class TestBetaGradients:
         # the returned gradients must depend on sigma2 only through the NLL
         # part; replacing the weight's sigma2 by anything else is invisible
         mu, sigma2, y, beta = 0.4, 1.7, -0.9, 0.6
-        d = beta_nll_output_grads(GaussianPrediction(mu, sigma2), y, beta)
+        d = output_grads(mu, sigma2, y, beta)
         expected_mean = (mu - y) / sigma2 ** (1.0 - beta)
         expected_var = (sigma2 - (y - mu) ** 2) / (2.0 * sigma2 ** (2.0 - beta))
         assert d == (pytest.approx(expected_mean, rel=1e-15), pytest.approx(expected_var, rel=1e-15))
@@ -110,8 +120,8 @@ class TestBetaGradients:
 
     def test_variance_gradient_sign(self):
         # overestimated variance is pushed down, underestimated up
-        _, d_hi = beta_nll_output_grads(GaussianPrediction(0.0, 9.0), 1.0, 0.5)
-        _, d_lo = beta_nll_output_grads(GaussianPrediction(0.0, 0.25), 1.0, 0.5)
+        _, d_hi = output_grads(0.0, 9.0, 1.0, 0.5)
+        _, d_lo = output_grads(0.0, 0.25, 1.0, 0.5)
         assert d_hi > 0
         assert d_lo < 0
 
@@ -257,24 +267,24 @@ class TestTrain:
             with pytest.raises(TrainingDivergedError, match=r"epoch \d+, batch \d+"):
                 train(net, data, cfg)
 
-    def test_all_ones_mask_reproduces_unmasked_run(self):
+    @pytest.mark.parametrize("where", ["inputs", "targets"])
+    def test_non_finite_data_rejected_before_training(self, where):
         data = self._sine()
-        spec = ArchitectureSpec(1, (8,))
-        net = init_parameters(spec, seed=4)
-        cfg = TrainingConfig(epochs=2, seed=5)
-        plain, _ = train(net, data, cfg)
-        masked, _ = train(
-            net, data, cfg, mask_sampler=lambda rng: np.ones(spec.n_parameters)
-        )
-        assert np.array_equal(plain.params, masked.params)
+        X, y = data.inputs.copy(), data.targets.copy()
+        (X if where == "inputs" else y)[5] = np.nan
+        spec = ArchitectureSpec(1, (4,))
+        bad = SimpleNamespace(inputs=X, targets=y)
+        with pytest.raises(ValueError, match="non-finite"):
+            train(init_parameters(spec, seed=2), bad, TrainingConfig(epochs=1))
 
-    def test_regularizer_hook_participates(self):
+    def test_wrong_input_width_rejected(self):
         data = self._sine()
-        spec = ArchitectureSpec(1, (8,))
-        net = init_parameters(spec, seed=4)
-        cfg = TrainingConfig(epochs=1, seed=5)
-        noop, _ = train(net, data, cfg, regularizer=lambda t: (0.0, np.zeros_like(t)))
-        plain, _ = train(net, data, cfg)
-        assert np.array_equal(noop.params, plain.params)
-        pulled, _ = train(net, data, cfg, regularizer=lambda t: (float(t @ t), 2.0 * t))
-        assert not np.array_equal(pulled.params, plain.params)
+        spec = ArchitectureSpec(2, (4,))
+        with pytest.raises(ValueError, match="shapes"):
+            train(init_parameters(spec, seed=2), data, TrainingConfig(epochs=1))
+
+    def test_trace_kl_is_zero_without_a_prior(self):
+        data = self._sine()
+        spec = ArchitectureSpec(1, (4,))
+        _, trace = train(init_parameters(spec, seed=2), data, TrainingConfig(epochs=3))
+        assert trace.kl == [0.0, 0.0, 0.0]

@@ -2,7 +2,8 @@
 
 The backward pass is checked against a central finite-difference oracle on
 every parameter; forward values are checked against scalar arithmetic done
-with stdlib math, independent of the vectorized implementation.
+with stdlib math, independent of the vectorized implementation.  Single
+inputs go through the batch API as one-row matrices.
 """
 
 import json
@@ -14,9 +15,7 @@ import pytest
 from winduq.network import (
     ArchitectureSpec,
     TwoHeadNetwork,
-    backward,
     backward_batch,
-    forward,
     forward_batch,
     init_parameters,
     load_checkpoint,
@@ -24,6 +23,8 @@ from winduq.network import (
     save_checkpoint,
     weight_position_mask,
 )
+from winduq.posterior import _dropconnect_draw, sample_weight_mask
+from winduq.seeding import spawn_rng
 
 
 def fd_gradient(fun, theta, h=1e-5):
@@ -36,6 +37,18 @@ def fd_gradient(fun, theta, h=1e-5):
         down[i] -= h
         grad[i] = (fun(up) - fun(down)) / (2.0 * h)
     return grad
+
+
+def predict_one(net, x):
+    """(mean, variance) of one input vector through the batch API."""
+    mu, sigma2 = forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])
+    return float(mu[0]), float(sigma2[0])
+
+
+def backward_one(net, x, upstream):
+    """Flat gradient for one input vector through the batch API."""
+    x = np.asarray(x, dtype=np.float64)[None, :]
+    return backward_batch(net, x, np.array([upstream[0]]), np.array([upstream[1]]))
 
 
 class TestArchitectureSpec:
@@ -78,18 +91,18 @@ class TestForward:
         spec = ArchitectureSpec(1, (1,), "relu", variance_floor=1e-6)
         params = np.array([0.5, 0.1, 2.0, 0.3, -1.0, 0.2])
         net = TwoHeadNetwork(spec, params)
-        pred = forward(net, np.array([2.0]))
+        mean, variance = predict_one(net, [2.0])
         h = max(0.5 * 2.0 + 0.1, 0.0)
-        assert pred.mean == pytest.approx(2.0 * h + 0.3, abs=1e-15)
+        assert mean == pytest.approx(2.0 * h + 0.3, abs=1e-15)
         expected_var = math.log1p(math.exp(-1.0 * h + 0.2)) + 1e-6
-        assert pred.variance == pytest.approx(expected_var, rel=1e-14)
+        assert variance == pytest.approx(expected_var, rel=1e-14)
 
     def test_zero_parameters_give_softplus_zero_variance(self):
         spec = ArchitectureSpec(2, (8, 8), variance_floor=1e-6)
         net = TwoHeadNetwork(spec, np.zeros(spec.n_parameters))
-        pred = forward(net, np.array([0.7, -0.3]))
-        assert pred.mean == 0.0
-        assert pred.variance == pytest.approx(math.log(2.0) + 1e-6, rel=1e-14)
+        mean, variance = predict_one(net, [0.7, -0.3])
+        assert mean == 0.0
+        assert variance == pytest.approx(math.log(2.0) + 1e-6, rel=1e-14)
 
     def test_variance_always_at_least_floor(self):
         rng = np.random.default_rng(5)
@@ -107,26 +120,26 @@ class TestForward:
         X = rng.normal(size=(10, 4))
         mu, sigma2 = forward_batch(net, X)
         for i in range(10):
-            pred = forward(net, X[i])
+            mean, variance = predict_one(net, X[i])
             # matmul accumulation order differs between shapes, so agreement
             # is only up to floating-point associativity
-            assert pred.mean == pytest.approx(mu[i], rel=1e-13, abs=1e-15)
-            assert pred.variance == pytest.approx(sigma2[i], rel=1e-13, abs=1e-15)
+            assert mean == pytest.approx(mu[i], rel=1e-13, abs=1e-15)
+            assert variance == pytest.approx(sigma2[i], rel=1e-13, abs=1e-15)
 
     def test_forward_is_pure(self):
         spec = ArchitectureSpec(2, (5,))
         net = init_parameters(spec, seed=0)
         before = net.params.copy()
-        forward(net, np.array([1.0, 2.0]))
+        forward_batch(net, np.array([[1.0, 2.0]]))
         assert np.array_equal(net.params, before)
 
     def test_input_validation(self):
         spec = ArchitectureSpec(2, (4,))
         net = init_parameters(spec, seed=0)
         with pytest.raises(ValueError):
-            forward(net, np.array([1.0]))
+            forward_batch(net, np.array([[1.0]]))
         with pytest.raises(ValueError):
-            forward(net, np.array([1.0, np.nan]))
+            forward_batch(net, np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError):
             forward_batch(net, np.array([1.0, 2.0]))
 
@@ -170,18 +183,17 @@ class TestBackward:
             c1, c2 = rng.normal(size=2)
 
             def value(theta, spec=spec, x=x, c1=c1, c2=c2):
-                probe = TwoHeadNetwork(spec, theta)
-                pred = forward(probe, x)
-                return c1 * pred.mean + c2 * pred.variance
+                mean, variance = predict_one(TwoHeadNetwork(spec, theta), x)
+                return c1 * mean + c2 * variance
 
-            analytic = backward(net, x, (c1, c2))
+            analytic = backward_one(net, x, (c1, c2))
             numeric = fd_gradient(value, net.params.copy())
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
     def test_mean_bias_gradient_is_upstream_exactly(self):
         spec = ArchitectureSpec(2, (6, 4))
         net = init_parameters(spec, seed=7)
-        grad = backward(net, np.array([0.4, -1.2]), (0.3, 0.7))
+        grad = backward_one(net, [0.4, -1.2], (0.3, 0.7))
         (mean_bias,) = [s for s in parameter_layout(spec) if s.name == "mean.b"]
         assert grad[mean_bias.start] == 0.3
 
@@ -193,17 +205,19 @@ class TestBackward:
         dm = rng.normal(size=6)
         dv = rng.normal(size=6)
         whole = backward_batch(net, X, dm, dv)
-        parts = sum(backward(net, X[i], (dm[i], dv[i])) for i in range(6))
+        parts = sum(backward_one(net, X[i], (dm[i], dv[i])) for i in range(6))
         np.testing.assert_allclose(whole, parts, rtol=1e-12, atol=1e-15)
 
     def test_non_finite_upstream_rejected(self):
         spec = ArchitectureSpec(1, (4,))
         net = init_parameters(spec, seed=1)
         with pytest.raises(ValueError):
-            backward(net, np.array([1.0]), (np.nan, 0.0))
+            backward_one(net, [1.0], (np.nan, 0.0))
 
 
 class TestWeightMask:
+    """DropConnect runs the network at theta = phi * m; see the pullback in posterior."""
+
     def test_masking_mean_head_pins_mean_to_bias(self):
         spec = ArchitectureSpec(2, (6,))
         net = init_parameters(spec, seed=2)
@@ -211,7 +225,8 @@ class TestWeightMask:
         net.params[slots["mean.b"].start] = 1.5  # make the pinned value nonzero
         mask = np.ones(spec.n_parameters)
         mask[slots["mean.W"].start : slots["mean.W"].stop] = 0.0
-        mu, _ = forward_batch(net, np.array([[0.3, 0.4], [5.0, -2.0]]), weight_mask=mask)
+        masked = TwoHeadNetwork(spec, net.params * mask)
+        mu, _ = forward_batch(masked, np.array([[0.3, 0.4], [5.0, -2.0]]))
         bias = net.params[slots["mean.b"].start]
         assert np.all(mu == bias)
 
@@ -219,35 +234,41 @@ class TestWeightMask:
         rng = np.random.default_rng(3)
         spec = ArchitectureSpec(2, (6, 5))
         net = init_parameters(spec, seed=14)
-        mask = np.ones(spec.n_parameters)
-        wpos = np.flatnonzero(weight_position_mask(spec))
-        dropped = rng.choice(wpos, size=20, replace=False)
-        mask[dropped] = 0.0
-        grad = backward_batch(
-            net, rng.normal(size=(4, 2)), rng.normal(size=4), rng.normal(size=4), mask
+        draw = _dropconnect_draw(spec, 0.3, seed=14)
+        theta, pullback, prior = draw(net.params, 2, 1)
+        mask = sample_weight_mask(spec, 0.3, spawn_rng(14, 102, 2, 1))
+        assert np.array_equal(theta, net.params * mask) and prior == 0.0
+        dropped = np.flatnonzero(mask == 0.0)
+        assert dropped.size > 0
+        g = backward_batch(
+            TwoHeadNetwork(spec, theta), rng.normal(size=(4, 2)), rng.normal(size=4),
+            rng.normal(size=4),
         )
-        assert np.all(grad[dropped] == 0.0)
+        assert np.all(pullback(g)[dropped] == 0.0)
 
     def test_masked_backward_matches_finite_differences(self):
+        # the DropConnect pullback is the phi-gradient of the batch objective
+        # at the batch's fixed mask
         rng = np.random.default_rng(44)
         spec = ArchitectureSpec(2, (5, 4))
         net = init_parameters(spec, seed=31)
         # keep pre-activations away from the relu kink: masking every input
         # of a unit with a zero bias would park it exactly at z = 0, where
         # finite differences straddle the subgradient
-        net.params[:] = net.params + rng.normal(0.05, 0.1, size=spec.n_parameters)
-        mask = np.ones(spec.n_parameters)
-        wpos = np.flatnonzero(weight_position_mask(spec))
-        mask[rng.choice(wpos, size=15, replace=False)] = 0.0
-        x = rng.normal(size=2)
+        phi = net.params + rng.normal(0.05, 0.1, size=spec.n_parameters)
+        draw = _dropconnect_draw(spec, 0.3, seed=5)
+        X = rng.normal(size=(3, 2))
+        c1, c2 = rng.normal(size=3), rng.normal(size=3)
 
-        def value(theta):
-            probe = TwoHeadNetwork(spec, theta)
-            pred = forward(probe, x, weight_mask=mask)
-            return 0.7 * pred.mean - 0.2 * pred.variance
+        def objective(phi_):
+            theta, _, prior = draw(phi_, 0, 0)
+            mu, sigma2 = forward_batch(TwoHeadNetwork(spec, theta), X)
+            return float(c1 @ mu + c2 @ sigma2) + prior
 
-        analytic = backward(net, x, (0.7, -0.2), weight_mask=mask)
-        numeric = fd_gradient(value, net.params.copy())
+        theta, pullback, _ = draw(phi, 0, 0)
+        assert np.any(theta != phi)
+        analytic = pullback(backward_batch(TwoHeadNetwork(spec, theta), X, c1, c2))
+        numeric = fd_gradient(objective, phi.copy())
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
 

@@ -1,8 +1,9 @@
 """Posterior samplers against Monte Carlo oracles and exact invariants.
 
 The closed-form KL is checked against a large-sample estimate of
-E_q[log q - log p], mask statistics against their Bernoulli rate, and the
-vectorized multi-draw forward against the reference single-network forward.
+E_q[log q - log p], mask statistics against their Bernoulli rate, the
+training pullbacks against finite differences, and prediction draws against
+the single-network forward under the same parameter stream.
 Fit-level tests pin determinism and the degenerate corners (drop rate zero,
 overwhelming prior weight) where the right answer is known exactly.
 """
@@ -15,11 +16,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from winduq.data import make_sine_dataset
-from winduq.losses import TrainingConfig, train
+from winduq.losses import TrainingConfig, TrainingDivergedError, beta_nll_terms, train
 from winduq.network import (
     ArchitectureSpec,
     TwoHeadNetwork,
-    forward,
+    backward_batch,
+    forward_batch,
     init_parameters,
     save_checkpoint,
     softplus,
@@ -29,6 +31,7 @@ from winduq.posterior import (
     EnsemblePosterior,
     PosteriorSampler,
     VariationalPosterior,
+    _variational_draw,
     draw_parameter_matrix,
     draw_prediction_arrays,
     fit,
@@ -189,9 +192,10 @@ class TestDropConnectFit:
         spec = ArchitectureSpec(1, (6,))
         cfg = TrainingConfig(epochs=2, batch_size=16, seed=3)
         sampler = PosteriorSampler("mc_dropconnect", sample_count=8, drop_rate=0.2)
-        fp1, _ = fit(sampler, spec, data, cfg)
+        fp1, traces = fit(sampler, spec, data, cfg)
         fp2, _ = fit(sampler, spec, data, cfg)
         assert fp1.network.params.tobytes() == fp2.network.params.tobytes()
+        assert traces[0].kl == [0.0, 0.0]
 
     def test_parameter_draws_zero_only_weight_positions(self):
         from winduq.network import weight_position_mask
@@ -270,6 +274,66 @@ class TestVariationalFit:
         with pytest.raises(ValueError, match="kl_weight"):
             fit(PosteriorSampler("deep_ensemble", 2, ensemble_size=2), spec, data, cfg)
 
+    def test_trace_separates_data_term_and_kl(self):
+        # one epoch of one batch: the trace holds that batch's data term and
+        # weighted KL, each per training row
+        data = _tiny_sine(n=20)
+        spec = ArchitectureSpec(1, (4,))
+        sampler = PosteriorSampler("bayes_by_backprop", sample_count=5, init_sigma=0.1)
+        cfg = TrainingConfig(beta=0.5, epochs=1, batch_size=32, seed=8, kl_weight=0.25)
+        _, [trace] = fit(sampler, spec, data, cfg)
+        p = spec.n_parameters
+        mean = init_parameters(spec, derive_seed(cfg.seed, 202)).params
+        rho = np.full(p, softplus_inverse(0.1))
+        eps = spawn_rng(cfg.seed, 103, 0, 0).standard_normal(p)
+        theta = mean + softplus(rho) * eps
+        mu, sigma2 = forward_batch(TwoHeadNetwork(spec, theta), data.inputs)
+        values, _ = beta_nll_terms(mu, sigma2, data.targets, cfg.beta)
+        assert trace.mean_loss[0] == pytest.approx(values.sum() / 20, rel=1e-12)
+        assert trace.kl[0] == pytest.approx(0.25 * kl_to_unit_gaussian(mean, rho) / 20, rel=1e-12)
+        assert trace.kl[0] > 0.0
+
+    def test_pullback_matches_finite_differences(self):
+        # the pullback is the phi-gradient of one batch objective, prior
+        # term included, at the batch's fixed eps
+        rng = np.random.default_rng(17)
+        spec = ArchitectureSpec(2, (4, 3), "sigmoid")
+        p = spec.n_parameters
+        phi = np.concatenate(
+            [rng.normal(scale=0.5, size=p), _rho_for_std(rng.uniform(0.1, 0.5, size=p))]
+        )
+        draw = _variational_draw(p, 0.3, seed=6)
+        X = rng.normal(size=(3, 2))
+        c1, c2 = rng.normal(size=3), rng.normal(size=3)
+
+        def objective(phi_):
+            theta, _, prior = draw(phi_, 1, 2)
+            mu, sigma2 = forward_batch(TwoHeadNetwork(spec, theta), X)
+            return float(c1 @ mu + c2 @ sigma2) + prior
+
+        theta, pullback, prior = draw(phi, 1, 2)
+        assert prior == pytest.approx(0.3 * kl_to_unit_gaussian(phi[:p], phi[p:]), rel=1e-15)
+        analytic = pullback(backward_batch(TwoHeadNetwork(spec, theta), X, c1, c2))
+        h = 1e-6
+        numeric = np.zeros_like(phi)
+        for i in range(phi.size):
+            up, dn = phi.copy(), phi.copy()
+            up[i] += h
+            dn[i] -= h
+            numeric[i] = (objective(up) - objective(dn)) / (2 * h)
+        assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_divergence_aborts_with_location(self):
+        data = _tiny_sine()
+        spec = ArchitectureSpec(1, (8,))
+        sampler = PosteriorSampler("bayes_by_backprop", sample_count=5)
+        cfg = TrainingConfig(
+            epochs=3, optimizer="sgd", lr_schedule=(1e200, 10, 1.0), seed=0, kl_weight=0.1
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDivergedError, match=r"epoch \d+, batch \d+"):
+                fit(sampler, spec, data, cfg)
+
     def test_draw_statistics_match_variational_parameters(self):
         spec = ArchitectureSpec(1, (2,))
         rng = np.random.default_rng(13)
@@ -289,15 +353,15 @@ class TestDraws:
         rho = _rho_for_std(np.full(spec.n_parameters, 0.3))
         return VariationalPosterior(spec, mean, rho, sample_count=16)
 
-    def test_vectorized_forward_matches_single_network(self):
+    def test_draws_follow_the_decompose_batch_stream(self):
+        # the parameter matrix comes from spawn_rng(seed, 301), as in decompose_batch
         fp = self._variational()
         x = np.array([0.2, -1.0, 0.7])
         mu, sigma2 = draw_prediction_arrays(fp, x, seed=9)
-        thetas = draw_parameter_matrix(fp, fp.sample_count, spawn_rng(9))
+        thetas = draw_parameter_matrix(fp, fp.sample_count, spawn_rng(9, 301))
         for s in range(fp.sample_count):
-            ref = forward(TwoHeadNetwork(fp.spec, thetas[s]), x)
-            assert mu[s] == pytest.approx(ref.mean, rel=1e-12, abs=1e-15)
-            assert sigma2[s] == pytest.approx(ref.variance, rel=1e-12)
+            ref_mu, ref_sigma2 = forward_batch(TwoHeadNetwork(fp.spec, thetas[s]), x[None, :])
+            assert mu[s] == ref_mu[0] and sigma2[s] == ref_sigma2[0]
 
     def test_same_seed_same_draws(self):
         fp = self._variational()

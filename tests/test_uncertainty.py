@@ -10,15 +10,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from winduq.network import ArchitectureSpec, TwoHeadNetwork, forward_batch, init_parameters
+from winduq.network import ArchitectureSpec, init_parameters
 from winduq.posterior import (
     DropConnectPosterior,
     EnsemblePosterior,
     VariationalPosterior,
-    draw_parameter_matrix,
     draw_prediction_arrays,
 )
-from winduq.seeding import spawn_rng
 from winduq.uncertainty import (
     BatchDecomposition,
     decompose_arrays,
@@ -140,12 +138,8 @@ class TestDecomposeBatch:
         rng = np.random.default_rng(12)
         X = rng.normal(size=(5, 2))
         batch = decompose_batch(fp, X, seed=8)
-        thetas = draw_parameter_matrix(fp, fp.sample_count, spawn_rng(8, 301))
         for i in range(5):
-            draws = [forward_batch(TwoHeadNetwork(fp.spec, t), X[i : i + 1]) for t in thetas]
-            mu_i = np.array([mu[0] for mu, _ in draws])
-            s2_i = np.array([s2[0] for _, s2 in draws])
-            au, eu, tu, mean_hat = decompose_arrays(mu_i, s2_i)
+            au, eu, tu, mean_hat = decompose_arrays(*draw_prediction_arrays(fp, X[i], seed=8))
             # one-row and whole-batch BLAS calls may differ at the ulp level
             assert batch.aleatoric[i] == pytest.approx(au, rel=1e-12, abs=1e-15)
             assert batch.epistemic[i] == pytest.approx(eu, rel=1e-12, abs=1e-15)
