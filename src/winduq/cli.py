@@ -17,7 +17,6 @@ gets as far as resolving its configuration, including failed ones.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -30,7 +29,7 @@ from .experiments import (
     RUNNERS,
     ConfigError,
     ExperimentConfig,
-    _config_echo,
+    _write_run_manifest,
     build_config,
     read_config_file,
 )
@@ -92,19 +91,10 @@ def _write_failure_manifest(
 ) -> None:
     if cfg is None:
         return
+    fields = {"error": error} if trace is None else {"error": error, "traceback": trace}
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = {
-            "experiment": cfg.experiment,
-            "status": "failed",
-            "error": error,
-            "config": _config_echo(cfg),
-            "artifacts": [],
-            "wall_time_s": 0.0,
-        }
-        if trace is not None:
-            manifest["traceback"] = trace
-        (cfg.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        _write_run_manifest(cfg, "failed", [], 0.0, **fields)
     except OSError:
         pass  # the diagnostic on stderr is the best we can do
 

@@ -10,19 +10,27 @@ Three canned experiments cover the capabilities end to end:
 * ``dataset_scaling``: train on growing subsets of an autoregressive hourly
   power series and track how epistemic uncertainty shrinks with data volume.
 
-Every run writes deterministic CSV tables (floats via repr, so reruns are
-byte-identical) plus a ``manifest.json`` describing config, data fingerprint
-and produced artifacts.
+The three share one cell runner, ``_run_cells``: it loops over seeds,
+samplers and the experiment's axis (betas, or subset ratios for
+``dataset_scaling``, which fits one beta per sampler), derives the fit and
+decomposition seeds, fits, and saves the posterior when ``save_posteriors``
+is set.  An experiment supplies its data, a per-cell ``evaluate`` and the
+tables it builds from the cell records.  Every run writes deterministic CSV
+tables (floats via repr, so reruns are byte-identical) plus a
+``manifest.json``, built by ``_write_run_manifest``, describing config, data
+fingerprint and produced artifacts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,7 +50,14 @@ from .data import (
 from .losses import TrainingConfig
 from .metrics import joint_density_ranks, mse, spearman
 from .network import ArchitectureSpec
-from .posterior import SAMPLER_KINDS, PosteriorSampler, fit, load_posterior, save_posterior
+from .posterior import (
+    SAMPLER_KINDS,
+    FittedPosterior,
+    PosteriorSampler,
+    fit,
+    load_posterior,
+    save_posterior,
+)
 from .seeding import derive_seed
 from .uncertainty import decompose_batch
 
@@ -387,6 +402,11 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     if cfg.experiment == "dataset_scaling":
         if not cfg.ratios or any(not 0 < r <= 1 for r in cfg.ratios):
             raise ConfigError(f"ratios must lie in (0, 1], got {cfg.ratios}")
+        for kind, betas in cfg.betas.items():
+            if len(betas) != 1:
+                raise ConfigError(
+                    f"dataset_scaling fits one beta per sampler; {kind} has {list(betas)}"
+                )
     if cfg.experiment == "synthetic_ood" and cfg.grid_points < 2:
         raise ConfigError(f"grid_points must be >= 2, got {cfg.grid_points}")
     if cfg.experiment == "decompose" and cfg.posterior_dir is None:
@@ -459,6 +479,22 @@ def write_manifest(out_dir: Path, manifest: dict) -> Path:
     return path
 
 
+def _write_run_manifest(
+    cfg: ExperimentConfig, status: str, artifacts: list[str], wall_time_s: float, **fields
+) -> dict:
+    """Write the manifest of a finished or failed run; ``fields`` are its own keys."""
+    manifest = {
+        "experiment": cfg.experiment,
+        "status": status,
+        "config": _config_echo(cfg),
+        "artifacts": artifacts,
+        "wall_time_s": wall_time_s,
+        **fields,
+    }
+    write_manifest(cfg.out_dir, manifest)
+    return manifest
+
+
 def _sampler_for(cfg: ExperimentConfig, kind: str) -> PosteriorSampler:
     count = cfg.ensemble_size if kind == "deep_ensemble" else cfg.mc_samples
     return PosteriorSampler(
@@ -487,8 +523,8 @@ def _training_config(
     )
 
 
-def _beta_token(beta: float) -> str:
-    return format(beta, "g").replace(".", "p").replace("-", "m")
+def _token(value: float) -> str:
+    return format(value, "g").replace(".", "p").replace("-", "m")
 
 
 def _spearman_or_blank(a, b) -> float | str:
@@ -499,8 +535,69 @@ def _spearman_or_blank(a, b) -> float | str:
         return ""
 
 
+def _rows(records: list[dict], header: list[str]) -> list[list]:
+    # the header's columns of each cell record, None as a blank cell
+    return [["" if r[h] is None else r[h] for h in header] for r in records]
+
+
 # ---------------------------------------------------------------------------
 # runners
+
+
+class _Cell(NamedTuple):
+    """One fitted cell, as its experiment's ``evaluate`` sees it."""
+
+    seed: int
+    kind: str
+    tag: str  # "beta<token>" or "ratio<token>"; names the cell's files
+    train: RegressionDataset
+    tc: TrainingConfig
+    decompose_seed: Callable[..., int]  # *extra -> derive_seed(seed, 403, k, j, *extra)
+
+
+def _run_cells(
+    cfg: ExperimentConfig,
+    spec: ArchitectureSpec,
+    train_for: Callable[[int, int], RegressionDataset],
+    evaluate: Callable[[_Cell, FittedPosterior], tuple[dict, str | None]],
+) -> tuple[list[dict], list[str]]:
+    """Fit, evaluate and optionally save every seed x sampler x axis cell.
+
+    The axis is the sampler's beta list; dataset_scaling sweeps the subset
+    ratios instead, at the sampler's one beta.  Cell (k, j) is sampler k at
+    axis index j.  A beta sweep fits all betas of sampler k from
+    ``derive_seed(seed, 402, k)``, so they share initialisation and
+    shuffles; a ratio cell fits from ``derive_seed(seed, 402, k, j)``.
+    ``train_for(seed, j)`` gives the training set; ``evaluate(cell, fp)``
+    gives the cell's stats and the name of the CSV it wrote, or None.
+    Returns the cell records and those CSV names.
+    """
+    by_ratio = cfg.experiment == "dataset_scaling"
+    axis_key = "ratio" if by_ratio else "beta"
+    records: list[dict] = []
+    artifacts: list[str] = []
+    for seed in cfg.seeds:
+        for k, kind in enumerate(cfg.samplers):
+            for j, value in enumerate(cfg.ratios if by_ratio else cfg.betas[kind]):
+                beta = cfg.betas[kind][0] if by_ratio else value
+                fit_seed = derive_seed(seed, _TAG_FIT, *((k, j) if by_ratio else (k,)))
+                train = train_for(seed, j)
+                tc = _training_config(cfg, kind, beta, fit_seed, len(train))
+                fp, _ = fit(_sampler_for(cfg, kind), spec, train, tc)
+                tag = f"{axis_key}{_token(value)}"
+                decompose_seed = functools.partial(derive_seed, seed, _TAG_DECOMP, k, j)
+                stats, name = evaluate(_Cell(seed, kind, tag, train, tc, decompose_seed), fp)
+                if cfg.save_posteriors:
+                    save_posterior(
+                        fp,
+                        cfg.out_dir / f"posterior_{kind}_{tag}_seed{seed}",
+                        extra={"seed": seed, "beta": beta, axis_key: value},
+                    )
+                if name is not None:
+                    artifacts.append(name)
+                    stats = {"file": name, **stats}
+                records.append({"sampler": kind, "seed": seed, axis_key: value, **stats})
+    return records, artifacts
 
 
 def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
@@ -511,84 +608,48 @@ def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
     grid_inputs = grid[:, None]
     in_domain = grid <= 10.0
     beyond = grid >= 10.0
-    artifacts: list[str] = []
-    cells: list[dict] = []
-    summary_rows: list[list] = []
-    fingerprints = []
-
-    for seed in cfg.seeds:
-        train, test = make_sine_dataset(
-            seed=derive_seed(seed, _TAG_DATA),
+    sine = {
+        s: make_sine_dataset(
+            seed=derive_seed(s, _TAG_DATA),
             n_train=cfg.sine_n_train,
             n_test=cfg.sine_n_test,
             noise_scale=cfg.sine_noise_scale,
         )
-        fingerprints.append(_dataset_fingerprint(train))
-        spec = ArchitectureSpec(1, cfg.hidden_widths, cfg.activation, cfg.variance_floor)
-        for k_idx, kind in enumerate(cfg.samplers):
-            fit_seed = derive_seed(seed, _TAG_FIT, k_idx)
-            for b_idx, beta in enumerate(cfg.betas[kind]):
-                sampler = _sampler_for(cfg, kind)
-                tc = _training_config(cfg, kind, beta, fit_seed, len(train))
-                fp, _ = fit(sampler, spec, train, tc)
-                dec_grid = decompose_batch(
-                    fp, grid_inputs, seed=derive_seed(seed, _TAG_DECOMP, k_idx, b_idx, 0)
-                )
-                dec_test = decompose_batch(
-                    fp, test.inputs, seed=derive_seed(seed, _TAG_DECOMP, k_idx, b_idx, 1)
-                )
-                name = f"synthetic_{kind}_beta{_beta_token(beta)}_seed{seed}.csv"
-                write_csv(
-                    cfg.out_dir / name,
-                    ["x", "mean", "aleatoric", "epistemic", "total"],
-                    [
-                        [grid[i], dec_grid.mean[i], dec_grid.aleatoric[i],
-                         dec_grid.epistemic[i], dec_grid.total[i]]
-                        for i in range(grid.size)
-                    ],
-                )
-                artifacts.append(name)
-                mean_eu_id = float(dec_grid.epistemic[in_domain].mean())
-                mean_eu_ood = float(dec_grid.epistemic[beyond].mean())
-                au_id = dec_grid.aleatoric[in_domain]
-                stats = {
-                    "mse_test": mse(dec_test.mean, test.targets),
-                    "mean_eu_id": mean_eu_id,
-                    "mean_eu_ood": mean_eu_ood,
-                    "eu_ood_ratio": mean_eu_ood / mean_eu_id if mean_eu_id > 0 else float("inf"),
-                    "spearman_au_x": _spearman_or_blank(au_id, grid[in_domain]),
-                    "au_iqr_id": float(np.percentile(au_id, 75) - np.percentile(au_id, 25)),
-                }
-                if cfg.save_posteriors:
-                    pdir = f"posterior_{kind}_beta{_beta_token(beta)}_seed{seed}"
-                    save_posterior(fp, cfg.out_dir / pdir, extra={"seed": seed, "beta": beta})
-                cells.append(
-                    {"sampler": kind, "beta": beta, "seed": seed, "file": name, **stats}
-                )
-                summary_rows.append(
-                    [kind, beta, seed, stats["mse_test"], stats["mean_eu_id"],
-                     stats["mean_eu_ood"], stats["eu_ood_ratio"], stats["spearman_au_x"],
-                     stats["au_iqr_id"]]
-                )
-
-    write_csv(
-        cfg.out_dir / "summary.csv",
-        ["sampler", "beta", "seed", "mse_test", "mean_eu_id", "mean_eu_ood",
-         "eu_ood_ratio", "spearman_au_x", "au_iqr_id"],
-        summary_rows,
-    )
-    artifacts.append("summary.csv")
-    manifest = {
-        "experiment": cfg.experiment,
-        "status": "ok",
-        "config": _config_echo(cfg),
-        "datasets": fingerprints,
-        "cells": cells,
-        "artifacts": artifacts,
-        "wall_time_s": time.monotonic() - t0,
+        for s in cfg.seeds
     }
-    write_manifest(cfg.out_dir, manifest)
-    return manifest
+    spec = ArchitectureSpec(1, cfg.hidden_widths, cfg.activation, cfg.variance_floor)
+
+    def evaluate(cell: _Cell, fp: FittedPosterior) -> tuple[dict, str]:
+        test = sine[cell.seed][1]
+        dec_grid = decompose_batch(fp, grid_inputs, seed=cell.decompose_seed(0))
+        dec_test = decompose_batch(fp, test.inputs, seed=cell.decompose_seed(1))
+        name = f"synthetic_{cell.kind}_{cell.tag}_seed{cell.seed}.csv"
+        write_csv(
+            cfg.out_dir / name,
+            ["x", "mean", "aleatoric", "epistemic", "total"],
+            list(zip(grid, dec_grid.mean, dec_grid.aleatoric, dec_grid.epistemic, dec_grid.total)),
+        )
+        mean_eu_id = float(dec_grid.epistemic[in_domain].mean())
+        mean_eu_ood = float(dec_grid.epistemic[beyond].mean())
+        au_id = dec_grid.aleatoric[in_domain]
+        return {
+            "mse_test": mse(dec_test.mean, test.targets),
+            "mean_eu_id": mean_eu_id,
+            "mean_eu_ood": mean_eu_ood,
+            "eu_ood_ratio": mean_eu_ood / mean_eu_id if mean_eu_id > 0 else float("inf"),
+            "spearman_au_x": _spearman_or_blank(au_id, grid[in_domain]),
+            "au_iqr_id": float(np.percentile(au_id, 75) - np.percentile(au_id, 25)),
+        }, name
+
+    cells, artifacts = _run_cells(cfg, spec, lambda seed, j: sine[seed][0], evaluate)
+    header = ["sampler", "beta", "seed", "mse_test", "mean_eu_id", "mean_eu_ood",
+              "eu_ood_ratio", "spearman_au_x", "au_iqr_id"]
+    write_csv(cfg.out_dir / "summary.csv", header, _rows(cells, header))
+    return _write_run_manifest(
+        cfg, "ok", artifacts + ["summary.csv"], time.monotonic() - t0,
+        datasets=[_dataset_fingerprint(sine[s][0]) for s in cfg.seeds],
+        cells=cells,
+    )
 
 
 def _load_property_table(cfg: ExperimentConfig):
@@ -628,70 +689,40 @@ def run_data_property(cfg: ExperimentConfig) -> dict:
     spec = ArchitectureSpec(
         test.inputs.shape[1], cfg.hidden_widths, cfg.activation, cfg.variance_floor
     )
-    artifacts: list[str] = []
-    cells: list[dict] = []
-    summary_rows: list[list] = []
 
-    for seed in cfg.seeds:
-        for k_idx, kind in enumerate(cfg.samplers):
-            fit_seed = derive_seed(seed, _TAG_FIT, k_idx)
-            for b_idx, beta in enumerate(cfg.betas[kind]):
-                sampler = _sampler_for(cfg, kind)
-                tc = _training_config(cfg, kind, beta, fit_seed, len(train))
-                fp, _ = fit(sampler, spec, train, tc)
-                dec = decompose_batch(
-                    fp, test.inputs, seed=derive_seed(seed, _TAG_DECOMP, k_idx, b_idx)
-                )
-                name = f"property_{kind}_beta{_beta_token(beta)}_seed{seed}.csv"
-                write_csv(
-                    cfg.out_dir / name,
-                    ["wind_speed", "power", "mean", "aleatoric", "epistemic", "total",
-                     "density_rank"],
-                    [
-                        [speed_phys[i], test.targets[i], dec.mean[i], dec.aleatoric[i],
-                         dec.epistemic[i], dec.total[i], density_rank[i]]
-                        for i in range(len(test))
-                    ],
-                )
-                artifacts.append(name)
-                row_stats = {
-                    "mse_test": mse(dec.mean, test.targets),
-                    "mean_eu_in_band": float(dec.epistemic[in_band].mean()),
-                    "mean_eu_out_band": float(dec.epistemic[~in_band].mean()),
-                    "spearman_au_density": _spearman_or_blank(dec.aleatoric, density_rank),
-                }
-                if cfg.save_posteriors:
-                    pdir = f"posterior_{kind}_beta{_beta_token(beta)}_seed{seed}"
-                    save_posterior(fp, cfg.out_dir / pdir, extra={"seed": seed, "beta": beta})
-                cells.append(
-                    {"sampler": kind, "beta": beta, "seed": seed, "file": name, **row_stats}
-                )
-                summary_rows.append(
-                    [kind, beta, seed, row_stats["mse_test"], row_stats["mean_eu_in_band"],
-                     row_stats["mean_eu_out_band"], row_stats["spearman_au_density"],
-                     int(in_band.sum()), int((~in_band).sum())]
-                )
+    def evaluate(cell: _Cell, fp: FittedPosterior) -> tuple[dict, str]:
+        dec = decompose_batch(fp, test.inputs, seed=cell.decompose_seed())
+        name = f"property_{cell.kind}_{cell.tag}_seed{cell.seed}.csv"
+        write_csv(
+            cfg.out_dir / name,
+            ["wind_speed", "power", "mean", "aleatoric", "epistemic", "total",
+             "density_rank"],
+            list(zip(speed_phys, test.targets, dec.mean, dec.aleatoric, dec.epistemic,
+                     dec.total, density_rank)),
+        )
+        return {
+            "mse_test": mse(dec.mean, test.targets),
+            "mean_eu_in_band": float(dec.epistemic[in_band].mean()),
+            "mean_eu_out_band": float(dec.epistemic[~in_band].mean()),
+            "spearman_au_density": _spearman_or_blank(dec.aleatoric, density_rank),
+        }, name
 
+    cells, artifacts = _run_cells(cfg, spec, lambda seed, j: train, evaluate)
+    header = ["sampler", "beta", "seed", "mse_test", "mean_eu_in_band", "mean_eu_out_band",
+              "spearman_au_density"]
+    band_counts = [int(in_band.sum()), int((~in_band).sum())]
     write_csv(
         cfg.out_dir / "summary.csv",
-        ["sampler", "beta", "seed", "mse_test", "mean_eu_in_band", "mean_eu_out_band",
-         "spearman_au_density", "n_in_band", "n_out_band"],
-        summary_rows,
+        header + ["n_in_band", "n_out_band"],
+        [row + band_counts for row in _rows(cells, header)],
     )
-    artifacts.append("summary.csv")
-    manifest = {
-        "experiment": cfg.experiment,
-        "status": "ok",
-        "config": _config_echo(cfg),
-        "source": source,
-        "load_diagnostics": diagnostics[:20],
-        "datasets": [_dataset_fingerprint(train), _dataset_fingerprint(test)],
-        "cells": cells,
-        "artifacts": artifacts,
-        "wall_time_s": time.monotonic() - t0,
-    }
-    write_manifest(cfg.out_dir, manifest)
-    return manifest
+    return _write_run_manifest(
+        cfg, "ok", artifacts + ["summary.csv"], time.monotonic() - t0,
+        source=source,
+        load_diagnostics=diagnostics[:20],
+        datasets=[_dataset_fingerprint(train), _dataset_fingerprint(test)],
+        cells=cells,
+    )
 
 
 def _load_series(cfg: ExperimentConfig) -> tuple[np.ndarray, str]:
@@ -720,75 +751,42 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
     spec = ArchitectureSpec(
         pool.inputs.shape[1], cfg.hidden_widths, cfg.activation, cfg.variance_floor
     )
-    beta_by_kind = {k: (v[0] if v else 0.6) for k, v in cfg.betas.items()}
 
-    artifacts: list[str] = []
-    cells: list[dict] = []
-    rows: list[list] = []
-    summary_rows: list[list] = []
+    def train_for(seed: int, j: int) -> RegressionDataset:
+        return subsample_dataset(pool, cfg.ratios[j], seed=derive_seed(seed, _TAG_SUBSET, j))
 
-    for seed in cfg.seeds:
-        for k_idx, kind in enumerate(cfg.samplers):
-            beta = beta_by_kind[kind]
-            per_ratio_eu: list[float] = []
-            for r_idx, ratio in enumerate(cfg.ratios):
-                subset = subsample_dataset(
-                    pool, ratio, seed=derive_seed(seed, _TAG_SUBSET, r_idx)
-                )
-                fit_seed = derive_seed(seed, _TAG_FIT, k_idx, r_idx)
-                tc = _training_config(cfg, kind, beta, fit_seed, len(subset))
-                sampler = _sampler_for(cfg, kind)
-                fp, _ = fit(sampler, spec, subset, tc)
-                dec = decompose_batch(
-                    fp, test.inputs, seed=derive_seed(seed, _TAG_DECOMP, k_idx, r_idx)
-                )
-                mean_eu = float(dec.epistemic.mean())
-                per_ratio_eu.append(mean_eu)
-                row = {
-                    "sampler": kind,
-                    "seed": seed,
-                    "ratio": ratio,
-                    "n_train": len(subset),
-                    "kl_weight": tc.kl_weight,
-                    "mse_test": mse(dec.mean, test.targets),
-                    "mean_aleatoric": float(dec.aleatoric.mean()),
-                    "mean_epistemic": mean_eu,
-                }
-                cells.append(row)
-                rows.append(
-                    [kind, seed, ratio, row["n_train"],
-                     row["kl_weight"] if row["kl_weight"] is not None else "",
-                     row["mse_test"], row["mean_aleatoric"], row["mean_epistemic"]]
-                )
-            trend = _spearman_or_blank(np.asarray(cfg.ratios), np.asarray(per_ratio_eu))
-            summary_rows.append(
-                [kind, seed, trend, per_ratio_eu[0], per_ratio_eu[-1]]
-            )
+    def evaluate(cell: _Cell, fp: FittedPosterior) -> tuple[dict, None]:
+        dec = decompose_batch(fp, test.inputs, seed=cell.decompose_seed())
+        return {
+            "n_train": len(cell.train),
+            "kl_weight": cell.tc.kl_weight,
+            "mse_test": mse(dec.mean, test.targets),
+            "mean_aleatoric": float(dec.aleatoric.mean()),
+            "mean_epistemic": float(dec.epistemic.mean()),
+        }, None
 
-    write_csv(
-        cfg.out_dir / "scaling.csv",
-        ["sampler", "seed", "ratio", "n_train", "kl_weight", "mse_test",
-         "mean_aleatoric", "mean_epistemic"],
-        rows,
-    )
+    cells, _ = _run_cells(cfg, spec, train_for, evaluate)
+    header = ["sampler", "seed", "ratio", "n_train", "kl_weight", "mse_test",
+              "mean_aleatoric", "mean_epistemic"]
+    write_csv(cfg.out_dir / "scaling.csv", header, _rows(cells, header))
+    # one trend per (seed, sampler): its cells are consecutive, in ratio order
+    n = len(cfg.ratios)
+    summary_rows = []
+    for first in range(0, len(cells), n):
+        eus = [c["mean_epistemic"] for c in cells[first : first + n]]
+        trend = _spearman_or_blank(np.asarray(cfg.ratios), np.asarray(eus))
+        summary_rows.append([cells[first]["sampler"], cells[first]["seed"], trend, eus[0], eus[-1]])
     write_csv(
         cfg.out_dir / "summary.csv",
         ["sampler", "seed", "spearman_ratio_eu", "eu_first_ratio", "eu_last_ratio"],
         summary_rows,
     )
-    artifacts.extend(["scaling.csv", "summary.csv"])
-    manifest = {
-        "experiment": cfg.experiment,
-        "status": "ok",
-        "config": _config_echo(cfg),
-        "source": source,
-        "datasets": [_dataset_fingerprint(pool), _dataset_fingerprint(test)],
-        "cells": cells,
-        "artifacts": artifacts,
-        "wall_time_s": time.monotonic() - t0,
-    }
-    write_manifest(cfg.out_dir, manifest)
-    return manifest
+    return _write_run_manifest(
+        cfg, "ok", ["scaling.csv", "summary.csv"], time.monotonic() - t0,
+        source=source,
+        datasets=[_dataset_fingerprint(pool), _dataset_fingerprint(test)],
+        cells=cells,
+    )
 
 
 def _load_feature_csv(path: Path) -> tuple[np.ndarray, list[str]]:
@@ -826,17 +824,11 @@ def run_decompose(cfg: ExperimentConfig) -> dict:
             for i in range(X.shape[0])
         ],
     )
-    manifest = {
-        "experiment": cfg.experiment,
-        "status": "ok",
-        "config": _config_echo(cfg),
-        "posterior_kind": fp.kind,
-        "rows": int(X.shape[0]),
-        "artifacts": [name],
-        "wall_time_s": time.monotonic() - t0,
-    }
-    write_manifest(cfg.out_dir, manifest)
-    return manifest
+    return _write_run_manifest(
+        cfg, "ok", [name], time.monotonic() - t0,
+        posterior_kind=fp.kind,
+        rows=int(X.shape[0]),
+    )
 
 
 RUNNERS = {

@@ -9,13 +9,15 @@ trivial: every consumer sees the same layout.
 
 ``forward_batch`` and ``backward_batch`` validate a batch of row inputs, then
 run ``_forward_cached``; ``_backward_cached`` reads the activations it kept.
-The training loop calls that private pair directly, once per batch.
+The training loop calls that private pair directly, once per batch, and
+posterior prediction calls ``_forward_cached`` once per parameter draw.
 """
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -91,7 +93,7 @@ class ArchitectureSpec:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Slot:
     name: str
     shape: tuple[int, ...]
@@ -100,8 +102,12 @@ class _Slot:
     is_weight: bool  # False for bias vectors
 
 
-def parameter_layout(spec: ArchitectureSpec) -> list[_Slot]:
-    """Flat-vector layout: hidden W/b pairs in order, then mean head, then variance head."""
+@functools.lru_cache(maxsize=None)
+def parameter_layout(spec: ArchitectureSpec) -> tuple[_Slot, ...]:
+    """Flat-vector layout: hidden W/b pairs in order, then mean head, then variance head.
+
+    Cached per spec, so the same tuple of frozen slots comes back every time.
+    """
     slots: list[_Slot] = []
     pos = 0
 
@@ -119,15 +125,20 @@ def parameter_layout(spec: ArchitectureSpec) -> list[_Slot]:
     add("mean.b", (), False)
     add("variance.W", (width,), True)
     add("variance.b", (), False)
-    return slots
+    return tuple(slots)
 
 
+@functools.lru_cache(maxsize=None)
 def weight_position_mask(spec: ArchitectureSpec) -> np.ndarray:
-    """Boolean vector over the flat layout, True at weight (non-bias) entries."""
+    """Boolean vector over the flat layout, True at weight (non-bias) entries.
+
+    Cached per spec and therefore read-only.
+    """
     mask = np.zeros(spec.n_parameters, dtype=bool)
     for slot in parameter_layout(spec):
         if slot.is_weight:
             mask[slot.start : slot.stop] = True
+    mask.flags.writeable = False
     return mask
 
 
@@ -137,7 +148,6 @@ class TwoHeadNetwork:
 
     spec: ArchitectureSpec
     params: np.ndarray
-    _slots: list[_Slot] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.params = np.asarray(self.params, dtype=np.float64)
@@ -146,13 +156,12 @@ class TwoHeadNetwork:
                 f"parameter vector has shape {self.params.shape}, "
                 f"expected ({self.spec.n_parameters},)"
             )
-        self._slots = parameter_layout(self.spec)
 
     def copy(self) -> "TwoHeadNetwork":
         return TwoHeadNetwork(self.spec, self.params.copy())
 
 
-def _views(slots: list[_Slot], flat: np.ndarray) -> dict[str, np.ndarray]:
+def _views(slots: tuple[_Slot, ...], flat: np.ndarray) -> dict[str, np.ndarray]:
     """Named views into a flat vector, in layout order."""
     return {s.name: flat[s.start : s.stop].reshape(s.shape) for s in slots}
 
@@ -167,8 +176,9 @@ def init_parameters(spec: ArchitectureSpec, seed: int) -> TwoHeadNetwork:
     rng = spawn_rng(seed)
     flat = np.zeros(spec.n_parameters, dtype=np.float64)
     net = TwoHeadNetwork(spec, flat)
-    views = _views(net._slots, net.params)
-    for slot in net._slots:
+    slots = parameter_layout(spec)
+    views = _views(slots, net.params)
+    for slot in slots:
         if slot.is_weight:
             fan_in = slot.shape[0] if len(slot.shape) > 1 else spec.hidden_widths[-1]
             bound = np.sqrt(6.0 / fan_in)
@@ -209,7 +219,7 @@ class _Activations(NamedTuple):
 
 
 def _forward_cached(
-    spec: ArchitectureSpec, slots: list[_Slot], params: np.ndarray, X: np.ndarray
+    spec: ArchitectureSpec, slots: tuple[_Slot, ...], params: np.ndarray, X: np.ndarray
 ) -> _Activations:
     """Forward pass of validated inputs, keeping the activations backprop needs."""
     views = _views(slots, params)
@@ -263,7 +273,7 @@ def _backward_cached(
 def forward_batch(net: TwoHeadNetwork, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predict (means, variances) for a batch of row-vector inputs. Never mutates the network."""
     X = _check_inputs(net.spec, X)
-    act = _forward_cached(net.spec, net._slots, net.params, X)
+    act = _forward_cached(net.spec, parameter_layout(net.spec), net.params, X)
     return act.mu, act.sigma2
 
 
@@ -283,7 +293,7 @@ def backward_batch(
         raise ValueError("upstream gradients must be 1-D arrays matching the batch size")
     if not (np.all(np.isfinite(d_mean)) and np.all(np.isfinite(d_variance))):
         raise ValueError("upstream gradients contain non-finite values")
-    act = _forward_cached(net.spec, net._slots, net.params, X)
+    act = _forward_cached(net.spec, parameter_layout(net.spec), net.params, X)
     return _backward_cached(net.spec, act, d_mean, d_variance)
 
 

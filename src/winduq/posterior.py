@@ -31,9 +31,11 @@ from .losses import (
 from .network import (
     ArchitectureSpec,
     TwoHeadNetwork,
-    forward_batch,
+    _check_inputs,
+    _forward_cached,
     init_parameters,
     load_checkpoint,
+    parameter_layout,
     save_checkpoint,
     sigmoid,
     softplus,
@@ -271,15 +273,20 @@ def _predict_draws(
     fp: FittedPosterior, X: np.ndarray, n_draws: int | None, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(S, n) means and variances of X's rows under ``draw_parameter_matrix(fp, S,
-    spawn_rng(seed, 301))``, with S defaulting to the posterior's ``sample_count``."""
+    spawn_rng(seed, 301))``, with S defaulting to the posterior's ``sample_count``.
+
+    X is validated once, not per draw."""
+    X = _check_inputs(fp.spec, X)
     s = fp.sample_count if n_draws is None else int(n_draws)
     if s < 1:
         raise ValueError(f"n_draws must be >= 1, got {s}")
     thetas = draw_parameter_matrix(fp, s, spawn_rng(seed, _STREAM_PREDICT))
+    slots = parameter_layout(fp.spec)
     means = np.empty((s, X.shape[0]))
     variances = np.empty((s, X.shape[0]))
     for k, theta in enumerate(thetas):
-        means[k], variances[k] = forward_batch(TwoHeadNetwork(fp.spec, theta), X)
+        act = _forward_cached(fp.spec, slots, theta, X)
+        means[k], variances[k] = act.mu, act.sigma2
     return means, variances
 
 

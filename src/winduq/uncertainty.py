@@ -82,7 +82,4 @@ def decompose_batch(
     to BLAS rounding), and it does not depend on which other rows are
     present.  Deep ensembles draw their K members, so the seed is unused.
     """
-    X = np.asarray(inputs, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != fp.spec.input_dim:
-        raise ValueError(f"inputs have shape {X.shape}, expected (n, {fp.spec.input_dim})")
-    return BatchDecomposition(*_reduce_draws(*_predict_draws(fp, X, n_draws, seed)))
+    return BatchDecomposition(*_reduce_draws(*_predict_draws(fp, inputs, n_draws, seed)))

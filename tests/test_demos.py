@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     [
         "01_decomposition_basics.py",
         "02_sine_extrapolation.py",
+        "03_wind_power_pipeline.py",
         "04_data_volume_trend.py",
         "05_save_load_and_cli.py",
     ],
@@ -22,6 +23,8 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_demo_exits_cleanly(script, tmp_path):
     env = dict(os.environ, TMPDIR=str(tmp_path))  # demos 04 and 05 write temp dirs
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env.setdefault(var, "1")  # threaded BLAS on tiny matmuls is slower and contends
     result = subprocess.run(
         [sys.executable, str(ROOT / "demos" / script)],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,

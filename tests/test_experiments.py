@@ -13,7 +13,16 @@ import pytest
 
 from winduq import cli
 from winduq.cli import main
-from winduq.data import make_hourly_power_series
+from winduq.data import (
+    PowerCurveSpec,
+    make_hourly_power_series,
+    make_power_curve_table,
+    make_sine_dataset,
+    preprocess_power_table,
+    subsample_dataset,
+    window_power_table,
+    window_univariate_series,
+)
 from winduq.experiments import (
     ConfigError,
     OUT_DIR_ENV_VAR,
@@ -26,8 +35,18 @@ from winduq.experiments import (
     run_synthetic_ood,
     write_csv,
 )
+from winduq.losses import TrainingConfig
+from winduq.metrics import mse
 from winduq.network import ArchitectureSpec, init_parameters
-from winduq.posterior import DropConnectPosterior, EnsemblePosterior, save_posterior
+from winduq.posterior import (
+    DropConnectPosterior,
+    EnsemblePosterior,
+    PosteriorSampler,
+    fit,
+    load_posterior,
+    save_posterior,
+)
+from winduq.seeding import derive_seed
 from winduq.uncertainty import decompose_batch
 
 
@@ -154,6 +173,14 @@ class TestBuildConfig:
             build_config("dataset_scaling", {"ratios": "0.0, 0.5"})
         with pytest.raises(ConfigError, match="ratios"):
             build_config("dataset_scaling", {"ratios": "0.5, 1.5"})
+
+    def test_scaling_takes_one_beta_per_sampler(self):
+        with pytest.raises(ConfigError, match="mc_dropconnect has \\[0.2, 0.4\\]"):
+            build_config("dataset_scaling", {"mc_dropconnect.betas": "0.2, 0.4"})
+        with pytest.raises(ConfigError, match="one beta per sampler"):
+            build_config("dataset_scaling", {"betas": "0.2, 0.4"})
+        cfg = build_config("dataset_scaling", {"betas": "0.3", "deep_ensemble.betas": "0.9"})
+        assert cfg.betas["mc_dropconnect"] == (0.3,) and cfg.betas["deep_ensemble"] == (0.9,)
 
     def test_decompose_requires_posterior_and_dataset(self):
         with pytest.raises(ConfigError, match="posterior_dir"):
@@ -330,6 +357,137 @@ class TestScalingRunner:
         for row in summary:
             assert -1.0 <= float(row["spearman_ratio_eu"]) <= 1.0
             assert float(row["eu_first_ratio"]) >= 0.0
+        assert not list(out.glob("posterior_*"))  # save_posteriors is off by default
+
+    def test_save_posteriors_writes_every_cell(self, tmp_path):
+        out = tmp_path / "run"
+        entries = {
+            "samplers": "deep_ensemble, mc_dropconnect",
+            "seeds": "2",
+            "hidden_widths": "8",
+            "epochs": "1",
+            "series_n": "400",
+            "ratios": "0.3, 1.0",
+            "ensemble_size": "2",
+            "mc_samples": "4",
+            "save_posteriors": "true",
+            "out_dir": str(out),
+        }
+        run_dataset_scaling(build_config("dataset_scaling", entries))
+        saved = sorted(p.name for p in out.glob("posterior_*"))
+        assert saved == [
+            "posterior_deep_ensemble_ratio0p3_seed2",
+            "posterior_deep_ensemble_ratio1_seed2",
+            "posterior_mc_dropconnect_ratio0p3_seed2",
+            "posterior_mc_dropconnect_ratio1_seed2",
+        ]
+        for name in saved:
+            assert load_posterior(out / name).kind in name
+            training = json.loads((out / name / "posterior.json").read_text())["training"]
+            ratio = 0.3 if "ratio0p3" in name else 1.0
+            assert training == {"seed": 2, "beta": 0.6, "ratio": ratio}
+
+
+def _columns(path: Path, names: list[str]) -> dict[str, np.ndarray]:
+    rows = read_table(path)
+    return {n: np.array([float(r[n]) for r in rows]) for n in names}
+
+
+class TestSeedStreams:
+    """One cell of each runner, refitted by hand from its documented seeds.
+
+    Cell (k, j) is sampler k at beta or ratio index j.  The pinned cells have
+    k != j, so swapping or dropping an index of a derive_seed call changes
+    the numbers, which rerun-identity tests cannot see.
+    """
+
+    DECOMPOSED = ["mean", "aleatoric", "epistemic", "total"]
+
+    def test_synthetic_cell(self, tmp_path):
+        entries = _synthetic_entries(tmp_path)
+        entries.update(samplers="mc_dropconnect", betas="0.0, 0.5", seeds="3")
+        run_synthetic_ood(build_config("synthetic_ood", entries))
+        # k = 0, beta index j = 1: fit (3, 402, 0), grid (3, 403, 0, 1, 0), test (..., 1)
+        train, test = make_sine_dataset(
+            seed=derive_seed(3, 401), n_train=64, n_test=16, noise_scale=0.3
+        )
+        tc = TrainingConfig(
+            beta=0.5, epochs=2, batch_size=32, lr_schedule=(1e-3, 50, 0.3),
+            seed=derive_seed(3, 402, 0),
+        )
+        sampler = PosteriorSampler("mc_dropconnect", 8, ensemble_size=2, drop_rate=0.1)
+        fp, _ = fit(sampler, ArchitectureSpec(1, (8,)), train, tc)
+        grid = np.linspace(0.0, 15.0, 21)
+        dec = decompose_batch(fp, grid[:, None], seed=derive_seed(3, 403, 0, 1, 0))
+        dec_test = decompose_batch(fp, test.inputs, seed=derive_seed(3, 403, 0, 1, 1))
+        got = _columns(tmp_path / "synthetic_mc_dropconnect_beta0p5_seed3.csv", self.DECOMPOSED)
+        for column in self.DECOMPOSED:
+            assert np.array_equal(got[column], getattr(dec, column)), column
+        [row] = [r for r in read_table(tmp_path / "summary.csv") if r["beta"] == "0.5"]
+        assert float(row["mse_test"]) == mse(dec_test.mean, test.targets)
+
+    def test_data_property_cell(self, tmp_path):
+        entries = {
+            "samplers": "deep_ensemble, bayes_by_backprop",
+            "deep_ensemble.betas": "0.2",
+            "bayes_by_backprop.betas": "0.4, 0.6",
+            "seeds": "2",
+            "hidden_widths": "8",
+            "epochs": "2",
+            "lr": "1e-3, 50, 0.3",
+            "surrogate_n": "500",
+            "lags": "5",
+            "batch_size": "64",
+            "ensemble_size": "2",
+            "mc_samples": "6",
+            "out_dir": str(tmp_path),
+        }
+        run_data_property(build_config("data_property", entries))
+        # k = 1, beta index j = 0: fit (2, 402, 1), decompose (2, 403, 1, 0)
+        table = make_power_curve_table(seed=7, n=500, spec=PowerCurveSpec(outlier_fraction=0.03))
+        train, _val, test = window_power_table(*preprocess_power_table(table), lags=5)
+        tc = TrainingConfig(
+            beta=0.4, epochs=2, batch_size=64, lr_schedule=(1e-3, 50, 0.3),
+            seed=derive_seed(2, 402, 1), kl_weight=auto_kl_weight(len(train), 64),
+        )
+        sampler = PosteriorSampler("bayes_by_backprop", 6, ensemble_size=2)
+        fp, _ = fit(sampler, ArchitectureSpec(test.inputs.shape[1], (8,)), train, tc)
+        dec = decompose_batch(fp, test.inputs, seed=derive_seed(2, 403, 1, 0))
+        got = _columns(tmp_path / "property_bayes_by_backprop_beta0p4_seed2.csv", self.DECOMPOSED)
+        for column in self.DECOMPOSED:
+            assert np.array_equal(got[column], getattr(dec, column)), column
+
+    def test_scaling_cell_and_its_saved_posterior(self, tmp_path):
+        entries = {
+            "samplers": "mc_dropconnect",
+            "seeds": "2",
+            "hidden_widths": "8",
+            "epochs": "2",
+            "lr": "1e-3, 50, 0.3",
+            "series_n": "400",
+            "ratios": "0.3, 0.6",
+            "mc_samples": "6",
+            "save_posteriors": "true",
+            "out_dir": str(tmp_path),
+        }
+        run_dataset_scaling(build_config("dataset_scaling", entries))
+        # k = 0, ratio index j = 1: subset (2, 404, 1), fit (2, 402, 0, 1), decompose (2, 403, 0, 1)
+        pool, test = window_univariate_series(make_hourly_power_series(seed=11, n=400), lags=24)
+        subset = subsample_dataset(pool, 0.6, seed=derive_seed(2, 404, 1))
+        tc = TrainingConfig(
+            beta=0.6, epochs=2, batch_size=128, lr_schedule=(1e-3, 50, 0.3),
+            seed=derive_seed(2, 402, 0, 1),
+        )
+        sampler = PosteriorSampler("mc_dropconnect", 6, drop_rate=0.01)
+        fp, _ = fit(sampler, ArchitectureSpec(24, (8,)), subset, tc)
+        dec = decompose_batch(fp, test.inputs, seed=derive_seed(2, 403, 0, 1))
+        [row] = [r for r in read_table(tmp_path / "scaling.csv") if r["ratio"] == "0.6"]
+        assert int(row["n_train"]) == len(subset)
+        assert float(row["mse_test"]) == mse(dec.mean, test.targets)
+        assert float(row["mean_aleatoric"]) == float(dec.aleatoric.mean())
+        assert float(row["mean_epistemic"]) == float(dec.epistemic.mean())
+        saved = load_posterior(tmp_path / "posterior_mc_dropconnect_ratio0p6_seed2")
+        assert np.array_equal(saved.network.params, fp.network.params)
 
 
 class TestCli:

@@ -70,6 +70,18 @@ class TestArchitectureSpec:
         wpos = weight_position_mask(spec)
         assert wpos.sum() == spec.n_parameters - (32 + 32 + 1 + 1)
 
+    def test_cached_layout_and_mask_are_read_only(self):
+        spec = ArchitectureSpec(2, (4, 3))
+        wpos = weight_position_mask(spec)
+        assert weight_position_mask(ArchitectureSpec(2, (4, 3))) is wpos
+        with pytest.raises(ValueError, match="read-only"):
+            wpos[0] = False
+        slots = parameter_layout(spec)
+        assert isinstance(slots, tuple) and parameter_layout(spec) is slots
+        with pytest.raises(AttributeError):
+            slots[0].start = 1
+        assert weight_position_mask(spec).sum() == 2 * 4 + 4 * 3 + 3 + 3
+
     @pytest.mark.parametrize(
         "kwargs",
         [

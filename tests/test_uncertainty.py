@@ -200,3 +200,11 @@ class TestDecomposeBatch:
             decompose_batch(fp, np.zeros(2))
         with pytest.raises(ValueError, match="n_draws"):
             decompose_batch(self._dropconnect(), X, n_draws=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        X = np.zeros((3, 2))
+        X[1, 0] = bad
+        for fp in (self._dropconnect(), self._ensemble()):
+            with pytest.raises(ValueError, match="inputs contain non-finite"):
+                decompose_batch(fp, X, seed=1)
