@@ -94,7 +94,7 @@ def _write_failure_manifest(
     fields = {"error": error} if trace is None else {"error": error, "traceback": trace}
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        _write_run_manifest(cfg, "failed", [], 0.0, **fields)
+        _write_run_manifest(cfg, "failed", [], [], 0.0, **fields)
     except OSError:
         pass  # the diagnostic on stderr is the best we can do
 

@@ -18,7 +18,10 @@ is set.  An experiment supplies its data, a per-cell ``evaluate`` and the
 tables it builds from the cell records.  Every run writes deterministic CSV
 tables (floats via repr, so reruns are byte-identical) plus a
 ``manifest.json``, built by ``_write_run_manifest``, describing config, data
-fingerprint and produced artifacts.
+fingerprint, produced artifacts and any saved posterior directories.  A
+config that repeats a seed, sampler, ratio or one sampler's beta is
+rejected, because each entry names its own cells' files; betas and ratios
+count as repeats when their six-significant-digit file tags agree.
 """
 
 from __future__ import annotations
@@ -254,8 +257,6 @@ def _parse_samplers(raw: str) -> tuple[str, ...]:
     bad = [k for k in kinds if k not in SAMPLER_KINDS]
     if bad:
         raise ConfigError(f"unknown sampler kinds {bad}; valid: {list(SAMPLER_KINDS)}")
-    if len(set(kinds)) != len(kinds):
-        raise ConfigError(f"duplicate sampler kinds in {raw!r}")
     return kinds
 
 
@@ -399,6 +400,20 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("seeds must not be empty")
     if not cfg.samplers:
         raise ConfigError("samplers must not be empty")
+    # every entry names its own cells' files; betas and ratios by _token,
+    # which keeps six significant digits
+    cell_keys = {"seeds": cfg.seeds, "samplers": cfg.samplers}
+    cell_keys.update((f"{kind}.betas", betas) for kind, betas in cfg.betas.items())
+    if cfg.experiment == "dataset_scaling":
+        cell_keys["ratios"] = cfg.ratios
+    for key, values in cell_keys.items():
+        names = [_token(v) if isinstance(v, float) else v for v in values]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(
+                    f"duplicate {key} entry {values[i]!r}: its cells' files would "
+                    f"overwrite those of {values[names.index(name)]!r}"
+                )
     if cfg.experiment == "dataset_scaling":
         if not cfg.ratios or any(not 0 < r <= 1 for r in cfg.ratios):
             raise ConfigError(f"ratios must lie in (0, 1], got {cfg.ratios}")
@@ -469,20 +484,33 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
 
 
 def write_manifest(out_dir: Path, manifest: dict) -> Path:
-    """Write manifest.json after checking every listed artifact exists non-empty."""
+    """Write manifest.json after checking every listed artifact exists non-empty
+    and every listed posterior directory holds a posterior.json."""
     for name in manifest.get("artifacts", []):
         target = out_dir / name
         if not target.is_file() or target.stat().st_size == 0:
             raise RuntimeError(f"manifest lists missing or empty artifact {target}")
+    for name in manifest.get("posteriors", []):
+        if not (out_dir / name / "posterior.json").is_file():
+            raise RuntimeError(f"manifest lists missing posterior {out_dir / name}")
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
     return path
 
 
 def _write_run_manifest(
-    cfg: ExperimentConfig, status: str, artifacts: list[str], wall_time_s: float, **fields
+    cfg: ExperimentConfig,
+    status: str,
+    artifacts: list[str],
+    posteriors: list[str],
+    wall_time_s: float,
+    **fields,
 ) -> dict:
-    """Write the manifest of a finished or failed run; ``fields`` are its own keys."""
+    """Write the manifest of a finished or failed run; ``fields`` are its own keys.
+
+    With ``save_posteriors`` set, a finished run lists the posterior
+    directories it saved, ``posteriors``, under the key of that name.
+    """
     manifest = {
         "experiment": cfg.experiment,
         "status": status,
@@ -491,6 +519,8 @@ def _write_run_manifest(
         "wall_time_s": wall_time_s,
         **fields,
     }
+    if cfg.save_posteriors and status == "ok":
+        manifest["posteriors"] = posteriors
     write_manifest(cfg.out_dir, manifest)
     return manifest
 
@@ -560,7 +590,7 @@ def _run_cells(
     spec: ArchitectureSpec,
     train_for: Callable[[int, int], RegressionDataset],
     evaluate: Callable[[_Cell, FittedPosterior], tuple[dict, str | None]],
-) -> tuple[list[dict], list[str]]:
+) -> tuple[list[dict], list[str], list[str]]:
     """Fit, evaluate and optionally save every seed x sampler x axis cell.
 
     The axis is the sampler's beta list; dataset_scaling sweeps the subset
@@ -570,12 +600,14 @@ def _run_cells(
     shuffles; a ratio cell fits from ``derive_seed(seed, 402, k, j)``.
     ``train_for(seed, j)`` gives the training set; ``evaluate(cell, fp)``
     gives the cell's stats and the name of the CSV it wrote, or None.
-    Returns the cell records and those CSV names.
+    Returns the cell records, those CSV names and the names of the saved
+    posterior directories.
     """
     by_ratio = cfg.experiment == "dataset_scaling"
     axis_key = "ratio" if by_ratio else "beta"
     records: list[dict] = []
     artifacts: list[str] = []
+    posteriors: list[str] = []
     for seed in cfg.seeds:
         for k, kind in enumerate(cfg.samplers):
             for j, value in enumerate(cfg.ratios if by_ratio else cfg.betas[kind]):
@@ -588,16 +620,17 @@ def _run_cells(
                 decompose_seed = functools.partial(derive_seed, seed, _TAG_DECOMP, k, j)
                 stats, name = evaluate(_Cell(seed, kind, tag, train, tc, decompose_seed), fp)
                 if cfg.save_posteriors:
+                    posteriors.append(f"posterior_{kind}_{tag}_seed{seed}")
                     save_posterior(
                         fp,
-                        cfg.out_dir / f"posterior_{kind}_{tag}_seed{seed}",
+                        cfg.out_dir / posteriors[-1],
                         extra={"seed": seed, "beta": beta, axis_key: value},
                     )
                 if name is not None:
                     artifacts.append(name)
                     stats = {"file": name, **stats}
                 records.append({"sampler": kind, "seed": seed, axis_key: value, **stats})
-    return records, artifacts
+    return records, artifacts, posteriors
 
 
 def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
@@ -641,12 +674,12 @@ def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
             "au_iqr_id": float(np.percentile(au_id, 75) - np.percentile(au_id, 25)),
         }, name
 
-    cells, artifacts = _run_cells(cfg, spec, lambda seed, j: sine[seed][0], evaluate)
+    cells, artifacts, posteriors = _run_cells(cfg, spec, lambda seed, j: sine[seed][0], evaluate)
     header = ["sampler", "beta", "seed", "mse_test", "mean_eu_id", "mean_eu_ood",
               "eu_ood_ratio", "spearman_au_x", "au_iqr_id"]
     write_csv(cfg.out_dir / "summary.csv", header, _rows(cells, header))
     return _write_run_manifest(
-        cfg, "ok", artifacts + ["summary.csv"], time.monotonic() - t0,
+        cfg, "ok", artifacts + ["summary.csv"], posteriors, time.monotonic() - t0,
         datasets=[_dataset_fingerprint(sine[s][0]) for s in cfg.seeds],
         cells=cells,
     )
@@ -707,7 +740,7 @@ def run_data_property(cfg: ExperimentConfig) -> dict:
             "spearman_au_density": _spearman_or_blank(dec.aleatoric, density_rank),
         }, name
 
-    cells, artifacts = _run_cells(cfg, spec, lambda seed, j: train, evaluate)
+    cells, artifacts, posteriors = _run_cells(cfg, spec, lambda seed, j: train, evaluate)
     header = ["sampler", "beta", "seed", "mse_test", "mean_eu_in_band", "mean_eu_out_band",
               "spearman_au_density"]
     band_counts = [int(in_band.sum()), int((~in_band).sum())]
@@ -717,7 +750,7 @@ def run_data_property(cfg: ExperimentConfig) -> dict:
         [row + band_counts for row in _rows(cells, header)],
     )
     return _write_run_manifest(
-        cfg, "ok", artifacts + ["summary.csv"], time.monotonic() - t0,
+        cfg, "ok", artifacts + ["summary.csv"], posteriors, time.monotonic() - t0,
         source=source,
         load_diagnostics=diagnostics[:20],
         datasets=[_dataset_fingerprint(train), _dataset_fingerprint(test)],
@@ -765,7 +798,7 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
             "mean_epistemic": float(dec.epistemic.mean()),
         }, None
 
-    cells, _ = _run_cells(cfg, spec, train_for, evaluate)
+    cells, _, posteriors = _run_cells(cfg, spec, train_for, evaluate)
     header = ["sampler", "seed", "ratio", "n_train", "kl_weight", "mse_test",
               "mean_aleatoric", "mean_epistemic"]
     write_csv(cfg.out_dir / "scaling.csv", header, _rows(cells, header))
@@ -782,7 +815,7 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
         summary_rows,
     )
     return _write_run_manifest(
-        cfg, "ok", ["scaling.csv", "summary.csv"], time.monotonic() - t0,
+        cfg, "ok", ["scaling.csv", "summary.csv"], posteriors, time.monotonic() - t0,
         source=source,
         datasets=[_dataset_fingerprint(pool), _dataset_fingerprint(test)],
         cells=cells,
@@ -825,7 +858,7 @@ def run_decompose(cfg: ExperimentConfig) -> dict:
         ],
     )
     return _write_run_manifest(
-        cfg, "ok", [name], time.monotonic() - t0,
+        cfg, "ok", [name], [], time.monotonic() - t0,
         posterior_kind=fp.kind,
         rows=int(X.shape[0]),
     )

@@ -7,9 +7,12 @@ differentiation (a stop-gradient).  ``beta = 0`` recovers the plain NLL;
 ``beta = 1`` makes the mean gradient independent of the predicted variance,
 matching a squared-error fit of the mean.
 
-Every sampler trains through the one mini-batch loop here; ``train`` runs it
-on a single network, and :mod:`winduq.posterior` supplies the DropConnect and
-Bayes-by-backprop parameter draws.
+Every sampler trains through the one mini-batch loop here.  The loop trains
+a (K, P) block of parameter vectors, one row per network, each with its own
+shuffle stream, and takes one optimizer step over the whole block per batch.
+A deep ensemble's K members train together as one block; ``train`` and the
+DropConnect and Bayes-by-backprop samplers are the K = 1 case, and
+:mod:`winduq.posterior` supplies their parameter draws.
 """
 
 from __future__ import annotations
@@ -163,44 +166,68 @@ class TrainingTrace:
 
 
 class Adam:
-    """Adam with the usual bias-corrected moment estimates."""
+    """Adam with the usual bias-corrected moment estimates, over a parameter block."""
 
-    def __init__(self, dim: int, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.m = np.zeros(dim)
-        self.v = np.zeros(dim)
+    def __init__(
+        self, shape: tuple[int, ...], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
+    ):
+        self.m = np.zeros(shape)
+        self.v = np.zeros(shape)
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
+        # in place, so a stacked block makes few fresh arrays, and in the
+        # operation order of, so bit-identical to:
+        #   m = beta1 * m + (1 - beta1) * grad
+        #   v = beta2 * v + (1 - beta2) * grad * grad
+        #   params -= lr * mhat / (sqrt(vhat) + eps)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        mhat = self.m / (1.0 - self.beta1**self.t)
-        vhat = self.v / (1.0 - self.beta2**self.t)
-        params -= lr * mhat / (np.sqrt(vhat) + self.eps)
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * grad
+        g2 = (1.0 - self.beta2) * grad
+        g2 *= grad
+        self.v *= self.beta2
+        self.v += g2
+        step = self.m / (1.0 - self.beta1**self.t)
+        step *= lr
+        denom = self.v / (1.0 - self.beta2**self.t)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        step /= denom
+        params -= step
 
 
 class SGD:
-    def __init__(self, dim: int):
+    def __init__(self, shape: tuple[int, ...]):
         pass
 
     def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
         params -= lr * grad
 
 
-def make_optimizer(name: str, dim: int):
+def make_optimizer(name: str, shape: tuple[int, ...]):
     if name == "adam":
-        return Adam(dim)
+        return Adam(shape)
     if name == "sgd":
-        return SGD(dim)
+        return SGD(shape)
     raise ValueError(f"unknown optimizer {name!r}")
 
 
 def _point_draw(phi: np.ndarray, epoch: int, b: int):
-    """theta = phi with no prior: plain training of one network."""
+    """theta = phi with no prior: plain training of each network."""
     return phi, lambda g: g, 0.0
+
+
+def _diverged(what: str, epoch: int, b: int, *blocks: np.ndarray) -> TrainingDivergedError:
+    # names the first member with a non-finite entry in its row of any block
+    bad = np.zeros(len(blocks[0]), dtype=bool)
+    for block in blocks:
+        bad |= ~np.isfinite(block.reshape(len(bad), -1)).all(axis=1)
+    member = int(np.argmax(bad))
+    return TrainingDivergedError(f"{what} in member {member} at epoch {epoch}, batch {b}")
 
 
 def _minibatch_loop(
@@ -208,18 +235,23 @@ def _minibatch_loop(
     spec: ArchitectureSpec,
     data,
     cfg: TrainingConfig,
+    shuffle_seeds,
     draw,
     batch_mean: bool,
-) -> TrainingTrace:
-    """Train the flat vector ``phi`` in place; return the per-epoch trace.
+) -> list[TrainingTrace]:
+    """Train the (K, P_phi) block ``phi`` in place; return one per-epoch trace per row.
 
-    Per batch, ``draw(phi, epoch, b)`` returns theta, the parameter vector to
-    run the network with; a pullback from the theta-gradient of the data term
-    to the phi-gradient of the whole batch objective; and the value of the
-    prior term.  One forward pass is kept for the backward pass.  Each
-    sampler fixes ``batch_mean``: the data term is the batch mean of the
-    weighted NLL, or the batch sum.  A non-finite prediction, objective or
-    gradient raises ``TrainingDivergedError`` naming the epoch and batch.
+    Row k is one network, shuffled each epoch by
+    ``spawn_rng(shuffle_seeds[k], 101, epoch)``; its batches are gathered
+    into one (K, B, d) block.  Per batch, ``draw(phi, epoch, b)`` returns
+    theta, the (K, P) parameters to run the networks with; a pullback from
+    the theta-gradient of the data term to the phi-gradient of the whole
+    batch objective; and the value of the prior term, a scalar or one per
+    row.  One forward pass is kept for the backward pass, and one optimizer
+    step updates the whole block.  Each sampler fixes ``batch_mean``: the
+    data term is the batch mean of the weighted NLL, or the batch sum.  A
+    non-finite prediction, objective or gradient raises
+    ``TrainingDivergedError`` naming the member, epoch and batch.
     """
     X = np.asarray(data.inputs, dtype=np.float64)
     y = np.asarray(data.targets, dtype=np.float64)
@@ -231,43 +263,43 @@ def _minibatch_loop(
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("training data contains non-finite values")
     slots = parameter_layout(spec)
-    opt = make_optimizer(cfg.optimizer, phi.size)
-    trace = TrainingTrace()
-    batches = [np.arange(i, min(i + cfg.batch_size, n)) for i in range(0, n, cfg.batch_size)]
+    opt = make_optimizer(cfg.optimizer, phi.shape)
+    traces = [TrainingTrace() for _ in shuffle_seeds]
+    batches = [slice(i, min(i + cfg.batch_size, n)) for i in range(0, n, cfg.batch_size)]
 
     for epoch in range(cfg.epochs):
         lr = learning_rate_at(cfg.lr_schedule, epoch)
-        perm = spawn_rng(cfg.seed, _STREAM_SHUFFLE, epoch).permutation(n)
-        loss_sum = 0.0
-        prior_sum = 0.0
-        se_sum = 0.0
+        perms = np.stack(
+            [spawn_rng(s, _STREAM_SHUFFLE, epoch).permutation(n) for s in shuffle_seeds]
+        )
+        loss_sum = np.zeros(len(traces))
+        prior_sum = np.zeros(len(traces))
+        se_sum = np.zeros(len(traces))
         for b, sl in enumerate(batches):
-            idx = perm[sl]
+            idx = perms[:, sl]
             Xb, yb = X[idx], y[idx]
             theta, pullback, prior = draw(phi, epoch, b)
             act = _forward_cached(spec, slots, theta, Xb)
             mu, sigma2 = act.mu, act.sigma2
             if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma2))):
-                raise TrainingDivergedError(
-                    f"non-finite prediction at epoch {epoch}, batch {b}"
-                )
+                raise _diverged("non-finite prediction", epoch, b, mu, sigma2)
             values, _ = beta_nll_terms(mu, sigma2, yb, cfg.beta)
-            batch_loss = float(values.sum())
+            batch_loss = values.sum(axis=-1)
             d_mean, d_variance = beta_nll_grads(mu, sigma2, yb, cfg.beta)
-            scale = 1.0 / len(idx) if batch_mean else 1.0
+            scale = 1.0 / idx.shape[1] if batch_mean else 1.0
             grad = pullback(_backward_cached(spec, act, d_mean * scale, d_variance * scale))
             del act  # hold one batch's activations at a time
-            if not (np.isfinite(batch_loss + prior) and np.all(np.isfinite(grad))):
-                raise TrainingDivergedError(
-                    f"non-finite loss or gradient at epoch {epoch}, batch {b}"
-                )
+            objective = batch_loss + prior
+            if not (np.all(np.isfinite(objective)) and np.all(np.isfinite(grad))):
+                raise _diverged("non-finite loss or gradient", epoch, b, objective, grad)
             opt.step(phi, grad, lr)
             loss_sum += batch_loss
             prior_sum += prior
-            se_sum += float(((mu - yb) ** 2).sum())
-        trace.append(epoch, loss_sum / n, prior_sum / n, se_sum / n, lr)
+            se_sum += ((mu - yb) ** 2).sum(axis=-1)
+        for k, trace in enumerate(traces):
+            trace.append(epoch, loss_sum[k] / n, prior_sum[k] / n, se_sum[k] / n, lr)
 
-    return trace
+    return traces
 
 
 def train(
@@ -281,5 +313,7 @@ def train(
     ``cfg.seed`` so a run is reproducible from the config alone.
     """
     trained = net.copy()
-    trace = _minibatch_loop(trained.params, trained.spec, data, cfg, _point_draw, batch_mean=True)
+    [trace] = _minibatch_loop(
+        trained.params[None], trained.spec, data, cfg, (cfg.seed,), _point_draw, batch_mean=True
+    )
     return trained, trace

@@ -9,8 +9,15 @@ trivial: every consumer sees the same layout.
 
 ``forward_batch`` and ``backward_batch`` validate a batch of row inputs, then
 run ``_forward_cached``; ``_backward_cached`` reads the activations it kept.
-The training loop calls that private pair directly, once per batch, and
-posterior prediction calls ``_forward_cached`` once per parameter draw.
+That private pair works on a block of K networks at once: parameters
+(K, P), inputs (K, B, d), one batch per network, with every matmul stacked
+on the leading axis.  The training loop calls the pair directly, once per
+batch, on all K deep-ensemble members together (K = 1 for the other
+samplers); ``forward_batch``, ``backward_batch`` and posterior prediction are
+the K = 1 case.  numpy runs a stacked matmul slice by slice with the kernel
+a single matmul would use, and every other step is elementwise or a per-row
+reduction, so each row of a block computes exactly what a single network
+would.
 """
 
 from __future__ import annotations
@@ -100,6 +107,7 @@ class _Slot:
     start: int
     stop: int
     is_weight: bool  # False for bias vectors
+    block: tuple[int, ...]  # per-network shape in a stacked (K, ...) view
 
 
 @functools.lru_cache(maxsize=None)
@@ -111,20 +119,22 @@ def parameter_layout(spec: ArchitectureSpec) -> tuple[_Slot, ...]:
     slots: list[_Slot] = []
     pos = 0
 
-    def add(name: str, shape: tuple[int, ...], is_weight: bool) -> None:
+    def add(name: str, shape: tuple[int, ...], is_weight: bool, block: tuple[int, ...]) -> None:
         nonlocal pos
         size = int(np.prod(shape))
-        slots.append(_Slot(name, shape, pos, pos + size, is_weight))
+        slots.append(_Slot(name, shape, pos, pos + size, is_weight, block))
         pos += size
 
+    # blocks broadcast against (B, width) activations: biases as one row,
+    # head weights as one column
     for i, (fan_in, fan_out) in enumerate(spec.layer_dims):
-        add(f"hidden{i}.W", (fan_in, fan_out), True)
-        add(f"hidden{i}.b", (fan_out,), False)
+        add(f"hidden{i}.W", (fan_in, fan_out), True, (fan_in, fan_out))
+        add(f"hidden{i}.b", (fan_out,), False, (1, fan_out))
     width = spec.hidden_widths[-1]
-    add("mean.W", (width,), True)
-    add("mean.b", (), False)
-    add("variance.W", (width,), True)
-    add("variance.b", (), False)
+    add("mean.W", (width,), True, (width, 1))
+    add("mean.b", (), False, (1, 1))
+    add("variance.W", (width,), True, (width, 1))
+    add("variance.b", (), False, (1, 1))
     return tuple(slots)
 
 
@@ -161,11 +171,6 @@ class TwoHeadNetwork:
         return TwoHeadNetwork(self.spec, self.params.copy())
 
 
-def _views(slots: tuple[_Slot, ...], flat: np.ndarray) -> dict[str, np.ndarray]:
-    """Named views into a flat vector, in layout order."""
-    return {s.name: flat[s.start : s.stop].reshape(s.shape) for s in slots}
-
-
 def init_parameters(spec: ArchitectureSpec, seed: int) -> TwoHeadNetwork:
     """Deterministic uniform fan-in initialization.
 
@@ -175,15 +180,11 @@ def init_parameters(spec: ArchitectureSpec, seed: int) -> TwoHeadNetwork:
     """
     rng = spawn_rng(seed)
     flat = np.zeros(spec.n_parameters, dtype=np.float64)
-    net = TwoHeadNetwork(spec, flat)
-    slots = parameter_layout(spec)
-    views = _views(slots, net.params)
-    for slot in slots:
+    for slot in parameter_layout(spec):
         if slot.is_weight:
-            fan_in = slot.shape[0] if len(slot.shape) > 1 else spec.hidden_widths[-1]
-            bound = np.sqrt(6.0 / fan_in)
-            views[slot.name][...] = rng.uniform(-bound, bound, size=slot.shape)
-    return net
+            bound = np.sqrt(6.0 / slot.shape[0])
+            flat[slot.start : slot.stop] = rng.uniform(-bound, bound, size=slot.shape).ravel()
+    return TwoHeadNetwork(spec, flat)
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -210,71 +211,82 @@ def _check_inputs(spec: ArchitectureSpec, X: np.ndarray) -> np.ndarray:
 
 
 class _Activations(NamedTuple):
-    views: dict[str, np.ndarray]  # parameter views by slot name
+    views: list[np.ndarray]  # (K, *slot.block) parameter views, in layout order
     hs: list[np.ndarray]  # hidden layer inputs, then the last hidden output
-    zs: list[np.ndarray]  # hidden pre-activations
-    s: np.ndarray  # variance-head pre-activation
-    mu: np.ndarray
-    sigma2: np.ndarray
+    s: np.ndarray  # (K, B) variance-head pre-activation
+    mu: np.ndarray  # (K, B)
+    sigma2: np.ndarray  # (K, B)
 
 
 def _forward_cached(
     spec: ArchitectureSpec, slots: tuple[_Slot, ...], params: np.ndarray, X: np.ndarray
 ) -> _Activations:
-    """Forward pass of validated inputs, keeping the activations backprop needs."""
-    views = _views(slots, params)
+    """Forward pass of validated inputs X (K, B, d) under parameters (K, P),
+    keeping the activations backprop needs.
+
+    Bias and relu act in place on each layer's matmul output: at K = 5 a
+    (K, B, width) block outgrows the allocator's reuse, and every fresh
+    one costs page faults.
+    """
+    k = params.shape[0]
+    views = [params[:, s.start : s.stop].reshape((k, *s.block)) for s in slots]
     h = X
     hs = [h]  # layer inputs
-    zs = []
     for i in range(len(spec.hidden_widths)):
-        z = h @ views[f"hidden{i}.W"] + views[f"hidden{i}.b"]
+        h = h @ views[2 * i]
+        h += views[2 * i + 1]
         if spec.hidden_activation == "relu":
-            h = np.maximum(z, 0.0)
+            np.maximum(h, 0.0, out=h)
         else:
-            h = sigmoid(z)
-        zs.append(z)
+            h = sigmoid(h)
         hs.append(h)
-    mu = h @ views["mean.W"] + views["mean.b"]
-    s = h @ views["variance.W"] + views["variance.b"]
+    mu = (h @ views[-4] + views[-3])[..., 0]
+    s = (h @ views[-2] + views[-1])[..., 0]
     sigma2 = softplus(s) + spec.variance_floor
-    return _Activations(views, hs, zs, s, mu, sigma2)
+    return _Activations(views, hs, s, mu, sigma2)
 
 
 def _backward_cached(
     spec: ArchitectureSpec, act: _Activations, d_mean: np.ndarray, d_variance: np.ndarray
 ) -> np.ndarray:
-    """Flat gradient of sum_i [d_mean_i * mu_i + d_variance_i * sigma2_i] from one forward pass."""
-    views, hs, zs = act.views, act.hs, act.zs
-    grads: dict[str, np.ndarray] = {}
+    """(K, P) gradients of sum_i [d_mean_i * mu_i + d_variance_i * sigma2_i], one row
+    per network, from one forward pass; the upstream derivatives are (K, B)."""
+    views, hs = act.views, act.hs
+    grads = [None] * len(views)
 
     # d sigma2 / d s = sigmoid(s); the floor is additive and drops out.
     gs = d_variance * sigmoid(act.s)
-    h_last = hs[-1]
-    grads["mean.W"] = h_last.T @ d_mean
-    grads["mean.b"] = d_mean.sum()
-    grads["variance.W"] = h_last.T @ gs
-    grads["variance.b"] = gs.sum()
+    h_last_t = hs[-1].transpose(0, 2, 1)
+    grads[-4] = h_last_t @ d_mean[..., None]
+    grads[-3] = d_mean.sum(axis=-1)
+    grads[-2] = h_last_t @ gs[..., None]
+    grads[-1] = gs.sum(axis=-1)
 
-    gh = np.outer(d_mean, views["mean.W"]) + np.outer(gs, views["variance.W"])
+    gh = d_mean[..., None] * views[-4].transpose(0, 2, 1)
+    gh += gs[..., None] * views[-2].transpose(0, 2, 1)
     for i in reversed(range(len(spec.hidden_widths))):
+        # gh becomes this layer's pre-activation gradient, in place; a relu
+        # output is positive exactly where its pre-activation is
+        a = hs[i + 1]
         if spec.hidden_activation == "relu":
-            gz = gh * (zs[i] > 0.0)
+            gh *= a > 0.0
         else:
-            a = hs[i + 1]
-            gz = gh * a * (1.0 - a)
-        grads[f"hidden{i}.W"] = hs[i].T @ gz
-        grads[f"hidden{i}.b"] = gz.sum(axis=0)
+            gh *= a
+            gh *= 1.0 - a
+        grads[2 * i] = hs[i].transpose(0, 2, 1) @ gh
+        grads[2 * i + 1] = gh.sum(axis=1)
         if i > 0:
-            gh = gz @ views[f"hidden{i}.W"].T
+            gh = gh @ views[2 * i].transpose(0, 2, 1)
 
-    return np.concatenate([np.ravel(grads[name]) for name in views])
+    k = d_mean.shape[0]
+    return np.concatenate([g.reshape(k, -1) for g in grads], axis=1)
 
 
 def forward_batch(net: TwoHeadNetwork, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Predict (means, variances) for a batch of row-vector inputs. Never mutates the network."""
     X = _check_inputs(net.spec, X)
-    act = _forward_cached(net.spec, parameter_layout(net.spec), net.params, X)
-    return act.mu, act.sigma2
+    act = _forward_cached(net.spec, parameter_layout(net.spec), net.params[None], X[None])
+    return act.mu[0], act.sigma2[0]
 
 
 def backward_batch(
@@ -293,8 +305,8 @@ def backward_batch(
         raise ValueError("upstream gradients must be 1-D arrays matching the batch size")
     if not (np.all(np.isfinite(d_mean)) and np.all(np.isfinite(d_variance))):
         raise ValueError("upstream gradients contain non-finite values")
-    act = _forward_cached(net.spec, parameter_layout(net.spec), net.params, X)
-    return _backward_cached(net.spec, act, d_mean, d_variance)
+    act = _forward_cached(net.spec, parameter_layout(net.spec), net.params[None], X[None])
+    return _backward_cached(net.spec, act, d_mean[None], d_variance[None])[0]
 
 
 def save_checkpoint(net: TwoHeadNetwork, path: str | Path, seed: int | None = None) -> None:

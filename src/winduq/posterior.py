@@ -3,7 +3,10 @@
 Three interchangeable samplers produce Monte Carlo draws of Gaussian
 predictions for a given input:
 
-* ``deep_ensemble``: independently trained networks; one draw per member.
+* ``deep_ensemble``: independently seeded networks; one draw per member.
+  The K members train together as one stacked (K, P) block through the
+  shared training loop, each from its own init and shuffle seeds, so every
+  member is exactly the network it would be if trained alone.
 * ``mc_dropconnect``: one network trained and evaluated with per-weight
   Bernoulli masks, resampled on every forward pass.  Biases are never masked.
 * ``bayes_by_backprop``: a factorized Gaussian over the flat weight vector
@@ -17,7 +20,7 @@ draw is always "a parameter vector plus a forward pass".
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ from .losses import (
     TrainingConfig,
     TrainingTrace,
     _minibatch_loop,
-    train,
+    _point_draw,
 )
 from .network import (
     ArchitectureSpec,
@@ -185,18 +188,19 @@ def _dropconnect_draw(spec: ArchitectureSpec, rate: float, seed: int):
 
 
 def _variational_draw(n_params: int, kl_weight: float, seed: int):
-    """theta = mean + softplus(rho) * eps over phi = [mean, rho], with the
-    weighted KL to the unit Gaussian prior as the prior term."""
+    """theta = mean + softplus(rho) * eps over phi = [mean, rho] (last axis), with
+    the weighted KL to the unit Gaussian prior as the prior term."""
 
     def draw(phi: np.ndarray, epoch: int, b: int):
-        mean, rho = phi[:n_params], phi[n_params:]
+        mean, rho = phi[..., :n_params], phi[..., n_params:]
         eps = spawn_rng(seed, _STREAM_WEIGHT_DRAW, epoch, b).standard_normal(n_params)
         theta = mean + softplus(rho) * eps
         kl_d_mean, kl_d_rho = kl_to_unit_gaussian_grads(mean, rho)
 
         def pullback(g: np.ndarray) -> np.ndarray:
             return np.concatenate(
-                [g + kl_weight * kl_d_mean, g * eps * sigmoid(rho) + kl_weight * kl_d_rho]
+                [g + kl_weight * kl_d_mean, g * eps * sigmoid(rho) + kl_weight * kl_d_rho],
+                axis=-1,
             )
 
         return theta, pullback, kl_weight * kl_to_unit_gaussian(mean, rho)
@@ -214,7 +218,10 @@ def fit(
 
     ``cfg.kl_weight`` must be set for ``bayes_by_backprop`` and left None for
     the other kinds.  Determinism: the result is a pure function of
-    (sampler, spec, data, cfg).
+    (sampler, spec, data, cfg).  Ensemble member k has seed
+    ``derive_seed(cfg.seed, 201, k)``, initialises from
+    ``derive_seed(member_seed, 1)`` and shuffles from
+    ``derive_seed(member_seed, 2)``; the members train as one stacked block.
     """
     if sampler.kind == "bayes_by_backprop":
         if cfg.kl_weight is None:
@@ -222,28 +229,27 @@ def fit(
     elif cfg.kl_weight is not None:
         raise ValueError(f"kl_weight is only meaningful for bayes_by_backprop, not {sampler.kind}")
     if sampler.kind == "deep_ensemble":
-        members, seeds, traces = [], [], []
-        for k in range(sampler.ensemble_size):
-            member_seed = derive_seed(cfg.seed, _STREAM_MEMBER, k)
-            net0 = init_parameters(spec, derive_seed(member_seed, 1))
-            net_k, trace_k = train(net0, data, replace(cfg, seed=derive_seed(member_seed, 2)))
-            members.append(net_k)
-            seeds.append(member_seed)
-            traces.append(trace_k)
+        seeds = [derive_seed(cfg.seed, _STREAM_MEMBER, k) for k in range(sampler.ensemble_size)]
+        phi = np.stack([init_parameters(spec, derive_seed(s, 1)).params for s in seeds])
+        shuffle_seeds = [derive_seed(s, 2) for s in seeds]
+        traces = _minibatch_loop(phi, spec, data, cfg, shuffle_seeds, _point_draw, batch_mean=True)
+        members = [TwoHeadNetwork(spec, row) for row in phi]
         return EnsemblePosterior(spec, members, seeds), traces
     net = init_parameters(spec, derive_seed(cfg.seed, _STREAM_INIT))
     if sampler.kind == "mc_dropconnect":
         draw = _dropconnect_draw(spec, sampler.drop_rate, cfg.seed)
-        trace = _minibatch_loop(net.params, spec, data, cfg, draw, batch_mean=True)
-        return DropConnectPosterior(spec, net, sampler.drop_rate, sampler.sample_count), [trace]
+        traces = _minibatch_loop(
+            net.params[None], spec, data, cfg, (cfg.seed,), draw, batch_mean=True
+        )
+        return DropConnectPosterior(spec, net, sampler.drop_rate, sampler.sample_count), traces
     p = spec.n_parameters
     phi = np.concatenate([net.params, np.full(p, softplus_inverse(sampler.init_sigma))])
     # the data term is the batch sum: with kl_weight = 1 / (batches per
     # epoch), one epoch's objectives add up to the full-data negative ELBO,
     # the minibatch weighting of Blundell et al. (2015)
     draw = _variational_draw(p, cfg.kl_weight, cfg.seed)
-    trace = _minibatch_loop(phi, spec, data, cfg, draw, batch_mean=False)
-    return VariationalPosterior(spec, phi[:p].copy(), phi[p:].copy(), sampler.sample_count), [trace]
+    traces = _minibatch_loop(phi[None], spec, data, cfg, (cfg.seed,), draw, batch_mean=False)
+    return VariationalPosterior(spec, phi[:p].copy(), phi[p:].copy(), sampler.sample_count), traces
 
 
 def draw_parameter_matrix(
@@ -284,9 +290,9 @@ def _predict_draws(
     slots = parameter_layout(fp.spec)
     means = np.empty((s, X.shape[0]))
     variances = np.empty((s, X.shape[0]))
-    for k, theta in enumerate(thetas):
-        act = _forward_cached(fp.spec, slots, theta, X)
-        means[k], variances[k] = act.mu, act.sigma2
+    for k in range(s):
+        act = _forward_cached(fp.spec, slots, thetas[k : k + 1], X[None])
+        means[k], variances[k] = act.mu[0], act.sigma2[0]
     return means, variances
 
 

@@ -6,6 +6,7 @@ layout and byte-level reproducibility, not estimation quality.
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,27 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="duplicate sampler"):
             build_config("data_property", {"samplers": "deep_ensemble, deep_ensemble"})
 
+    @pytest.mark.parametrize(
+        "experiment, entries, named",
+        [
+            ("synthetic_ood", {"seeds": "1, 2, 1"}, "seeds entry 1"),
+            ("data_property", {"samplers": "mc_dropconnect, deep_ensemble, mc_dropconnect"},
+             "samplers entry 'mc_dropconnect'"),
+            ("dataset_scaling", {"ratios": "0.5, 1.0, 0.50"}, "ratios entry 0.5"),
+            ("synthetic_ood", {"bayes_by_backprop.betas": "0.0, 0.5, 0"},
+             "bayes_by_backprop.betas entry 0.0"),
+            ("data_property", {"samplers": "deep_ensemble", "betas": "0.4, 0.4"},
+             "deep_ensemble.betas entry 0.4"),
+            # distinct values whose file tags agree: both would write beta0p5
+            ("synthetic_ood", {"betas": "0.5000001, 0.5000002"},
+             "deep_ensemble.betas entry 0.5000002: its cells' files would overwrite those "
+             "of 0.5000001"),
+        ],
+    )
+    def test_repeated_cell_entries_rejected(self, experiment, entries, named):
+        with pytest.raises(ConfigError, match=f"^duplicate {re.escape(named)}"):
+            build_config(experiment, entries)
+
     def test_ratio_validation(self):
         with pytest.raises(ConfigError, match="ratios"):
             build_config("dataset_scaling", {"ratios": "0.0, 0.5"})
@@ -323,6 +345,34 @@ class TestDataPropertyRunner:
         assert speeds.max() > 11.0 or speeds.min() < 2.0  # out-of-band rows exist
 
 
+    def test_save_posteriors_are_listed_in_the_manifest(self, tmp_path):
+        out = tmp_path / "run"
+        entries = {
+            "samplers": "mc_dropconnect, deep_ensemble",
+            "betas": "0.4, 0.2",
+            "seeds": "3",
+            "hidden_widths": "8",
+            "epochs": "1",
+            "surrogate_n": "300",
+            "lags": "5",
+            "ensemble_size": "2",
+            "mc_samples": "4",
+            "save_posteriors": "true",
+            "out_dir": str(out),
+        }
+        manifest = run_data_property(build_config("data_property", entries))
+        on_disk = sorted(p.name for p in out.iterdir() if p.is_dir())
+        assert sorted(manifest["posteriors"]) == on_disk
+        assert manifest["posteriors"] == [
+            "posterior_mc_dropconnect_beta0p4_seed3",
+            "posterior_mc_dropconnect_beta0p2_seed3",
+            "posterior_deep_ensemble_beta0p4_seed3",
+            "posterior_deep_ensemble_beta0p2_seed3",
+        ]
+        for name in manifest["posteriors"]:
+            assert load_posterior(out / name).kind in name
+
+
 class TestScalingRunner:
     def test_rows_trend_and_auto_kl(self, tmp_path):
         out = tmp_path / "run"
@@ -358,6 +408,7 @@ class TestScalingRunner:
             assert -1.0 <= float(row["spearman_ratio_eu"]) <= 1.0
             assert float(row["eu_first_ratio"]) >= 0.0
         assert not list(out.glob("posterior_*"))  # save_posteriors is off by default
+        assert "posteriors" not in manifest
 
     def test_save_posteriors_writes_every_cell(self, tmp_path):
         out = tmp_path / "run"
@@ -373,7 +424,7 @@ class TestScalingRunner:
             "save_posteriors": "true",
             "out_dir": str(out),
         }
-        run_dataset_scaling(build_config("dataset_scaling", entries))
+        manifest = run_dataset_scaling(build_config("dataset_scaling", entries))
         saved = sorted(p.name for p in out.glob("posterior_*"))
         assert saved == [
             "posterior_deep_ensemble_ratio0p3_seed2",
@@ -381,6 +432,8 @@ class TestScalingRunner:
             "posterior_mc_dropconnect_ratio0p3_seed2",
             "posterior_mc_dropconnect_ratio1_seed2",
         ]
+        assert manifest["posteriors"] == saved  # in run order, which is sorted here
+        assert json.loads((out / "manifest.json").read_text())["posteriors"] == saved
         for name in saved:
             assert load_posterior(out / name).kind in name
             training = json.loads((out / name / "posterior.json").read_text())["training"]

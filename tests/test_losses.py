@@ -14,6 +14,8 @@ from winduq.data import make_sine_dataset
 from winduq.losses import (
     TrainingConfig,
     TrainingDivergedError,
+    _minibatch_loop,
+    _point_draw,
     beta_nll_grads,
     beta_nll_terms,
     learning_rate_at,
@@ -27,6 +29,7 @@ from winduq.network import (
     forward_batch,
     init_parameters,
 )
+from winduq.seeding import spawn_rng
 
 
 def output_grads(mu, sigma2, y, beta):
@@ -266,6 +269,32 @@ class TestTrain:
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergedError, match=r"epoch \d+, batch \d+"):
                 train(net, data, cfg)
+
+    def test_diverging_member_is_named(self):
+        # one huge input row overflows the loss of whichever member's shuffle
+        # reaches it first; the others stay finite until then
+        data = self._sine()
+        X = data.inputs.copy()
+        X[123] = 1e200
+        spec = ArchitectureSpec(1, (8,))
+        phi = np.stack([init_parameters(spec, seed=s).params for s in (3, 4, 5)])
+        cfg = TrainingConfig(epochs=1, batch_size=64)
+        seeds = (11, 12, 13)
+        batch_of_row = [
+            int(np.flatnonzero(spawn_rng(s, 101, 0).permutation(len(X)) == 123)[0]) // 64
+            for s in seeds
+        ]
+        first = min(batch_of_row)
+        member = batch_of_row.index(first)
+        with np.errstate(all="ignore"):
+            with pytest.raises(
+                TrainingDivergedError,
+                match=rf"in member {member} at epoch 0, batch {first}$",
+            ):
+                _minibatch_loop(
+                    phi, spec, SimpleNamespace(inputs=X, targets=data.targets), cfg, seeds,
+                    _point_draw, batch_mean=True,
+                )
 
     @pytest.mark.parametrize("where", ["inputs", "targets"])
     def test_non_finite_data_rejected_before_training(self, where):

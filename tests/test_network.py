@@ -15,6 +15,8 @@ import pytest
 from winduq.network import (
     ArchitectureSpec,
     TwoHeadNetwork,
+    _backward_cached,
+    _forward_cached,
     backward_batch,
     forward_batch,
     init_parameters,
@@ -225,6 +227,48 @@ class TestBackward:
         net = init_parameters(spec, seed=1)
         with pytest.raises(ValueError):
             backward_one(net, [1.0], (np.nan, 0.0))
+
+
+class TestStackedBlock:
+    """The private forward/backward pair runs K networks as one (K, P) block."""
+
+    def _block(self, activation, k=3, batch=7):
+        rng = np.random.default_rng(61)
+        spec = ArchitectureSpec(2, (5, 4), activation)
+        params = np.stack([init_parameters(spec, seed=s).params for s in range(10, 10 + k)])
+        # nonzero biases keep relu pre-activations off the kink at exactly 0,
+        # where finite differences straddle the subgradient
+        params += rng.normal(0.05, 0.1, size=params.shape)
+        X = rng.normal(size=(k, batch, 2))
+        return spec, params, X, rng.normal(size=(k, batch)), rng.normal(size=(k, batch))
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_rows_equal_single_networks_exactly(self, activation):
+        spec, params, X, dm, dv = self._block(activation)
+        act = _forward_cached(spec, parameter_layout(spec), params, X)
+        grads = _backward_cached(spec, act, dm, dv)
+        assert grads.shape == params.shape
+        for k in range(len(params)):
+            net = TwoHeadNetwork(spec, params[k])
+            mu, sigma2 = forward_batch(net, X[k])
+            assert np.array_equal(act.mu[k], mu) and np.array_equal(act.sigma2[k], sigma2)
+            assert np.array_equal(grads[k], backward_batch(net, X[k], dm[k], dv[k]))
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_block_gradient_matches_finite_differences(self, activation):
+        # one scalar over the whole block: a row that read another row's
+        # weights or activations would show up off the diagonal
+        spec, params, X, dm, dv = self._block(activation, batch=4)
+        slots = parameter_layout(spec)
+
+        def objective(flat):
+            act = _forward_cached(spec, slots, flat.reshape(params.shape), X)
+            return float(np.sum(dm * act.mu + dv * act.sigma2))
+
+        act = _forward_cached(spec, slots, params, X)
+        analytic = _backward_cached(spec, act, dm, dv)
+        numeric = fd_gradient(objective, params.ravel().copy()).reshape(params.shape)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
 
 class TestWeightMask:

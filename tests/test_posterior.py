@@ -10,6 +10,7 @@ overwhelming prior weight) where the right answer is known exactly.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -163,6 +164,22 @@ class TestEnsembleFit:
         for a, b in zip(small.members, big.members):
             assert a.params.tobytes() == b.params.tobytes()
         assert small.member_seeds == big.member_seeds[:2]
+
+    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+    def test_stacked_fit_equals_members_trained_alone(self, activation):
+        # 50 rows in batches of 16 leave a partial last batch of 2
+        data = _tiny_sine(n=50)
+        spec = ArchitectureSpec(1, (6, 5), activation)
+        cfg = TrainingConfig(beta=0.5, epochs=3, batch_size=16, lr_schedule=(1e-2, 2, 0.5), seed=7)
+        fp, traces = fit(PosteriorSampler("deep_ensemble", 3, ensemble_size=3), spec, data, cfg)
+        for k in range(3):
+            member_seed = derive_seed(cfg.seed, 201, k)
+            assert fp.member_seeds[k] == member_seed
+            net0 = init_parameters(spec, derive_seed(member_seed, 1))
+            alone, trace = train(net0, data, replace(cfg, seed=derive_seed(member_seed, 2)))
+            assert np.array_equal(fp.members[k].params, alone.params)
+            for column in ("epoch", "mean_loss", "kl", "mse", "learning_rate"):
+                assert np.array_equal(getattr(traces[k], column), getattr(trace, column))
 
     def test_draws_are_exactly_the_members(self):
         data = _tiny_sine()
