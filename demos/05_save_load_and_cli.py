@@ -1,7 +1,8 @@
 """Persisting a fitted posterior and decomposing new inputs from the CLI.
 
-A posterior fitted in one process can be saved as a small directory of JSON
-files and reused later: load it back in Python, or hand it to the
+A posterior fitted in one process can be saved as a directory holding a
+`posterior.json` manifest and its parameter matrix as one `params.npy`, and
+reused later: load it back in Python, or hand it to the
 `winduq decompose` subcommand together with a CSV of feature rows.  Both
 paths must produce identical numbers, which this script demonstrates.
 """

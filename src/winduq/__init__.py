@@ -37,15 +37,11 @@ from .network import (
     TwoHeadNetwork,
     forward_batch,
     init_parameters,
-    load_checkpoint,
-    save_checkpoint,
 )
 from .posterior import (
     SAMPLER_KINDS,
-    DropConnectPosterior,
-    EnsemblePosterior,
+    FittedPosterior,
     PosteriorSampler,
-    VariationalPosterior,
     fit,
     kl_to_unit_gaussian,
     load_posterior,
@@ -63,9 +59,8 @@ __all__ = [
     "ArchitectureSpec",
     "BatchDecomposition",
     "ColumnStats",
-    "DropConnectPosterior",
-    "EnsemblePosterior",
     "FeatureScaling",
+    "FittedPosterior",
     "PosteriorSampler",
     "PowerCurveSpec",
     "RegressionDataset",
@@ -75,7 +70,6 @@ __all__ = [
     "TrainingDivergedError",
     "TrainingTrace",
     "TwoHeadNetwork",
-    "VariationalPosterior",
     "decompose_arrays",
     "decompose_batch",
     "fit",
@@ -84,7 +78,6 @@ __all__ = [
     "joint_density_ranks",
     "kl_to_unit_gaussian",
     "learning_rate_at",
-    "load_checkpoint",
     "load_posterior",
     "load_scada_csv",
     "make_hourly_power_series",
@@ -93,7 +86,6 @@ __all__ = [
     "mse",
     "power_curve",
     "preprocess_power_table",
-    "save_checkpoint",
     "save_posterior",
     "sine_conditional_variance",
     "spearman",

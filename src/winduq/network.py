@@ -4,8 +4,8 @@ A network maps an input vector to the mean and variance of a Gaussian
 predictive distribution.  Both heads share a stack of hidden layers; the mean
 head is linear and the variance head passes through a softplus plus a floor,
 so the predicted variance is always positive.  Parameters live in one flat
-float64 vector, which keeps optimizers, posterior samplers and checkpointing
-trivial: every consumer sees the same layout.
+float64 vector, which keeps optimizers and posterior samplers trivial: every
+consumer sees the same layout.
 
 ``forward_batch`` and ``backward_batch`` validate a batch of row inputs, then
 run ``_forward_cached``; ``_backward_cached`` reads the activations it kept.
@@ -23,16 +23,12 @@ would.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .seeding import spawn_rng
-
-CHECKPOINT_LAYOUT_VERSION = 1
 
 _ACTIVATIONS = ("relu", "sigmoid")
 
@@ -308,30 +304,3 @@ def backward_batch(
     act = _forward_cached(net.spec, parameter_layout(net.spec), net.params[None], X[None])
     return _backward_cached(net.spec, act, d_mean[None], d_variance[None])[0]
 
-
-def save_checkpoint(net: TwoHeadNetwork, path: str | Path, seed: int | None = None) -> None:
-    """Write a self-describing JSON checkpoint.
-
-    Floats are serialized via repr, which round-trips float64 bit-exactly.
-    """
-    record = {
-        "layout_version": CHECKPOINT_LAYOUT_VERSION,
-        "spec": net.spec.to_dict(),
-        "seed": seed,
-        "parameters": [float(v) for v in net.params],
-    }
-    Path(path).write_text(json.dumps(record))
-
-
-def load_checkpoint(path: str | Path) -> tuple[TwoHeadNetwork, int | None]:
-    record = json.loads(Path(path).read_text())
-    version = record.get("layout_version")
-    if version != CHECKPOINT_LAYOUT_VERSION:
-        raise ValueError(
-            f"unsupported checkpoint layout version {version!r}; "
-            f"this build reads version {CHECKPOINT_LAYOUT_VERSION}"
-        )
-    spec = ArchitectureSpec.from_dict(record["spec"])
-    params = np.asarray(record["parameters"], dtype=np.float64)
-    net = TwoHeadNetwork(spec, params)
-    return net, record.get("seed")

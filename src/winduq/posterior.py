@@ -1,26 +1,29 @@
 """Approximate posteriors over network weights.
 
-Three interchangeable samplers produce Monte Carlo draws of Gaussian
-predictions for a given input:
+Every fitted posterior is one :class:`FittedPosterior` record: a kind, an
+architecture, its sampling knobs and one float64 matrix phi over the flat
+parameter layout of :mod:`winduq.network`.  A kind is just a rule that turns
+phi into S parameter draws, so a prediction draw is always "a parameter
+vector plus a forward pass":
 
-* ``deep_ensemble``: independently seeded networks; one draw per member.
-  The K members train together as one stacked (K, P) block through the
-  shared training loop, each from its own init and shuffle seeds, so every
-  member is exactly the network it would be if trained alone.
-* ``mc_dropconnect``: one network trained and evaluated with per-weight
-  Bernoulli masks, resampled on every forward pass.  Biases are never masked.
-* ``bayes_by_backprop``: a factorized Gaussian over the flat weight vector
-  with std = softplus(rho), trained against a unit Gaussian prior by
-  reparameterized sampling, one weight draw per batch.
+* ``deep_ensemble``: phi is (K, P), one row per independently seeded
+  member; the S = K draws are the rows.  The members train together as one
+  stacked block through the shared training loop, each from its own init
+  and shuffle seeds, so every member is exactly the network it would be if
+  trained alone.
+* ``mc_dropconnect``: phi is (1, P); a draw multiplies it by a Bernoulli
+  keep-mask over the weights, resampled per draw.  Biases are never masked.
+* ``bayes_by_backprop``: phi is (2, P), the mean and rho of a factorized
+  Gaussian with std = softplus(rho), trained against a unit Gaussian prior
+  by reparameterized sampling, one weight draw per batch.
 
-All kinds share the flat parameter layout from :mod:`winduq.network`, so a
-draw is always "a parameter vector plus a forward pass".
+A saved posterior is ``posterior.json`` plus phi as one ``params.npy``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +36,10 @@ from .losses import (
 )
 from .network import (
     ArchitectureSpec,
-    TwoHeadNetwork,
     _check_inputs,
     _forward_cached,
     init_parameters,
-    load_checkpoint,
     parameter_layout,
-    save_checkpoint,
     sigmoid,
     softplus,
     weight_position_mask,
@@ -48,7 +48,8 @@ from .seeding import derive_seed, spawn_rng
 
 SAMPLER_KINDS = ("deep_ensemble", "mc_dropconnect", "bayes_by_backprop")
 
-POSTERIOR_FORMAT_VERSION = 1
+POSTERIOR_FORMAT_VERSION = 2
+_PARAMS_FILE = "params.npy"
 
 # spawn_key tags: per-batch training draws, fit-level streams, prediction draws
 _STREAM_MASK = 102
@@ -92,14 +93,22 @@ class PosteriorSampler:
             raise ValueError(f"init_sigma must be positive, got {self.init_sigma}")
 
 
+def _keep_masks(
+    spec: ArchitectureSpec, drop_rate: float, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """(n, P) ones with Bernoulli keeps at the weight positions, from one
+    row-major block of uniforms: the stream of n sequential single masks."""
+    wpos = weight_position_mask(spec)
+    masks = np.ones((n, wpos.size))
+    masks[:, wpos] = rng.random((n, int(wpos.sum()))) >= drop_rate
+    return masks
+
+
 def sample_weight_mask(
     spec: ArchitectureSpec, drop_rate: float, rng: np.random.Generator
 ) -> np.ndarray:
     """One Bernoulli keep-mask over the flat layout; bias entries stay 1."""
-    mask = np.ones(spec.n_parameters, dtype=np.float64)
-    wpos = weight_position_mask(spec)
-    mask[wpos] = rng.random(int(wpos.sum())) >= drop_rate
-    return mask
+    return _keep_masks(spec, drop_rate, rng, 1)[0]
 
 
 def kl_to_unit_gaussian(mean: np.ndarray, rho: np.ndarray) -> float:
@@ -128,53 +137,42 @@ def softplus_inverse(y: float) -> float:
     return float(y + np.log1p(-np.exp(-y)))
 
 
-@dataclass
-class EnsemblePosterior:
-    kind = "deep_ensemble"
+@dataclass(frozen=True)
+class FittedPosterior:
+    """A fitted posterior: kind, architecture, sampling knobs and the matrix phi.
+
+    phi is float64 over the flat parameter layout, with one shape per kind:
+    (K, P) for ``deep_ensemble`` with K = ``sample_count`` members, (1, P)
+    for ``mc_dropconnect`` and (2, P), mean then rho, for
+    ``bayes_by_backprop``.  ``drop_rate`` is the DropConnect rate and 0 for
+    the other kinds.
+    """
+
+    kind: str
     spec: ArchitectureSpec
-    members: list[TwoHeadNetwork]
-    member_seeds: list[int]
-    sample_count: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("an ensemble needs at least one member")
-        self.sample_count = len(self.members)
-
-
-@dataclass
-class DropConnectPosterior:
-    kind = "mc_dropconnect"
-    spec: ArchitectureSpec
-    network: TwoHeadNetwork
+    phi: np.ndarray
+    sample_count: int
     drop_rate: float
-    sample_count: int
-
-
-@dataclass
-class VariationalPosterior:
-    kind = "bayes_by_backprop"
-    spec: ArchitectureSpec
-    mean: np.ndarray
-    rho: np.ndarray
-    sample_count: int
 
     def __post_init__(self) -> None:
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.rho = np.asarray(self.rho, dtype=np.float64)
-        n = self.spec.n_parameters
-        if self.mean.shape != (n,) or self.rho.shape != (n,):
-            raise ValueError("variational parameter vectors do not match the architecture")
-
-    @property
-    def weight_std(self) -> np.ndarray:
-        return softplus(self.rho)
-
-    def kl(self) -> float:
-        return kl_to_unit_gaussian(self.mean, self.rho)
-
-
-FittedPosterior = EnsemblePosterior | DropConnectPosterior | VariationalPosterior
+        if self.kind not in SAMPLER_KINDS:
+            raise ValueError(f"kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
+        if self.sample_count < 1:
+            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        if self.kind == "mc_dropconnect":
+            if not 0.0 <= self.drop_rate < 1.0:
+                raise ValueError(f"drop_rate must lie in [0, 1), got {self.drop_rate}")
+        elif self.drop_rate != 0.0:
+            raise ValueError(f"{self.kind} has no drop rate, got {self.drop_rate}")
+        phi = self.phi
+        if not isinstance(phi, np.ndarray) or phi.dtype != np.float64:
+            raise ValueError(f"phi must be a float64 array, got {getattr(phi, 'dtype', type(phi))}")
+        rows = {"deep_ensemble": self.sample_count, "mc_dropconnect": 1, "bayes_by_backprop": 2}
+        shape = (rows[self.kind], self.spec.n_parameters)
+        if phi.shape != shape:
+            raise ValueError(f"{self.kind} phi must have shape {shape}, got {phi.shape}")
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("phi contains non-finite values")
 
 
 def _dropconnect_draw(spec: ArchitectureSpec, rate: float, seed: int):
@@ -233,46 +231,54 @@ def fit(
         phi = np.stack([init_parameters(spec, derive_seed(s, 1)).params for s in seeds])
         shuffle_seeds = [derive_seed(s, 2) for s in seeds]
         traces = _minibatch_loop(phi, spec, data, cfg, shuffle_seeds, _point_draw, batch_mean=True)
-        members = [TwoHeadNetwork(spec, row) for row in phi]
-        return EnsemblePosterior(spec, members, seeds), traces
-    net = init_parameters(spec, derive_seed(cfg.seed, _STREAM_INIT))
+        return FittedPosterior(sampler.kind, spec, phi, sampler.sample_count, 0.0), traces
+    start = init_parameters(spec, derive_seed(cfg.seed, _STREAM_INIT)).params
     if sampler.kind == "mc_dropconnect":
+        phi = start[None]
         draw = _dropconnect_draw(spec, sampler.drop_rate, cfg.seed)
-        traces = _minibatch_loop(
-            net.params[None], spec, data, cfg, (cfg.seed,), draw, batch_mean=True
-        )
-        return DropConnectPosterior(spec, net, sampler.drop_rate, sampler.sample_count), traces
+        traces = _minibatch_loop(phi, spec, data, cfg, (cfg.seed,), draw, batch_mean=True)
+        fp = FittedPosterior(sampler.kind, spec, phi, sampler.sample_count, sampler.drop_rate)
+        return fp, traces
     p = spec.n_parameters
-    phi = np.concatenate([net.params, np.full(p, softplus_inverse(sampler.init_sigma))])
+    phi = np.concatenate([start, np.full(p, softplus_inverse(sampler.init_sigma))])[None]
     # the data term is the batch sum: with kl_weight = 1 / (batches per
     # epoch), one epoch's objectives add up to the full-data negative ELBO,
     # the minibatch weighting of Blundell et al. (2015)
     draw = _variational_draw(p, cfg.kl_weight, cfg.seed)
-    traces = _minibatch_loop(phi[None], spec, data, cfg, (cfg.seed,), draw, batch_mean=False)
-    return VariationalPosterior(spec, phi[:p].copy(), phi[p:].copy(), sampler.sample_count), traces
+    traces = _minibatch_loop(phi, spec, data, cfg, (cfg.seed,), draw, batch_mean=False)
+    # phi trained as one [mean | rho] row; the record keeps them as two
+    return FittedPosterior(sampler.kind, spec, phi.reshape(2, p), sampler.sample_count, 0.0), traces
+
+
+def _draw_ensemble(fp: FittedPosterior, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    if n_draws != fp.sample_count:
+        raise ValueError(
+            f"deep_ensemble yields exactly {fp.sample_count} draws, requested {n_draws}"
+        )
+    return fp.phi.copy()
+
+
+def _draw_dropconnect(fp: FittedPosterior, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    return fp.phi * _keep_masks(fp.spec, fp.drop_rate, rng, n_draws)
+
+
+def _draw_variational(fp: FittedPosterior, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+    mean, rho = fp.phi
+    eps = rng.standard_normal((n_draws, mean.size))
+    return mean + softplus(rho) * eps
+
+
+_DRAWS = dict(zip(SAMPLER_KINDS, (_draw_ensemble, _draw_dropconnect, _draw_variational)))
 
 
 def draw_parameter_matrix(
     fp: FittedPosterior, n_draws: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """(n_draws, P) parameter vectors sampled from the fitted posterior."""
-    if isinstance(fp, EnsemblePosterior):
-        if n_draws != len(fp.members):
-            raise ValueError(
-                f"deep_ensemble yields exactly {len(fp.members)} draws, requested {n_draws}"
-            )
-        return np.stack([m.params for m in fp.members])
-    if isinstance(fp, DropConnectPosterior):
-        # one block of uniforms, row-major: the same stream as n_draws
-        # sequential sample_weight_mask calls
-        wpos = weight_position_mask(fp.spec)
-        masks = np.ones((n_draws, wpos.size))
-        masks[:, wpos] = rng.random((n_draws, int(wpos.sum()))) >= fp.drop_rate
-        return fp.network.params[None, :] * masks
-    if isinstance(fp, VariationalPosterior):
-        eps = rng.standard_normal((n_draws, fp.mean.size))
-        return fp.mean[None, :] + softplus(fp.rho)[None, :] * eps
-    raise TypeError(f"not a fitted posterior: {type(fp).__name__}")
+    """(n_draws, P) parameter vectors sampled from the fitted posterior.
+
+    A deep ensemble's draws are its K members, so it takes exactly
+    n_draws = K and leaves ``rng`` untouched."""
+    return _DRAWS[fp.kind](fp, n_draws, rng)
 
 
 def _predict_draws(
@@ -316,46 +322,23 @@ def draw_prediction_arrays(
 
 
 def save_posterior(fp: FittedPosterior, directory: str | Path, extra: dict | None = None) -> None:
-    """Write a posterior to a directory as a manifest plus JSON payload files."""
+    """Write a posterior to a directory: ``posterior.json`` (kind, spec,
+    knobs and the optional ``extra`` under ``training``) plus phi as
+    ``params.npy``.  Both files read back exactly."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest: dict = {
         "format_version": POSTERIOR_FORMAT_VERSION,
         "kind": fp.kind,
         "sample_count": fp.sample_count,
+        "drop_rate": fp.drop_rate,
         "spec": fp.spec.to_dict(),
     }
     if extra:
         manifest["training"] = extra
-    if isinstance(fp, EnsemblePosterior):
-        files = []
-        for k, member in enumerate(fp.members):
-            name = f"member_{k:02d}.json"
-            save_checkpoint(member, directory / name, seed=fp.member_seeds[k])
-            files.append(name)
-        manifest["members"] = files
-        manifest["member_seeds"] = [int(s) for s in fp.member_seeds]
-    elif isinstance(fp, DropConnectPosterior):
-        save_checkpoint(fp.network, directory / "network.json")
-        manifest["network"] = "network.json"
-        manifest["drop_rate"] = fp.drop_rate
-    elif isinstance(fp, VariationalPosterior):
-        payload = {
-            "mean": [float(v) for v in fp.mean],
-            "rho": [float(v) for v in fp.rho],
-        }
-        (directory / "variational.json").write_text(json.dumps(payload))
-        manifest["variational"] = "variational.json"
-    else:
-        raise TypeError(f"not a fitted posterior: {type(fp).__name__}")
+    np.save(directory / _PARAMS_FILE, fp.phi, allow_pickle=False)
     (directory / "posterior.json").write_text(json.dumps(manifest, indent=1))
 
-
-_MANIFEST_KEYS = {
-    "deep_ensemble": ("members", "member_seeds"),
-    "mc_dropconnect": ("network", "drop_rate", "sample_count"),
-    "bayes_by_backprop": ("variational", "sample_count"),
-}
 
 
 def _require(record: dict, keys: tuple[str, ...], path: Path) -> None:
@@ -364,55 +347,37 @@ def _require(record: dict, keys: tuple[str, ...], path: Path) -> None:
             raise ValueError(f"{path}: missing key {key!r}")
 
 
-def _load_matching_checkpoint(path: Path, spec: ArchitectureSpec) -> TwoHeadNetwork:
-    net, _ = load_checkpoint(path)
-    if net.spec != spec:
-        raise ValueError(f"{path}: checkpoint spec {net.spec} differs from the manifest's {spec}")
-    return net
-
-
 def load_posterior(directory: str | Path) -> FittedPosterior:
     """Read a posterior written by :func:`save_posterior`.
 
-    A missing key, an unknown kind or version, or a checkpoint whose
-    architecture differs from the manifest's ``spec`` raises ``ValueError``.
+    Any other format version (version 1 included: re-fit to convert), a
+    missing key or ``params.npy``, or a phi that is pickled, not float64,
+    not finite or of the wrong shape for the kind and spec raises a one-line
+    ``ValueError`` naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "posterior.json"
     manifest = json.loads(manifest_path.read_text())
     version = manifest.get("format_version")
     if version != POSTERIOR_FORMAT_VERSION:
-        raise ValueError(f"unsupported posterior format version {version!r}")
-    _require(manifest, ("kind", "spec"), manifest_path)
-    kind = manifest["kind"]
-    if kind not in _MANIFEST_KEYS:
-        raise ValueError(f"unknown posterior kind {kind!r}")
-    _require(manifest, _MANIFEST_KEYS[kind], manifest_path)
+        raise ValueError(
+            f"{manifest_path}: unsupported posterior format version {version!r}; this build "
+            f"reads version {POSTERIOR_FORMAT_VERSION} only, so re-fit the posterior"
+        )
+    _require(manifest, ("kind", "spec", "sample_count", "drop_rate"), manifest_path)
     try:
         spec = ArchitectureSpec.from_dict(manifest["spec"])
     except KeyError as exc:
         raise ValueError(f"{manifest_path}: missing key 'spec.{exc.args[0]}'") from None
-    if kind == "deep_ensemble":
-        members = [
-            _load_matching_checkpoint(directory / name, spec) for name in manifest["members"]
-        ]
-        seeds = [int(s) for s in manifest["member_seeds"]]
-        if len(seeds) != len(members):
-            raise ValueError(
-                f"{manifest_path}: {len(members)} members but {len(seeds)} member_seeds"
-            )
-        return EnsemblePosterior(spec, members, seeds)
-    if kind == "mc_dropconnect":
-        net = _load_matching_checkpoint(directory / manifest["network"], spec)
-        return DropConnectPosterior(
-            spec, net, float(manifest["drop_rate"]), int(manifest["sample_count"])
+    params_path = directory / _PARAMS_FILE
+    try:
+        phi = np.load(params_path, allow_pickle=False)
+    except (OSError, EOFError, ValueError) as exc:
+        raise ValueError(f"{params_path}: {exc}") from None
+    try:
+        return FittedPosterior(
+            manifest["kind"], spec, phi, int(manifest["sample_count"]),
+            float(manifest["drop_rate"]),
         )
-    payload_path = directory / manifest["variational"]
-    payload = json.loads(payload_path.read_text())
-    _require(payload, ("mean", "rho"), payload_path)
-    return VariationalPosterior(
-        spec,
-        np.asarray(payload["mean"], dtype=np.float64),
-        np.asarray(payload["rho"], dtype=np.float64),
-        int(manifest["sample_count"]),
-    )
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path} and {_PARAMS_FILE}: {exc}") from None

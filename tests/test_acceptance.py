@@ -38,7 +38,7 @@ from winduq.network import (
     weight_position_mask,
 )
 from winduq.posterior import (
-    EnsemblePosterior,
+    FittedPosterior,
     kl_to_unit_gaussian,
     sample_weight_mask,
     softplus_inverse,
@@ -281,7 +281,7 @@ def test_posterior_property_suite():
         assert tu == au
     spec = ArchitectureSpec(2, (6,))
     net = init_parameters(spec, seed=4)
-    clones = EnsemblePosterior(spec, [net, net, net], [4, 4, 4])
+    clones = FittedPosterior("deep_ensemble", spec, np.stack([net.params] * 3), 3, 0.0)
     dec = decompose_batch(clones, rng.normal(size=(20, 2)))
     assert np.all(dec.epistemic == 0.0)
 

@@ -1,8 +1,9 @@
 """The names perfbench's tracer wraps still exist, without running the benchmark.
 
 ``perfbench/tracing.py`` swaps winduq functions for timing wrappers by name,
-and its hooks read some of their arguments by parameter name, so renaming
-either breaks the benchmark's traced run rather than any test.
+and its hooks read some of their arguments by parameter name and some
+attributes of those arguments, so renaming any of them breaks the
+benchmark's traced run rather than any test.
 """
 
 import importlib
@@ -11,9 +12,16 @@ import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import winduq
+from winduq.data import make_sine_dataset
+from winduq.experiments import write_csv
+from winduq.losses import TrainingConfig
+from winduq.network import ArchitectureSpec
+from winduq.posterior import PosteriorSampler, fit, save_posterior
+from winduq.uncertainty import decompose_batch
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -61,3 +69,37 @@ def test_hooked_functions_keep_their_parameter_names(targets):
 def test_every_exported_name_resolves():
     for name in winduq.__all__:
         assert hasattr(winduq, name), name
+
+
+@pytest.mark.parametrize(
+    "sampler, networks",
+    [
+        (PosteriorSampler("deep_ensemble", 3, ensemble_size=3), 3),
+        (PosteriorSampler("mc_dropconnect", 4), 1),
+    ],
+    ids=["deep_ensemble", "mc_dropconnect"],
+)
+def test_every_hook_reads_a_toy_run(targets, tmp_path, sampler, networks):
+    # each hook gets the arguments of a real call, bound as the tracer binds them
+    train, _ = make_sine_dataset(seed=1, n_train=20, n_test=2)
+    spec, cfg = ArchitectureSpec(1, (4,)), TrainingConfig(epochs=2, batch_size=8, seed=3)
+    fp, _ = fit(sampler, spec, train, cfg)
+    X = np.zeros((5, 1))
+    decompose_batch(fp, X)
+    save_posterior(fp, tmp_path / "p")
+    write_csv(tmp_path / "t.csv", ["a"], [[1.0]])
+    size = sum(f.stat().st_size for f in (tmp_path / "p").iterdir())
+    calls = {
+        "fit": ((sampler, spec, train, cfg), (sampler.kind, {"train_rows": 2 * 20 * networks})),
+        "decompose_batch": ((fp, X), (fp.kind, {"uncertainty.decompose_batch.rows": 5})),
+        "save_posterior": ((fp, tmp_path / "p"), (None, {"posterior.save_posterior.bytes": size})),
+        "write_csv": (
+            (tmp_path / "t.csv", ["a"], [[1.0]]),
+            (None, {"experiments.write_csv.bytes": (tmp_path / "t.csv").stat().st_size}),
+        ),
+    }
+    hooked = {t.attr: t for t in targets if t.hook is not None}
+    assert set(hooked) == set(calls)
+    for attr, (args, expected) in calls.items():
+        bound = inspect.signature(_resolve(hooked[attr])).bind(*args).arguments
+        assert hooked[attr].hook(bound) == expected, attr

@@ -40,8 +40,7 @@ from winduq.losses import TrainingConfig
 from winduq.metrics import mse
 from winduq.network import ArchitectureSpec, init_parameters
 from winduq.posterior import (
-    DropConnectPosterior,
-    EnsemblePosterior,
+    FittedPosterior,
     PosteriorSampler,
     fit,
     load_posterior,
@@ -540,7 +539,7 @@ class TestSeedStreams:
         assert float(row["mean_aleatoric"]) == float(dec.aleatoric.mean())
         assert float(row["mean_epistemic"]) == float(dec.epistemic.mean())
         saved = load_posterior(tmp_path / "posterior_mc_dropconnect_ratio0p6_seed2")
-        assert np.array_equal(saved.network.params, fp.network.params)
+        assert np.array_equal(saved.phi, fp.phi)
 
 
 class TestCli:
@@ -586,7 +585,8 @@ class TestCli:
 
     def test_decompose_matches_library_call(self, tmp_path):
         spec = ArchitectureSpec(2, (4,))
-        fp = DropConnectPosterior(spec, init_parameters(spec, seed=5), 0.2, 8)
+        phi = init_parameters(spec, seed=5).params[None]
+        fp = FittedPosterior("mc_dropconnect", spec, phi, 8, 0.2)
         pdir = tmp_path / "posterior"
         save_posterior(fp, pdir)
         rng = np.random.default_rng(3)
@@ -662,12 +662,10 @@ class TestCli:
 
     def test_malformed_posterior_fails_with_manifest(self, tmp_path, capsys):
         spec = ArchitectureSpec(1, (3,))
-        fp = EnsemblePosterior(spec, [init_parameters(spec, seed=k) for k in range(2)], [0, 1])
+        phi = np.stack([init_parameters(spec, seed=k).params for k in range(2)])
         pdir = tmp_path / "posterior"
-        save_posterior(fp, pdir)
-        manifest = json.loads((pdir / "posterior.json").read_text())
-        del manifest["member_seeds"]
-        (pdir / "posterior.json").write_text(json.dumps(manifest))
+        save_posterior(FittedPosterior("deep_ensemble", spec, phi, 2, 0.0), pdir)
+        np.save(pdir / "params.npy", phi[:, :-1])  # one column short of the spec's 14
         features = tmp_path / "inputs.csv"
         features.write_text("x\n0.5\n")
         cfg_path = self._write_config(tmp_path / "dec.cfg", {"posterior_dir": str(pdir)})
@@ -680,9 +678,9 @@ class TestCli:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert "member_seeds" in err and len(err.strip().splitlines()) == 1
+        assert "params.npy" in err and "got (2, 13)" in err and len(err.strip().splitlines()) == 1
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "failed" and "member_seeds" in manifest["error"]
+        assert manifest["status"] == "failed" and "got (2, 13)" in manifest["error"]
 
     def test_unexpected_error_fails_with_manifest(self, tmp_path, capsys, monkeypatch):
         def broken_runner(cfg):

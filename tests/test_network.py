@@ -6,7 +6,6 @@ with stdlib math, independent of the vectorized implementation.  Single
 inputs go through the batch API as one-row matrices.
 """
 
-import json
 import math
 
 import numpy as np
@@ -20,9 +19,7 @@ from winduq.network import (
     backward_batch,
     forward_batch,
     init_parameters,
-    load_checkpoint,
     parameter_layout,
-    save_checkpoint,
     weight_position_mask,
 )
 from winduq.posterior import _dropconnect_draw, sample_weight_mask
@@ -329,30 +326,6 @@ class TestWeightMask:
 
 
 class TestCheckpoints:
-    def test_round_trip_is_bit_exact(self, tmp_path):
-        spec = ArchitectureSpec(2, (9, 3), "sigmoid", variance_floor=1e-5)
-        net = init_parameters(spec, seed=77)
-        net.params[0] = 1.0 / 3.0
-        net.params[1] = 1e-300
-        net.params[2] = -0.0
-        path = tmp_path / "net.json"
-        save_checkpoint(net, path, seed=77)
-        loaded, seed = load_checkpoint(path)
-        assert seed == 77
-        assert loaded.spec == spec
-        assert loaded.params.tobytes() == net.params.tobytes()
-
-    def test_unknown_layout_version_rejected(self, tmp_path):
-        spec = ArchitectureSpec(1, (2,))
-        net = init_parameters(spec, seed=0)
-        path = tmp_path / "net.json"
-        save_checkpoint(net, path)
-        record = json.loads(path.read_text())
-        record["layout_version"] = 999
-        path.write_text(json.dumps(record))
-        with pytest.raises(ValueError, match="layout version"):
-            load_checkpoint(path)
-
     def test_wrong_parameter_length_rejected(self):
         spec = ArchitectureSpec(1, (2,))
         with pytest.raises(ValueError):

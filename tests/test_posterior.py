@@ -24,14 +24,11 @@ from winduq.network import (
     backward_batch,
     forward_batch,
     init_parameters,
-    save_checkpoint,
     softplus,
 )
 from winduq.posterior import (
-    DropConnectPosterior,
-    EnsemblePosterior,
+    FittedPosterior,
     PosteriorSampler,
-    VariationalPosterior,
     _variational_draw,
     draw_parameter_matrix,
     draw_prediction_arrays,
@@ -149,10 +146,10 @@ class TestEnsembleFit:
         cfg = TrainingConfig(epochs=2, batch_size=16, seed=42)
         fp1, traces = fit(sampler, spec, data, cfg)
         fp2, _ = fit(sampler, spec, data, cfg)
-        assert len(fp1.members) == 3 and len(traces) == 3
-        for a, b in zip(fp1.members, fp2.members):
-            assert a.params.tobytes() == b.params.tobytes()
-        assert fp1.members[0].params.tobytes() != fp1.members[1].params.tobytes()
+        assert fp1.phi.shape == (3, spec.n_parameters) and len(traces) == 3
+        for a, b in zip(fp1.phi, fp2.phi):
+            assert a.tobytes() == b.tobytes()
+        assert fp1.phi[0].tobytes() != fp1.phi[1].tobytes()
 
     def test_members_are_seed_isolated(self):
         # member k must not depend on how many members follow it
@@ -161,9 +158,8 @@ class TestEnsembleFit:
         cfg = TrainingConfig(epochs=2, batch_size=16, seed=42)
         big, _ = fit(PosteriorSampler("deep_ensemble", 4, ensemble_size=4), spec, data, cfg)
         small, _ = fit(PosteriorSampler("deep_ensemble", 2, ensemble_size=2), spec, data, cfg)
-        for a, b in zip(small.members, big.members):
-            assert a.params.tobytes() == b.params.tobytes()
-        assert small.member_seeds == big.member_seeds[:2]
+        for a, b in zip(small.phi, big.phi):
+            assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
     def test_stacked_fit_equals_members_trained_alone(self, activation):
@@ -174,10 +170,9 @@ class TestEnsembleFit:
         fp, traces = fit(PosteriorSampler("deep_ensemble", 3, ensemble_size=3), spec, data, cfg)
         for k in range(3):
             member_seed = derive_seed(cfg.seed, 201, k)
-            assert fp.member_seeds[k] == member_seed
             net0 = init_parameters(spec, derive_seed(member_seed, 1))
             alone, trace = train(net0, data, replace(cfg, seed=derive_seed(member_seed, 2)))
-            assert np.array_equal(fp.members[k].params, alone.params)
+            assert np.array_equal(fp.phi[k], alone.params)
             for column in ("epoch", "mean_loss", "kl", "mse", "learning_rate"):
                 assert np.array_equal(getattr(traces[k], column), getattr(trace, column))
 
@@ -187,8 +182,8 @@ class TestEnsembleFit:
         cfg = TrainingConfig(epochs=1, batch_size=16, seed=0)
         fp, _ = fit(PosteriorSampler("deep_ensemble", 2, ensemble_size=2), spec, data, cfg)
         thetas = draw_parameter_matrix(fp, 2, np.random.default_rng(0))
-        assert np.array_equal(thetas[0], fp.members[0].params)
-        assert np.array_equal(thetas[1], fp.members[1].params)
+        assert np.array_equal(thetas[0], fp.phi[0])
+        assert np.array_equal(thetas[1], fp.phi[1])
         with pytest.raises(ValueError):
             draw_parameter_matrix(fp, 5, np.random.default_rng(0))
 
@@ -202,7 +197,7 @@ class TestDropConnectFit:
         fp, _ = fit(sampler, spec, data, cfg)
         net0 = init_parameters(spec, derive_seed(cfg.seed, 202))
         plain, _ = train(net0, data, cfg)
-        assert fp.network.params.tobytes() == plain.params.tobytes()
+        assert fp.phi[0].tobytes() == plain.params.tobytes()
 
     def test_fit_is_deterministic(self):
         data = _tiny_sine()
@@ -211,7 +206,7 @@ class TestDropConnectFit:
         sampler = PosteriorSampler("mc_dropconnect", sample_count=8, drop_rate=0.2)
         fp1, traces = fit(sampler, spec, data, cfg)
         fp2, _ = fit(sampler, spec, data, cfg)
-        assert fp1.network.params.tobytes() == fp2.network.params.tobytes()
+        assert fp1.phi.tobytes() == fp2.phi.tobytes()
         assert traces[0].kl == [0.0, 0.0]
 
     def test_parameter_draws_zero_only_weight_positions(self):
@@ -220,7 +215,7 @@ class TestDropConnectFit:
         spec = ArchitectureSpec(2, (8,))
         net = init_parameters(spec, seed=1)
         net.params[:] = np.arange(1, spec.n_parameters + 1, dtype=np.float64)
-        fp = DropConnectPosterior(spec, net, drop_rate=0.4, sample_count=6)
+        fp = FittedPosterior("mc_dropconnect", spec, net.params[None], 6, drop_rate=0.4)
         thetas = draw_parameter_matrix(fp, 200, np.random.default_rng(8))
         wpos = weight_position_mask(spec)
         assert np.all(thetas[:, ~wpos] == net.params[~wpos])
@@ -232,7 +227,7 @@ class TestDropConnectFit:
     def test_parameter_draws_match_sequential_masks(self):
         spec = ArchitectureSpec(2, (5, 3))
         net = init_parameters(spec, seed=4)
-        fp = DropConnectPosterior(spec, net, drop_rate=0.3, sample_count=9)
+        fp = FittedPosterior("mc_dropconnect", spec, net.params[None], 9, drop_rate=0.3)
         thetas = draw_parameter_matrix(fp, 9, np.random.default_rng(21))
         rng = np.random.default_rng(21)
         masks = np.stack([sample_weight_mask(spec, 0.3, rng) for _ in range(9)])
@@ -250,9 +245,10 @@ class TestVariationalFit:
             epochs=300, batch_size=32, seed=5, lr_schedule=(0.05, 100, 0.3), kl_weight=1e8
         )
         fp, _ = fit(sampler, spec, data, cfg)
-        assert np.max(np.abs(fp.mean)) < 0.05
-        assert_allclose(fp.weight_std, 1.0, atol=0.05)
-        assert fp.kl() < 0.01
+        mean, rho = fp.phi
+        assert np.max(np.abs(mean)) < 0.05
+        assert_allclose(softplus(rho), 1.0, atol=0.05)
+        assert kl_to_unit_gaussian(mean, rho) < 0.01
 
     def test_fit_is_deterministic_and_trace_is_finite(self):
         data = _tiny_sine()
@@ -261,11 +257,11 @@ class TestVariationalFit:
         cfg = TrainingConfig(epochs=3, batch_size=16, seed=21, kl_weight=0.05)
         fp1, traces = fit(sampler, spec, data, cfg)
         fp2, _ = fit(sampler, spec, data, cfg)
-        assert np.array_equal(fp1.mean, fp2.mean)
-        assert np.array_equal(fp1.rho, fp2.rho)
+        assert np.array_equal(fp1.phi[0], fp2.phi[0])
+        assert np.array_equal(fp1.phi[1], fp2.phi[1])
         assert len(traces) == 1 and len(traces[0]) == 3
         assert np.all(np.isfinite(traces[0].mean_loss))
-        assert fp1.kl() >= 0.0
+        assert kl_to_unit_gaussian(*fp1.phi) >= 0.0
 
     def test_initial_std_matches_init_sigma(self):
         data = _tiny_sine(n=16)
@@ -273,9 +269,9 @@ class TestVariationalFit:
         sampler = PosteriorSampler("bayes_by_backprop", sample_count=5, init_sigma=0.02)
         cfg = TrainingConfig(epochs=0, batch_size=16, seed=2, kl_weight=1.0)
         fp, _ = fit(sampler, spec, data, cfg)
-        assert_allclose(fp.weight_std, 0.02, rtol=1e-12)
+        assert_allclose(softplus(fp.phi[1]), 0.02, rtol=1e-12)
         start = init_parameters(spec, derive_seed(cfg.seed, 202))
-        assert np.array_equal(fp.mean, start.params)
+        assert np.array_equal(fp.phi[0], start.params)
 
     def test_kl_weight_is_required(self):
         data = _tiny_sine(n=16)
@@ -356,10 +352,10 @@ class TestVariationalFit:
         rng = np.random.default_rng(13)
         mean = rng.normal(size=spec.n_parameters)
         rho = _rho_for_std(rng.uniform(0.2, 0.8, size=spec.n_parameters))
-        fp = VariationalPosterior(spec, mean, rho, sample_count=5)
+        fp = FittedPosterior("bayes_by_backprop", spec, np.stack([mean, rho]), 5, 0.0)
         thetas = draw_parameter_matrix(fp, 40_000, np.random.default_rng(4))
         assert_allclose(thetas.mean(axis=0), mean, atol=0.02)
-        assert_allclose(thetas.std(axis=0), fp.weight_std, atol=0.02)
+        assert_allclose(thetas.std(axis=0), softplus(rho), atol=0.02)
 
 
 class TestDraws:
@@ -368,7 +364,7 @@ class TestDraws:
         rng = np.random.default_rng(30)
         mean = rng.normal(scale=0.5, size=spec.n_parameters)
         rho = _rho_for_std(np.full(spec.n_parameters, 0.3))
-        return VariationalPosterior(spec, mean, rho, sample_count=16)
+        return FittedPosterior("bayes_by_backprop", spec, np.stack([mean, rho]), 16, 0.0)
 
     def test_draws_follow_the_decompose_batch_stream(self):
         # the parameter matrix comes from spawn_rng(seed, 301), as in decompose_batch
@@ -397,46 +393,84 @@ class TestDraws:
             draw_prediction_arrays(fp, np.array([1.0, np.nan, 0.0]), seed=0)
 
 
+def _set_version(directory, version):
+    path = directory / "posterior.json"
+    manifest = json.loads(path.read_text())
+    manifest["format_version"] = version
+    path.write_text(json.dumps(manifest))
+
+
+def _with_entry(phi, value):
+    bad = phi.copy()
+    bad[1, 3] = value
+    return bad
+
+
+def _write(array_of, allow_pickle=False):
+    """An edit that replaces params.npy with ``array_of(phi)``."""
+    return lambda d, phi: np.save(d / "params.npy", array_of(phi), allow_pickle=allow_pickle)
+
+
+# edits of a saved (2, 41) bayes_by_backprop posterior, and the error each must raise
+_MALFORMED = {
+    "missing": (lambda d, phi: (d / "params.npy").unlink(), "No such file"),
+    "pickled": (_write(lambda phi: np.array([{"a": 1}]), allow_pickle=True), "allow_pickle"),
+    "not-npy": (lambda d, phi: (d / "params.npy").write_bytes(b"not an array"), "pickle"),
+    "float32": (_write(lambda phi: phi.astype(np.float32)), "float64"),
+    "three-rows": (_write(lambda phi: np.vstack([phi, phi[:1]])), r"got \(3, 41\)"),
+    "wrong-width": (_write(lambda phi: phi[:, :-1]), r"got \(2, 40\)"),
+    "nan": (_write(lambda phi: _with_entry(phi, np.nan)), "non-finite"),
+    "inf": (_write(lambda phi: _with_entry(phi, -np.inf)), "non-finite"),
+    "version-1": (lambda d, phi: _set_version(d, 1), "version 1.*re-fit"),
+}
+
+
 class TestPersistence:
     def _specs(self):
         return ArchitectureSpec(2, (5, 3), variance_floor=1e-5)
 
+    def _dropconnect(self, spec, seed=1, sample_count=9, drop_rate=0.1):
+        phi = init_parameters(spec, seed=seed).params[None]
+        return FittedPosterior("mc_dropconnect", spec, phi, sample_count, drop_rate)
+
     def test_ensemble_round_trip(self, tmp_path):
         spec = self._specs()
-        members = [init_parameters(spec, seed=k) for k in range(3)]
-        fp = EnsemblePosterior(spec, members, member_seeds=[10, 11, 12])
+        phi = np.stack([init_parameters(spec, seed=k).params for k in range(3)])
+        fp = FittedPosterior("deep_ensemble", spec, phi, 3, 0.0)
         save_posterior(fp, tmp_path / "ens")
+        assert sorted(p.name for p in (tmp_path / "ens").iterdir()) == [
+            "params.npy", "posterior.json"
+        ]
         back = load_posterior(tmp_path / "ens")
-        assert isinstance(back, EnsemblePosterior)
-        assert back.spec == spec and back.member_seeds == [10, 11, 12]
-        for a, b in zip(fp.members, back.members):
-            assert a.params.tobytes() == b.params.tobytes()
+        assert back.kind == "deep_ensemble"
+        assert back.spec == spec and back.sample_count == 3
+        for a, b in zip(fp.phi, back.phi):
+            assert a.tobytes() == b.tobytes()
 
     def test_dropconnect_round_trip(self, tmp_path):
         spec = self._specs()
-        fp = DropConnectPosterior(spec, init_parameters(spec, seed=7), 0.15, 30)
+        fp = self._dropconnect(spec, seed=7, sample_count=30, drop_rate=0.15)
         save_posterior(fp, tmp_path / "dc", extra={"epochs": 5})
         back = load_posterior(tmp_path / "dc")
-        assert isinstance(back, DropConnectPosterior)
+        assert back.kind == "mc_dropconnect"
         assert back.drop_rate == 0.15 and back.sample_count == 30
-        assert back.network.params.tobytes() == fp.network.params.tobytes()
+        assert back.phi.tobytes() == fp.phi.tobytes()
 
     def test_variational_round_trip(self, tmp_path):
         spec = self._specs()
         rng = np.random.default_rng(3)
-        fp = VariationalPosterior(
-            spec, rng.normal(size=spec.n_parameters), rng.normal(size=spec.n_parameters), 12
-        )
+        phi = rng.normal(size=(2, spec.n_parameters))
+        fp = FittedPosterior("bayes_by_backprop", spec, phi, 12, 0.0)
         save_posterior(fp, tmp_path / "vp")
         back = load_posterior(tmp_path / "vp")
-        assert isinstance(back, VariationalPosterior)
-        assert np.array_equal(back.mean, fp.mean)
-        assert np.array_equal(back.rho, fp.rho)
+        assert back.kind == "bayes_by_backprop"
+        assert np.array_equal(back.phi[0], fp.phi[0])
+        assert np.array_equal(back.phi[1], fp.phi[1])
         assert back.sample_count == 12
 
     def test_loaded_posterior_predicts_identically(self, tmp_path):
         spec = self._specs()
-        fp = DropConnectPosterior(spec, init_parameters(spec, seed=1), 0.1, 9)
+        fp = self._dropconnect(spec)
         save_posterior(fp, tmp_path / "p")
         back = load_posterior(tmp_path / "p")
         x = np.array([0.3, -0.4])
@@ -444,45 +478,42 @@ class TestPersistence:
         mu2, v2 = draw_prediction_arrays(back, x, seed=2)
         assert np.array_equal(mu1, mu2) and np.array_equal(v1, v2)
 
-    @pytest.mark.parametrize(
-        "edit",
-        [lambda m: m.pop("member_seeds"), lambda m: m.update(member_seeds=[0])],
-        ids=["missing-key", "too-few"],
-    )
-    def test_malformed_member_seeds_rejected(self, tmp_path, edit):
+    @pytest.mark.parametrize("case", list(_MALFORMED))
+    def test_malformed_artefact_rejected(self, tmp_path, case):
+        edit, message = _MALFORMED[case]
         spec = self._specs()
-        fp = EnsemblePosterior(spec, [init_parameters(spec, seed=k) for k in range(2)], [0, 1])
-        save_posterior(fp, tmp_path / "ens")
-        path = tmp_path / "ens" / "posterior.json"
-        manifest = json.loads(path.read_text())
-        edit(manifest)
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="member_seeds") as exc:
-            load_posterior(tmp_path / "ens")
-        assert "posterior.json" in str(exc.value) and "\n" not in str(exc.value)
-
-    @pytest.mark.parametrize(
-        "member_spec",
-        [ArchitectureSpec(2, (5,)), ArchitectureSpec(2, (4,), hidden_activation="sigmoid")],
-        ids=["wider", "other-activation"],
-    )
-    def test_member_with_other_spec_rejected(self, tmp_path, member_spec):
-        spec = ArchitectureSpec(2, (4,))
-        fp = EnsemblePosterior(spec, [init_parameters(spec, seed=k) for k in range(3)], [0, 1, 2])
-        save_posterior(fp, tmp_path / "ens")
-        save_checkpoint(init_parameters(member_spec, seed=9), tmp_path / "ens" / "member_01.json")
-        with pytest.raises(ValueError, match="member_01.json"):
-            load_posterior(tmp_path / "ens")
+        phi = np.random.default_rng(4).normal(size=(2, spec.n_parameters))
+        save_posterior(FittedPosterior("bayes_by_backprop", spec, phi, 6, 0.0), tmp_path / "vp")
+        edit(tmp_path / "vp", phi)
+        with pytest.raises(ValueError, match=message) as exc:
+            load_posterior(tmp_path / "vp")
+        file = "posterior.json" if case == "version-1" else "params.npy"
+        assert file in str(exc.value) and "\n" not in str(exc.value)
 
     def test_unknown_format_version_rejected(self, tmp_path):
         spec = self._specs()
-        fp = DropConnectPosterior(spec, init_parameters(spec, seed=1), 0.1, 9)
-        save_posterior(fp, tmp_path / "p")
-        manifest = json.loads((tmp_path / "p" / "posterior.json").read_text())
-        manifest["format_version"] = 99
-        (tmp_path / "p" / "posterior.json").write_text(json.dumps(manifest))
+        save_posterior(self._dropconnect(spec), tmp_path / "p")
+        _set_version(tmp_path / "p", 99)
         with pytest.raises(ValueError, match="format version"):
             load_posterior(tmp_path / "p")
+
+
+class TestRecordValidation:
+    @pytest.mark.parametrize(
+        "kind, rows, sample_count, drop_rate, message",
+        [
+            ("bootstrap", 1, 5, 0.0, "kind"),
+            ("mc_dropconnect", 1, 0, 0.1, "sample_count"),
+            ("mc_dropconnect", 1, 5, 1.0, "drop_rate"),
+            ("bayes_by_backprop", 2, 5, 0.1, "no drop rate"),
+            ("deep_ensemble", 3, 2, 0.0, r"shape \(2, 10\), got \(3, 10\)"),
+        ],
+        ids=["kind", "sample-count", "drop-rate", "rate-without-dropconnect", "members"],
+    )
+    def test_invalid_record_rejected(self, kind, rows, sample_count, drop_rate, message):
+        spec = ArchitectureSpec(1, (2,))
+        with pytest.raises(ValueError, match=message):
+            FittedPosterior(kind, spec, np.zeros((rows, spec.n_parameters)), sample_count, drop_rate)
 
 
 class TestSamplerValidation:

@@ -11,12 +11,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from winduq.network import ArchitectureSpec, init_parameters
-from winduq.posterior import (
-    DropConnectPosterior,
-    EnsemblePosterior,
-    VariationalPosterior,
-    draw_prediction_arrays,
-)
+from winduq.posterior import FittedPosterior, draw_prediction_arrays
 from winduq.uncertainty import (
     BatchDecomposition,
     decompose_arrays,
@@ -126,11 +121,12 @@ class TestDecomposeBatch:
     SPEC = ArchitectureSpec(2, (6,))
 
     def _dropconnect(self, rate=0.3):
-        return DropConnectPosterior(self.SPEC, init_parameters(self.SPEC, seed=3), rate, 20)
+        phi = init_parameters(self.SPEC, seed=3).params[None]
+        return FittedPosterior("mc_dropconnect", self.SPEC, phi, 20, rate)
 
     def _ensemble(self):
-        members = [init_parameters(self.SPEC, seed=k) for k in range(4)]
-        return EnsemblePosterior(self.SPEC, members, member_seeds=[0, 1, 2, 3])
+        phi = np.stack([init_parameters(self.SPEC, seed=k).params for k in range(4)])
+        return FittedPosterior("deep_ensemble", self.SPEC, phi, 4, 0.0)
 
     def test_rows_match_single_input_draws(self):
         # every row shares one (S, P) draw from the call's seed
@@ -180,11 +176,10 @@ class TestDecomposeBatch:
         assert np.array_equal(batch.total, batch.aleatoric)
 
     def test_variational_zero_std_has_exactly_zero_epistemic(self):
-        # softplus(-inf) is exactly 0, collapsing every draw onto the mean
-        rho = np.full(self.SPEC.n_parameters, -np.inf)
-        fp = VariationalPosterior(
-            self.SPEC, init_parameters(self.SPEC, seed=2).params, rho, sample_count=12
-        )
+        # softplus(-1000) underflows to exactly 0, collapsing every draw onto the mean
+        rho = np.full(self.SPEC.n_parameters, -1000.0)
+        mean = init_parameters(self.SPEC, seed=2).params
+        fp = FittedPosterior("bayes_by_backprop", self.SPEC, np.stack([mean, rho]), 12, 0.0)
         X = np.random.default_rng(0).normal(size=(4, 2))
         batch = decompose_batch(fp, X, seed=1)
         assert np.all(batch.epistemic == 0.0)
