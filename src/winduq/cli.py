@@ -11,7 +11,8 @@ Config files are flat 'key = value' text; unknown keys are rejected.  The
 output directory resolves as: WINDUQ_OUT_DIR environment variable, then
 --out-dir, then the config file, then a per-experiment default.  A
 manifest.json is written into the output directory for every invocation that
-gets as far as resolving its configuration, including failed ones.
+gets as far as resolving its configuration, including failed ones; a config
+that fails validation fails before the first fit, leaving only that manifest.
 """
 
 from __future__ import annotations
@@ -29,8 +30,9 @@ from .experiments import (
     RUNNERS,
     ConfigError,
     ExperimentConfig,
+    _resolve_entries,
+    _validate_config,
     _write_run_manifest,
-    build_config,
     read_config_file,
 )
 
@@ -66,6 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
+    # build_config minus its validation, so a config that fails it gets a manifest
     experiment = _COMMANDS[args.command]
     entries: dict[str, str] = {}
     if args.config is not None:
@@ -83,7 +86,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     env_dir = os.environ.get(OUT_DIR_ENV_VAR)
     if env_dir:
         entries["out_dir"] = env_dir
-    return build_config(experiment, entries)
+    return _resolve_entries(experiment, entries)
 
 
 def _write_failure_manifest(
@@ -104,6 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     cfg: ExperimentConfig | None = None
     try:
         cfg = _resolve_config(args)
+        _validate_config(cfg)
         t0 = time.monotonic()
         manifest = RUNNERS[cfg.experiment](cfg)
         n_cells = len(manifest.get("cells", []))

@@ -26,11 +26,16 @@ count as repeats when their six-significant-digit file tags agree.
 
 from __future__ import annotations
 
+import copy
+import csv
 import dataclasses
 import functools
 import hashlib
 import json
+import math
 import time
+import typing
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -82,68 +87,47 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # defaults
 
-_DEFAULT_BETAS: dict[str, dict[str, tuple[float, ...]]] = {
-    "synthetic_ood": {k: (0.0, 0.5, 1.0) for k in SAMPLER_KINDS},
-    "data_property": {
-        "mc_dropconnect": (0.4, 0.8),
-        "bayes_by_backprop": (0.4, 0.6),
-        "deep_ensemble": (0.2, 0.8),
-    },
-    "dataset_scaling": {k: (0.6,) for k in SAMPLER_KINDS},
-    "decompose": {k: () for k in SAMPLER_KINDS},
-}
-
-_DEFAULT_EPOCHS: dict[str, dict[str, int]] = {
+# Per experiment, the ExperimentConfig defaults that are not the dataclass's:
+# per-sampler betas, epochs and lr, and some networks and lag windows.
+_EXPERIMENT_DEFAULTS: dict[str, dict] = {
     "synthetic_ood": {
-        "deep_ensemble": 600,
-        "mc_dropconnect": 600,
-        "bayes_by_backprop": 600,
+        "betas": {k: (0.0, 0.5, 1.0) for k in SAMPLER_KINDS},
+        "epochs": {k: 600 for k in SAMPLER_KINDS},
+        "lr": {
+            "deep_ensemble": (1e-2, 200, 0.3),
+            "mc_dropconnect": (1e-2, 200, 0.3),
+            "bayes_by_backprop": (3e-3, 200, 0.3),
+        },
     },
     "data_property": {
-        "deep_ensemble": 20,
-        "mc_dropconnect": 150,
-        "bayes_by_backprop": 300,
+        "hidden_widths": (64, 64, 64),
+        "betas": {
+            "mc_dropconnect": (0.4, 0.8),
+            "bayes_by_backprop": (0.4, 0.6),
+            "deep_ensemble": (0.2, 0.8),
+        },
+        "epochs": {"deep_ensemble": 20, "mc_dropconnect": 150, "bayes_by_backprop": 300},
+        "lr": {
+            "deep_ensemble": (1e-3, 10, 0.1),
+            "mc_dropconnect": (1e-3, 60, 0.1),
+            "bayes_by_backprop": (1e-3, 100, 0.1),
+        },
     },
     "dataset_scaling": {
-        "deep_ensemble": 15,
-        "mc_dropconnect": 120,
-        "bayes_by_backprop": 200,
+        "lags": 24,
+        "betas": {k: (0.6,) for k in SAMPLER_KINDS},
+        "epochs": {"deep_ensemble": 15, "mc_dropconnect": 120, "bayes_by_backprop": 200},
+        "lr": {
+            "deep_ensemble": (1e-3, 10, 0.1),
+            "mc_dropconnect": (1e-3, 100, 0.1),
+            "bayes_by_backprop": (1e-4, 100, 0.1),
+        },
     },
-    "decompose": {k: 0 for k in SAMPLER_KINDS},
-}
-
-_DEFAULT_LR: dict[str, dict[str, tuple[float, int, float]]] = {
-    "synthetic_ood": {
-        "deep_ensemble": (1e-2, 200, 0.3),
-        "mc_dropconnect": (1e-2, 200, 0.3),
-        "bayes_by_backprop": (3e-3, 200, 0.3),
+    "decompose": {
+        "betas": {k: () for k in SAMPLER_KINDS},
+        "epochs": {k: 0 for k in SAMPLER_KINDS},
+        "lr": {k: (1e-3, 100, 0.1) for k in SAMPLER_KINDS},
     },
-    "data_property": {
-        "deep_ensemble": (1e-3, 10, 0.1),
-        "mc_dropconnect": (1e-3, 60, 0.1),
-        "bayes_by_backprop": (1e-3, 100, 0.1),
-    },
-    "dataset_scaling": {
-        "deep_ensemble": (1e-3, 10, 0.1),
-        "mc_dropconnect": (1e-3, 100, 0.1),
-        "bayes_by_backprop": (1e-4, 100, 0.1),
-    },
-    "decompose": {k: (1e-3, 100, 0.1) for k in SAMPLER_KINDS},
-}
-
-_DEFAULT_HIDDEN: dict[str, tuple[int, ...]] = {
-    "synthetic_ood": (32, 32),
-    "data_property": (64, 64, 64),
-    "dataset_scaling": (32, 32),
-    "decompose": (32, 32),
-}
-
-# multivariate power-table windows vs univariate autoregressive windows
-_DEFAULT_LAGS: dict[str, int] = {
-    "synthetic_ood": 10,
-    "data_property": 10,
-    "dataset_scaling": 24,
-    "decompose": 10,
 }
 
 
@@ -200,9 +184,12 @@ class ExperimentConfig:
 
 def _parse_float(raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def _parse_int(raw: str) -> int:
@@ -246,10 +233,14 @@ def _parse_lr(raw: str) -> tuple[float, int, float]:
 def _parse_kl_weight(raw: str) -> float | None:
     if raw.strip().lower() == "auto":
         return None
-    if "/" in raw:
-        num, _, den = raw.partition("/")
-        return _parse_float(num) / _parse_float(den)
-    return _parse_float(raw)
+    num, slash, den = raw.partition("/")
+    weight = _parse_float(num)
+    if slash:
+        denominator = _parse_float(den)
+        weight = weight / denominator if denominator else math.inf
+    if not 0 < weight < math.inf:
+        raise ConfigError(f"expected a positive number, 'a/b' or 'auto', got {raw!r}")
+    return weight
 
 
 def _parse_samplers(raw: str) -> tuple[str, ...]:
@@ -258,6 +249,32 @@ def _parse_samplers(raw: str) -> tuple[str, ...]:
     if bad:
         raise ConfigError(f"unknown sampler kinds {bad}; valid: {list(SAMPLER_KINDS)}")
     return kinds
+
+
+def _parse_band(raw: str) -> tuple[float, float]:
+    lo_hi = _parse_floats(raw)
+    if len(lo_hi) != 2 or lo_hi[0] >= lo_hi[1]:
+        raise ConfigError(f"band wants 'low, high' with low < high, got {raw!r}")
+    return lo_hi
+
+
+# Every ExperimentConfig field but the per-sampler dicts is the config key
+# of the same name, parsed by its annotated type unless it has its own parser.
+_TYPE_PARSERS: dict[object, Callable[[str], object]] = {
+    int: _parse_int, float: _parse_float, bool: _parse_bool, str: str, Path: Path,
+    Path | None: Path, tuple[int, ...]: _parse_ints, tuple[float, ...]: _parse_floats,
+}
+_OWN_PARSERS = {"samplers": _parse_samplers, "kl_weight": _parse_kl_weight, "band": _parse_band}
+# ``betas = ...`` sets every sampler, ``<kind>.betas = ...`` one of them
+_PER_SAMPLER_PARSERS = {"betas": _parse_floats, "epochs": _parse_int, "lr": _parse_lr}
+_KEY_PARSERS = {
+    name: _OWN_PARSERS.get(name) or _TYPE_PARSERS[hint]
+    for name, hint in typing.get_type_hints(ExperimentConfig).items()
+    if name not in _PER_SAMPLER_PARSERS
+}
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} | {
+    f"{kind}.{name}" for kind in SAMPLER_KINDS for name in _PER_SAMPLER_PARSERS
+}
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -280,35 +297,25 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def _known_keys() -> set[str]:
-    keys = {
-        "experiment", "samplers", "seeds", "out_dir", "dataset",
-        "hidden_widths", "activation", "variance_floor",
-        "batch_size", "optimizer", "betas", "epochs", "lr",
-        "mc_samples", "ensemble_size", "drop_rate", "init_sigma", "kl_weight",
-        "save_posteriors",
-        "grid_points", "sine_n_train", "sine_n_test", "sine_noise_scale",
-        "surrogate_n", "outlier_fraction", "surrogate_seed", "lags",
-        "density_bins", "band",
-        "series_n", "series_seed", "test_fraction", "ratios",
-        "posterior_dir",
-    }
-    for kind in SAMPLER_KINDS:
-        keys.update({f"{kind}.epochs", f"{kind}.lr", f"{kind}.betas"})
-    return keys
-
-
 def build_config(experiment: str, entries: dict[str, str]) -> ExperimentConfig:
-    """Resolve raw key-value entries against per-experiment defaults.
+    """Resolve raw key-value entries against per-experiment defaults, then
+    check every value the run's cells will use.
 
     Unknown keys are rejected outright; ``experiment`` inside the file must
     agree with the subcommand that was invoked.
     """
+    cfg = _resolve_entries(experiment, entries)
+    _validate_config(cfg)
+    return cfg
+
+
+def _resolve_entries(experiment: str, entries: dict[str, str]) -> ExperimentConfig:
+    """The config ``build_config`` returns, before ``_validate_config``."""
     if experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {experiment!r}; valid: {list(EXPERIMENTS)}")
-    unknown = sorted(set(entries) - _known_keys())
+    unknown = sorted(set(entries) - _CONFIG_KEYS)
     if unknown:
-        raise ConfigError(f"unknown config keys {unknown}; valid keys: {sorted(_known_keys())}")
+        raise ConfigError(f"unknown config keys {unknown}; valid keys: {sorted(_CONFIG_KEYS)}")
     declared = entries.get("experiment")
     if declared is not None and declared != experiment:
         raise ConfigError(
@@ -317,89 +324,26 @@ def build_config(experiment: str, entries: dict[str, str]) -> ExperimentConfig:
 
     cfg = ExperimentConfig(
         experiment=experiment,
-        out_dir=Path(entries.get("out_dir", f"runs/{experiment}")),
-        hidden_widths=_DEFAULT_HIDDEN[experiment],
-        lags=_DEFAULT_LAGS[experiment],
-        betas=dict(_DEFAULT_BETAS[experiment]),
-        epochs=dict(_DEFAULT_EPOCHS[experiment]),
-        lr=dict(_DEFAULT_LR[experiment]),
+        out_dir=Path(f"runs/{experiment}"),
+        **copy.deepcopy(_EXPERIMENT_DEFAULTS[experiment]),
     )
-
-    simple = {
-        "samplers": ("samplers", _parse_samplers),
-        "seeds": ("seeds", _parse_ints),
-        "hidden_widths": ("hidden_widths", _parse_ints),
-        "activation": ("activation", str),
-        "variance_floor": ("variance_floor", _parse_float),
-        "batch_size": ("batch_size", _parse_int),
-        "optimizer": ("optimizer", str),
-        "mc_samples": ("mc_samples", _parse_int),
-        "ensemble_size": ("ensemble_size", _parse_int),
-        "drop_rate": ("drop_rate", _parse_float),
-        "init_sigma": ("init_sigma", _parse_float),
-        "kl_weight": ("kl_weight", _parse_kl_weight),
-        "save_posteriors": ("save_posteriors", _parse_bool),
-        "grid_points": ("grid_points", _parse_int),
-        "sine_n_train": ("sine_n_train", _parse_int),
-        "sine_n_test": ("sine_n_test", _parse_int),
-        "sine_noise_scale": ("sine_noise_scale", _parse_float),
-        "surrogate_n": ("surrogate_n", _parse_int),
-        "outlier_fraction": ("outlier_fraction", _parse_float),
-        "surrogate_seed": ("surrogate_seed", _parse_int),
-        "lags": ("lags", _parse_int),
-        "density_bins": ("density_bins", _parse_int),
-        "series_n": ("series_n", _parse_int),
-        "series_seed": ("series_seed", _parse_int),
-        "test_fraction": ("test_fraction", _parse_float),
-        "ratios": ("ratios", _parse_floats),
-    }
-    for key, raw in entries.items():
-        if key == "experiment":
-            continue
-        if key == "out_dir":
-            cfg.out_dir = Path(raw)
-        elif key == "dataset":
-            cfg.dataset = Path(raw)
-        elif key == "posterior_dir":
-            cfg.posterior_dir = Path(raw)
-        elif key == "band":
-            lo_hi = _parse_floats(raw)
-            if len(lo_hi) != 2 or lo_hi[0] >= lo_hi[1]:
-                raise ConfigError(f"band wants 'low, high' with low < high, got {raw!r}")
-            cfg.band = (lo_hi[0], lo_hi[1])
-        elif key == "betas":
-            values = _parse_floats(raw)
-            cfg.betas = {k: values for k in SAMPLER_KINDS}
-        elif key == "epochs":
-            value = _parse_int(raw)
-            cfg.epochs = {k: value for k in SAMPLER_KINDS}
-        elif key == "lr":
-            triple = _parse_lr(raw)
-            cfg.lr = {k: triple for k in SAMPLER_KINDS}
-        elif "." in key:
-            kind, _, attr = key.partition(".")
-            if attr == "betas":
-                cfg.betas[kind] = _parse_floats(raw)
-            elif attr == "epochs":
-                cfg.epochs[kind] = _parse_int(raw)
-            elif attr == "lr":
-                cfg.lr[kind] = _parse_lr(raw)
-        elif key in simple:
-            attr, parser = simple[key]
-            try:
-                setattr(cfg, attr, parser(raw))
-            except ConfigError as exc:
-                raise ConfigError(f"key {key!r}: {exc}") from exc
-
-    _validate_config(cfg)
+    # plain keys first, so that a <kind>. key overrides whatever the entry order
+    for key in sorted(entries, key=lambda k: "." in k):
+        kind, _, name = key.rpartition(".")
+        try:
+            value = (_PER_SAMPLER_PARSERS.get(name) or _KEY_PARSERS[name])(entries[key])
+        except ConfigError as exc:
+            raise ConfigError(f"key {key!r}: {exc}") from exc
+        if kind:
+            getattr(cfg, name)[kind] = value
+        elif name in _PER_SAMPLER_PARSERS:
+            setattr(cfg, name, {k: value for k in SAMPLER_KINDS})
+        else:
+            setattr(cfg, name, value)
     return cfg
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    if not cfg.seeds:
-        raise ConfigError("seeds must not be empty")
-    if not cfg.samplers:
-        raise ConfigError("samplers must not be empty")
     # every entry names its own cells' files; betas and ratios by _token,
     # which keeps six significant digits
     cell_keys = {"seeds": cfg.seeds, "samplers": cfg.samplers}
@@ -415,7 +359,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                     f"overwrite those of {values[names.index(name)]!r}"
                 )
     if cfg.experiment == "dataset_scaling":
-        if not cfg.ratios or any(not 0 < r <= 1 for r in cfg.ratios):
+        if any(not 0 < r <= 1 for r in cfg.ratios):
             raise ConfigError(f"ratios must lie in (0, 1], got {cfg.ratios}")
         for kind, betas in cfg.betas.items():
             if len(betas) != 1:
@@ -428,6 +372,19 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("decompose needs a posterior_dir config entry")
     if cfg.experiment == "decompose" and cfg.dataset is None:
         raise ConfigError("decompose needs --dataset pointing at a CSV of input rows")
+    # build what every cell builds (input width and training-set size aside,
+    # which the data sets), so a bad value fails before the first cell's files
+    try:
+        ArchitectureSpec(1, cfg.hidden_widths, cfg.activation, cfg.variance_floor)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    for kind in cfg.samplers:
+        try:
+            _sampler_for(cfg, kind)
+            for beta in cfg.betas[kind]:
+                _training_config(cfg, kind, beta, 0, 1)
+        except ValueError as exc:
+            raise ConfigError(f"{kind}: {exc}") from exc
 
 
 def auto_kl_weight(n_train: int, batch_size: int) -> float:
@@ -760,17 +717,12 @@ def run_data_property(cfg: ExperimentConfig) -> dict:
 
 def _load_series(cfg: ExperimentConfig) -> tuple[np.ndarray, str]:
     if cfg.dataset is not None:
-        raw = np.genfromtxt(cfg.dataset, delimiter=",", names=True)
-        names = raw.dtype.names or ()
-        if "power" in names:
-            series = np.asarray(raw["power"], dtype=np.float64)
-        elif len(names) == 1:
-            series = np.asarray(raw[names[0]], dtype=np.float64)
-        else:
+        X, names = _read_numeric_csv(cfg.dataset)
+        if "power" not in names and len(names) != 1:
             raise ConfigError(
                 f"{cfg.dataset}: expected a single-column CSV or a 'power' column, got {names}"
             )
-        return series, f"csv:{cfg.dataset}"
+        return X[:, names.index("power") if "power" in names else 0], f"csv:{cfg.dataset}"
     series = make_hourly_power_series(seed=cfg.series_seed, n=cfg.series_n)
     return series, f"surrogate(seed={cfg.series_seed}, n={cfg.series_n})"
 
@@ -822,17 +774,43 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
     )
 
 
-def _load_feature_csv(path: Path) -> tuple[np.ndarray, list[str]]:
-    raw = np.genfromtxt(path, delimiter=",", names=True)
-    names = list(raw.dtype.names or ())
-    if not names:
-        raise ConfigError(f"{path}: expected a CSV with a header row")
-    X = np.column_stack([np.asarray(raw[n], dtype=np.float64) for n in names])
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise ConfigError(f"{path}: no data rows")
-    if not np.all(np.isfinite(X)):
-        raise ConfigError(f"{path}: non-finite feature values")
-    return X, names
+def _read_numeric_csv(path: Path) -> tuple[np.ndarray, list[str]]:
+    """The (n, d) float64 rows and the d column names of a CSV input.
+
+    The first line names the columns: distinct, non-empty, non-numeric and
+    kept verbatim.  Every later non-blank line is a row of d finite numbers,
+    and there is at least one.  Any other file raises a one-line
+    ``ConfigError`` naming it.
+    """
+    try:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), [])
+        if not header:
+            raise ValueError("empty first line, expected a header row naming the columns")
+        for i, name in enumerate(header):
+            if not name.strip() or "," in name:
+                raise ValueError(f"column {i + 1} has an empty or comma-holding name")
+            if name in header[:i]:
+                raise ValueError(f"duplicate column name {name!r}")
+            try:
+                float(name)
+            except ValueError:
+                continue
+            raise ValueError(f"column name {name!r} is a number, expected a header row")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty body is reported below
+            X = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+        if X.shape[0] == 0:
+            raise ValueError("no data rows below the header")
+        if X.shape[1] != len(header):
+            raise ValueError(f"{len(header)} column names but {X.shape[1]} values per row")
+        if not np.isfinite(X).all():
+            row, col = np.argwhere(~np.isfinite(X))[0]
+            raise ValueError(f"non-finite value in data row {row + 1}, column {header[col]!r}")
+    except (ValueError, csv.Error) as exc:  # ValueError covers undecodable bytes
+        # drop numpy's "; use `usecols` ..." advice, which a caller cannot take
+        raise ConfigError(f"{path}: {str(exc).partition(';')[0]}") from None
+    return X, header
 
 
 def run_decompose(cfg: ExperimentConfig) -> dict:
@@ -841,10 +819,10 @@ def run_decompose(cfg: ExperimentConfig) -> dict:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     assert cfg.posterior_dir is not None and cfg.dataset is not None
     fp = load_posterior(cfg.posterior_dir)
-    X, names = _load_feature_csv(cfg.dataset)
+    X, names = _read_numeric_csv(cfg.dataset)
     if X.shape[1] != fp.spec.input_dim:
         raise ConfigError(
-            f"posterior expects {fp.spec.input_dim} features, CSV has {X.shape[1]}"
+            f"{cfg.dataset}: {X.shape[1]} columns, the posterior expects {fp.spec.input_dim}"
         )
     n_draws = None if fp.kind == "deep_ensemble" else cfg.mc_samples
     dec = decompose_batch(fp, X, n_draws, seed=cfg.seeds[0])

@@ -351,33 +351,46 @@ def load_posterior(directory: str | Path) -> FittedPosterior:
     """Read a posterior written by :func:`save_posterior`.
 
     Any other format version (version 1 included: re-fit to convert), a
-    missing key or ``params.npy``, or a phi that is pickled, not float64,
-    not finite or of the wrong shape for the kind and spec raises a one-line
+    ``posterior.json`` that is not a JSON object, a missing or ill-typed key
+    (``sample_count`` must be a JSON integer), a missing ``params.npy``, or
+    a phi that is not a ``.npy`` array, pickled, not float64, not finite or
+    of the wrong shape for the kind and spec raises a one-line
     ``ValueError`` naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "posterior.json"
-    manifest = json.loads(manifest_path.read_text())
-    version = manifest.get("format_version")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        version = manifest.get("format_version")
+    except (ValueError, AttributeError) as exc:
+        raise ValueError(f"{manifest_path}: not a JSON object: {exc}") from None
     if version != POSTERIOR_FORMAT_VERSION:
         raise ValueError(
             f"{manifest_path}: unsupported posterior format version {version!r}; this build "
             f"reads version {POSTERIOR_FORMAT_VERSION} only, so re-fit the posterior"
         )
     _require(manifest, ("kind", "spec", "sample_count", "drop_rate"), manifest_path)
+    sample_count = manifest["sample_count"]
+    if type(sample_count) is not int:  # not bool, float or str
+        raise ValueError(f"{manifest_path}: sample_count must be an integer, got {sample_count!r}")
     try:
         spec = ArchitectureSpec.from_dict(manifest["spec"])
     except KeyError as exc:
         raise ValueError(f"{manifest_path}: missing key 'spec.{exc.args[0]}'") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{manifest_path}: spec: {exc}") from None
     params_path = directory / _PARAMS_FILE
     try:
+        # np.load takes any other file for a pickle and advises allow_pickle
+        with open(params_path, "rb") as fh:
+            if fh.read(len(np.lib.format.MAGIC_PREFIX)) != np.lib.format.MAGIC_PREFIX:
+                raise ValueError("not a .npy file")
         phi = np.load(params_path, allow_pickle=False)
     except (OSError, EOFError, ValueError) as exc:
         raise ValueError(f"{params_path}: {exc}") from None
     try:
         return FittedPosterior(
-            manifest["kind"], spec, phi, int(manifest["sample_count"]),
-            float(manifest["drop_rate"]),
+            manifest["kind"], spec, phi, sample_count, float(manifest["drop_rate"])
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path} and {_PARAMS_FILE}: {exc}") from None

@@ -4,7 +4,9 @@ Runner tests use deliberately tiny budgets; they check wiring, artifact
 layout and byte-level reproducibility, not estimation quality.
 """
 
+import ast
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -26,7 +28,9 @@ from winduq.data import (
 )
 from winduq.experiments import (
     ConfigError,
+    ExperimentConfig,
     OUT_DIR_ENV_VAR,
+    _read_numeric_csv,
     auto_kl_weight,
     build_config,
     format_cell,
@@ -40,6 +44,7 @@ from winduq.losses import TrainingConfig
 from winduq.metrics import mse
 from winduq.network import ArchitectureSpec, init_parameters
 from winduq.posterior import (
+    SAMPLER_KINDS,
     FittedPosterior,
     PosteriorSampler,
     fit,
@@ -212,6 +217,115 @@ class TestBuildConfig:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
             build_config("calibration", {})
+
+    @pytest.mark.parametrize(
+        "name, plain, override, kind_value, others_value",
+        [
+            ("betas", "0.3", "0.7", (0.7,), (0.3,)),
+            ("epochs", "1", "2", 2, 1),
+            ("lr", "1e-2, 10, 0.5", "2e-3, 5, 0.2", (2e-3, 5, 0.2), (1e-2, 10, 0.5)),
+        ],
+    )
+    def test_per_sampler_override_wins_in_either_order(
+        self, name, plain, override, kind_value, others_value
+    ):
+        key = f"mc_dropconnect.{name}"
+        plain_first = build_config("synthetic_ood", {name: plain, key: override})
+        override_first = build_config("synthetic_ood", {key: override, name: plain})
+        assert plain_first == override_first
+        assert getattr(override_first, name) == {
+            "deep_ensemble": others_value,
+            "mc_dropconnect": kind_value,
+            "bayes_by_backprop": others_value,
+        }
+
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("variance_floor", "nan"),
+            ("drop_rate", "inf"),
+            ("init_sigma", "-inf"),
+            ("betas", "0.5, nan"),
+            ("deep_ensemble.lr", "nan, 10, 0.3"),
+            ("band", "2, 1e400"),
+            ("kl_weight", "nan"),
+            ("kl_weight", "1/inf"),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=f"^key '{re.escape(key)}': expected a finite"):
+            build_config("data_property", {key: raw})
+
+    @pytest.mark.parametrize("raw", ["1/0", "0", "-1", "0/5", "1/-4"])
+    def test_kl_weight_must_be_positive(self, raw):
+        with pytest.raises(ConfigError, match="^key 'kl_weight': expected a positive number"):
+            build_config("synthetic_ood", {"kl_weight": raw})
+
+    @pytest.mark.parametrize(
+        "key, raw, message",
+        [
+            ("bayes_by_backprop.epochs", "-1", "bayes_by_backprop: epochs must be >= 0"),
+            ("batch_size", "0", "batch_size must be >= 1"),
+            ("activation", "tanh", "hidden_activation must be one of"),
+            ("optimizer", "rmsprop", "optimizer must be one of"),
+            ("drop_rate", "1.5", "mc_dropconnect: drop_rate must lie in"),
+            ("mc_samples", "0", "sample_count must be >= 1"),
+            ("betas", "2.0", "beta must lie in"),
+        ],
+    )
+    def test_values_a_cell_would_reject_fail_in_build_config(self, key, raw, message):
+        with pytest.raises(ConfigError, match=message):
+            build_config("synthetic_ood", {key: raw})
+
+    def test_config_keys_are_the_fields_plus_per_sampler_forms(self):
+        with pytest.raises(ConfigError) as exc:
+            build_config("synthetic_ood", {"no_such_key": "1"})
+        listed = ast.literal_eval(str(exc.value).partition("valid keys: ")[2])
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        per_sampler = {f"{k}.{n}" for k in SAMPLER_KINDS for n in ("betas", "epochs", "lr")}
+        assert sorted(listed) == sorted(fields | per_sampler)
+
+    def test_every_shipped_config_resolves(self):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        assert sorted(p.name for p in configs.glob("*.cfg")) == sorted(_SHIPPED_CONFIGS)
+        for name, experiment in _SHIPPED_CONFIGS.items():
+            cfg = build_config(experiment, read_config_file(configs / name))
+            assert cfg.experiment == experiment
+
+
+_SHIPPED_CONFIGS = {
+    "synthetic.cfg": "synthetic_ood",
+    "data_property.cfg": "data_property",
+    "scaling.cfg": "dataset_scaling",
+    "decompose.cfg": "decompose",
+}
+
+
+# CSV inputs that _read_numeric_csv must reject, and what its error says
+_BAD_CSVS = {
+    "empty": ("", "empty first line"),
+    "duplicate-header": ("a,b,a\n1,2,3\n", "duplicate column name 'a'"),
+    "empty-name": ("a,,c\n1,2,3\n", "column 2 has an empty"),
+    "ragged": ("a,b\n1,2\n3\n", "number of columns changed from 2 to 1"),
+    "short-rows": ("a,b,c\n1,2\n3,4\n", "3 column names but 2 values per row"),
+    "non-numeric": ("a,b\n1,x\n", "could not convert string 'x'"),
+    "non-finite": ("a,b\n1,2\n3,nan\n", "non-finite value in data row 2, column 'b'"),
+    "numeric-header": ("0.5\n0.6\n0.7\n", "column name '0.5' is a number"),
+    "header-only": ("a,b\n", "no data rows"),
+    "undecodable": ("\xff\xfe,a\n1,2\n", "can't decode byte 0xff"),
+}
+
+
+class TestReadNumericCsv:
+    @pytest.mark.parametrize("case", list(_BAD_CSVS))
+    def test_malformed_input_rejected(self, tmp_path, case):
+        text, message = _BAD_CSVS[case]
+        path = tmp_path / "inputs.csv"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ConfigError, match=re.escape(message)) as exc:
+            _read_numeric_csv(path)
+        assert str(exc.value).startswith(f"{path}: ") and "\n" not in str(exc.value)
+        assert "usecols" not in str(exc.value)
 
 
 class TestAutoKlWeight:
@@ -693,6 +807,22 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed" and manifest["error"] == "KeyError: 'lost'"
         assert "broken_runner" in manifest["traceback"]
+
+    def test_invalid_value_fails_before_the_first_fit(self, tmp_path, capsys):
+        entries = _synthetic_entries(tmp_path / "x")
+        del entries["out_dir"]
+        # deep_ensemble's cell would run first and write its CSV
+        entries.update(samplers="deep_ensemble, bayes_by_backprop")
+        entries["bayes_by_backprop.epochs"] = "-1"
+        cfg_path = self._write_config(tmp_path / "run.cfg", entries)
+        out = tmp_path / "out"
+        assert main(["synthetic", "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: bayes_by_backprop: epochs must be >= 0, got -1\n"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and "epochs must be >= 0" in manifest["error"]
+        assert "traceback" not in manifest
 
     def test_config_error_exits_nonzero(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path / "bad.cfg", {"not_a_key": "1"})

@@ -411,17 +411,48 @@ def _write(array_of, allow_pickle=False):
     return lambda d, phi: np.save(d / "params.npy", array_of(phi), allow_pickle=allow_pickle)
 
 
-# edits of a saved (2, 41) bayes_by_backprop posterior, and the error each must raise
+def _set_field(key, value):
+    """An edit that sets one posterior.json entry (``spec.<key>`` inside spec)."""
+
+    def edit(directory, phi):
+        path = directory / "posterior.json"
+        manifest = json.loads(path.read_text())
+        record, _, name = key.rpartition(".")
+        (manifest[record] if record else manifest)[name] = value
+        path.write_text(json.dumps(manifest))
+
+    return edit
+
+
+# edits of a saved (2, 41) bayes_by_backprop posterior, the error each must
+# raise and the file that error names
 _MALFORMED = {
-    "missing": (lambda d, phi: (d / "params.npy").unlink(), "No such file"),
-    "pickled": (_write(lambda phi: np.array([{"a": 1}]), allow_pickle=True), "allow_pickle"),
-    "not-npy": (lambda d, phi: (d / "params.npy").write_bytes(b"not an array"), "pickle"),
-    "float32": (_write(lambda phi: phi.astype(np.float32)), "float64"),
-    "three-rows": (_write(lambda phi: np.vstack([phi, phi[:1]])), r"got \(3, 41\)"),
-    "wrong-width": (_write(lambda phi: phi[:, :-1]), r"got \(2, 40\)"),
-    "nan": (_write(lambda phi: _with_entry(phi, np.nan)), "non-finite"),
-    "inf": (_write(lambda phi: _with_entry(phi, -np.inf)), "non-finite"),
-    "version-1": (lambda d, phi: _set_version(d, 1), "version 1.*re-fit"),
+    "missing": (lambda d, phi: (d / "params.npy").unlink(), "No such file", "params.npy"),
+    "pickled": (
+        _write(lambda phi: np.array([{"a": 1}]), allow_pickle=True), "allow_pickle", "params.npy"
+    ),
+    "not-npy": (
+        lambda d, phi: (d / "params.npy").write_bytes(b"not an array"), "not a .npy file",
+        "params.npy",
+    ),
+    "float32": (_write(lambda phi: phi.astype(np.float32)), "float64", "params.npy"),
+    "three-rows": (_write(lambda phi: np.vstack([phi, phi[:1]])), r"got \(3, 41\)", "params.npy"),
+    "wrong-width": (_write(lambda phi: phi[:, :-1]), r"got \(2, 40\)", "params.npy"),
+    "nan": (_write(lambda phi: _with_entry(phi, np.nan)), "non-finite", "params.npy"),
+    "inf": (_write(lambda phi: _with_entry(phi, -np.inf)), "non-finite", "params.npy"),
+    "version-1": (lambda d, phi: _set_version(d, 1), "version 1.*re-fit", "posterior.json"),
+    "not-json": (
+        lambda d, phi: (d / "posterior.json").write_text("{\n"), "not a JSON object",
+        "posterior.json",
+    ),
+    "not-an-object": (
+        lambda d, phi: (d / "posterior.json").write_text("[2]"), "JSON object", "posterior.json"
+    ),
+    "count-float": (_set_field("sample_count", 2.7), "sample_count .*2.7", "posterior.json"),
+    "count-string": (_set_field("sample_count", "3"), "sample_count .*'3'", "posterior.json"),
+    "count-bool": (_set_field("sample_count", True), "sample_count .*True", "posterior.json"),
+    "drop-rate-null": (_set_field("drop_rate", None), "NoneType", "posterior.json"),
+    "widths-not-a-list": (_set_field("spec.hidden_widths", 5), "spec: .*int", "posterior.json"),
 }
 
 
@@ -480,15 +511,15 @@ class TestPersistence:
 
     @pytest.mark.parametrize("case", list(_MALFORMED))
     def test_malformed_artefact_rejected(self, tmp_path, case):
-        edit, message = _MALFORMED[case]
+        edit, message, file = _MALFORMED[case]
         spec = self._specs()
         phi = np.random.default_rng(4).normal(size=(2, spec.n_parameters))
         save_posterior(FittedPosterior("bayes_by_backprop", spec, phi, 6, 0.0), tmp_path / "vp")
         edit(tmp_path / "vp", phi)
         with pytest.raises(ValueError, match=message) as exc:
             load_posterior(tmp_path / "vp")
-        file = "posterior.json" if case == "version-1" else "params.npy"
         assert file in str(exc.value) and "\n" not in str(exc.value)
+        assert "unsafely" not in str(exc.value)
 
     def test_unknown_format_version_rejected(self, tmp_path):
         spec = self._specs()
