@@ -34,7 +34,6 @@ from .losses import (
 from .metrics import joint_density_ranks, mse, spearman
 from .network import (
     ArchitectureSpec,
-    TwoHeadNetwork,
     forward_batch,
     init_parameters,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "TrainingConfig",
     "TrainingDivergedError",
     "TrainingTrace",
-    "TwoHeadNetwork",
     "decompose_arrays",
     "decompose_batch",
     "fit",

@@ -25,7 +25,6 @@ import traceback
 from pathlib import Path
 
 from .experiments import (
-    EXPERIMENTS,
     OUT_DIR_ENV_VAR,
     RUNNERS,
     ConfigError,
@@ -36,18 +35,11 @@ from .experiments import (
     read_config_file,
 )
 
-_COMMANDS = {
-    "synthetic": "synthetic_ood",
-    "data-property": "data_property",
-    "scaling": "dataset_scaling",
-    "decompose": "decompose",
-}
-
-_HELP = {
-    "synthetic": "sine benchmark: in-domain vs extrapolation uncertainty",
-    "data-property": "wind power table: uncertainty vs sample density and speed band",
-    "scaling": "growing training subsets: epistemic uncertainty vs data volume",
-    "decompose": "decompose a saved posterior over a CSV of input rows",
+_COMMANDS = {  # subcommand: (experiment, help line)
+    "synthetic": ("synthetic_ood", "sine benchmark: in-domain vs extrapolation uncertainty"),
+    "data-property": ("data_property", "wind table: uncertainty vs sample density and speed band"),
+    "scaling": ("dataset_scaling", "growing training subsets: epistemic uncertainty vs data size"),
+    "decompose": ("decompose", "decompose a saved posterior over a CSV of input rows"),
 }
 
 
@@ -58,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "into aleatoric and epistemic parts.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name, help=_HELP[name])
+    for name, (_, help_line) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", type=Path, default=None, help="flat key = value config file")
         p.add_argument("--seed", type=int, default=None, help="override the seed list with one seed")
         p.add_argument("--out-dir", type=Path, default=None, help="output directory")
@@ -69,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     # build_config minus its validation, so a config that fails it gets a manifest
-    experiment = _COMMANDS[args.command]
+    experiment = _COMMANDS[args.command][0]
     entries: dict[str, str] = {}
     if args.config is not None:
         if not args.config.is_file():

@@ -69,8 +69,6 @@ from .posterior import (
 from .seeding import derive_seed
 from .uncertainty import decompose_batch
 
-EXPERIMENTS = ("synthetic_ood", "data_property", "dataset_scaling", "decompose")
-
 OUT_DIR_ENV_VAR = "WINDUQ_OUT_DIR"
 
 # seed-derivation tags for the independent streams one run uses
@@ -146,7 +144,6 @@ class ExperimentConfig:
     variance_floor: float = 1e-6
     # training
     batch_size: int = 128
-    optimizer: str = "adam"
     betas: dict[str, tuple[float, ...]] = field(default_factory=dict)
     epochs: dict[str, int] = field(default_factory=dict)
     lr: dict[str, tuple[float, int, float]] = field(default_factory=dict)
@@ -311,8 +308,8 @@ def build_config(experiment: str, entries: dict[str, str]) -> ExperimentConfig:
 
 def _resolve_entries(experiment: str, entries: dict[str, str]) -> ExperimentConfig:
     """The config ``build_config`` returns, before ``_validate_config``."""
-    if experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {experiment!r}; valid: {list(EXPERIMENTS)}")
+    if experiment not in _EXPERIMENT_DEFAULTS:
+        raise ConfigError(f"unknown experiment {experiment!r}; valid: {list(_EXPERIMENT_DEFAULTS)}")
     unknown = sorted(set(entries) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; valid keys: {sorted(_CONFIG_KEYS)}")
@@ -366,8 +363,10 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                 raise ConfigError(
                     f"dataset_scaling fits one beta per sampler; {kind} has {list(betas)}"
                 )
-    if cfg.experiment == "synthetic_ood" and cfg.grid_points < 2:
-        raise ConfigError(f"grid_points must be >= 2, got {cfg.grid_points}")
+    if cfg.experiment == "synthetic_ood":
+        for key, low in (("grid_points", 2), ("sine_n_train", 1), ("sine_n_test", 1)):
+            if getattr(cfg, key) < low:
+                raise ConfigError(f"{key} must be >= {low}, got {getattr(cfg, key)}")
     if cfg.experiment == "decompose" and cfg.posterior_dir is None:
         raise ConfigError("decompose needs a posterior_dir config entry")
     if cfg.experiment == "decompose" and cfg.dataset is None:
@@ -440,21 +439,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return echo
 
 
-def write_manifest(out_dir: Path, manifest: dict) -> Path:
-    """Write manifest.json after checking every listed artifact exists non-empty
-    and every listed posterior directory holds a posterior.json."""
-    for name in manifest.get("artifacts", []):
-        target = out_dir / name
-        if not target.is_file() or target.stat().st_size == 0:
-            raise RuntimeError(f"manifest lists missing or empty artifact {target}")
-    for name in manifest.get("posteriors", []):
-        if not (out_dir / name / "posterior.json").is_file():
-            raise RuntimeError(f"manifest lists missing posterior {out_dir / name}")
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    return path
-
-
 def _write_run_manifest(
     cfg: ExperimentConfig,
     status: str,
@@ -466,8 +450,17 @@ def _write_run_manifest(
     """Write the manifest of a finished or failed run; ``fields`` are its own keys.
 
     With ``save_posteriors`` set, a finished run lists the posterior
-    directories it saved, ``posteriors``, under the key of that name.
+    directories it saved, ``posteriors``, under the key of that name.  Every
+    listed artifact must exist non-empty and every listed posterior directory
+    must hold a posterior.json, or no manifest is written.
     """
+    for name in artifacts:
+        target = cfg.out_dir / name
+        if not target.is_file() or target.stat().st_size == 0:
+            raise RuntimeError(f"manifest lists missing or empty artifact {target}")
+    for name in posteriors:
+        if not (cfg.out_dir / name / "posterior.json").is_file():
+            raise RuntimeError(f"manifest lists missing posterior {cfg.out_dir / name}")
     manifest = {
         "experiment": cfg.experiment,
         "status": status,
@@ -478,7 +471,7 @@ def _write_run_manifest(
     }
     if cfg.save_posteriors and status == "ok":
         manifest["posteriors"] = posteriors
-    write_manifest(cfg.out_dir, manifest)
+    (cfg.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
     return manifest
 
 
@@ -504,7 +497,6 @@ def _training_config(
         epochs=cfg.epochs[kind],
         batch_size=cfg.batch_size,
         lr_schedule=cfg.lr[kind],
-        optimizer=cfg.optimizer,
         seed=fit_seed,
         kl_weight=kl,
     )
@@ -737,8 +729,12 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
         pool.inputs.shape[1], cfg.hidden_widths, cfg.activation, cfg.variance_floor
     )
 
-    def train_for(seed: int, j: int) -> RegressionDataset:
-        return subsample_dataset(pool, cfg.ratios[j], seed=derive_seed(seed, _TAG_SUBSET, j))
+    # all before the first fit, so a ratio selecting no rows fails before any file
+    subsets = {
+        (seed, j): subsample_dataset(pool, ratio, seed=derive_seed(seed, _TAG_SUBSET, j))
+        for seed in cfg.seeds
+        for j, ratio in enumerate(cfg.ratios)
+    }
 
     def evaluate(cell: _Cell, fp: FittedPosterior) -> tuple[dict, None]:
         dec = decompose_batch(fp, test.inputs, seed=cell.decompose_seed())
@@ -750,7 +746,7 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
             "mean_epistemic": float(dec.epistemic.mean()),
         }, None
 
-    cells, _, posteriors = _run_cells(cfg, spec, train_for, evaluate)
+    cells, _, posteriors = _run_cells(cfg, spec, lambda seed, j: subsets[seed, j], evaluate)
     header = ["sampler", "seed", "ratio", "n_train", "kl_weight", "mse_test",
               "mean_aleatoric", "mean_epistemic"]
     write_csv(cfg.out_dir / "scaling.csv", header, _rows(cells, header))
@@ -774,13 +770,34 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
     )
 
 
+def _first_bad_line(path: Path, header: list[str]) -> str | None:
+    """What is wrong with the first malformed data line of a CSV input, by file
+    line and column name, or None if ``float`` reads every field as finite."""
+    width = len(header)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            line = reader.line_num
+            if row and len(row) != width:
+                return f"line {line}: the number of columns changed from {width} to {len(row)}"
+            for name, raw in zip(header, row):
+                try:  # float reads "1_0", loadtxt does not
+                    if "_" not in raw and math.isfinite(float(raw)):
+                        continue
+                except ValueError:
+                    pass
+                return f"line {line}, column {name!r}: expected a finite number, got {raw!r}"
+    return None
+
+
 def _read_numeric_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     """The (n, d) float64 rows and the d column names of a CSV input.
 
     The first line names the columns: distinct, non-empty, non-numeric and
     kept verbatim.  Every later non-blank line is a row of d finite numbers,
     and there is at least one.  Any other file raises a one-line
-    ``ConfigError`` naming it.
+    ``ConfigError`` naming it, and the line and column of a malformed row.
     """
     try:
         with open(path, newline="") as fh:
@@ -797,16 +814,17 @@ def _read_numeric_csv(path: Path) -> tuple[np.ndarray, list[str]]:
             except ValueError:
                 continue
             raise ValueError(f"column name {name!r} is a number, expected a header row")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an empty body is reported below
-            X = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body is reported below
+                X = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+        except ValueError as exc:
+            # numpy's messages count rows from different bases; name the file line
+            raise ValueError(_first_bad_line(path, header) or str(exc)) from None
         if X.shape[0] == 0:
             raise ValueError("no data rows below the header")
-        if X.shape[1] != len(header):
-            raise ValueError(f"{len(header)} column names but {X.shape[1]} values per row")
-        if not np.isfinite(X).all():
-            row, col = np.argwhere(~np.isfinite(X))[0]
-            raise ValueError(f"non-finite value in data row {row + 1}, column {header[col]!r}")
+        if X.shape[1] != len(header) or not np.isfinite(X).all():
+            raise ValueError(_first_bad_line(path, header) or "malformed data row")
     except (ValueError, csv.Error) as exc:  # ValueError covers undecodable bytes
         # drop numpy's "; use `usecols` ..." advice, which a caller cannot take
         raise ConfigError(f"{path}: {str(exc).partition(';')[0]}") from None

@@ -9,8 +9,9 @@ matching a squared-error fit of the mean.
 
 Every sampler trains through the one mini-batch loop here.  The loop trains
 a (K, P) block of parameter vectors, one row per network, each with its own
-shuffle stream, and takes one optimizer step over the whole block per batch.
-A deep ensemble's K members train together as one block; ``train`` and the
+shuffle stream, and takes one Adam step over the whole block per batch;
+Adam is the only optimizer.  A deep ensemble's K members train together as
+one block; ``train``, which takes and returns a bare (P,) vector, and the
 DropConnect and Bayes-by-backprop samplers are the K = 1 case, and
 :mod:`winduq.posterior` supplies their parameter draws.
 """
@@ -23,15 +24,13 @@ import numpy as np
 
 from .network import (
     ArchitectureSpec,
-    TwoHeadNetwork,
     _backward_cached,
+    _check_params,
     _forward_cached,
     forward_batch,  # noqa: F401  kept importable here; perfbench/test_smoke.py looks it up
     parameter_layout,
 )
 from .seeding import spawn_rng
-
-_OPTIMIZERS = ("adam", "sgd")
 
 # spawn_key tag of the per-epoch shuffle stream
 _STREAM_SHUFFLE = 101
@@ -113,7 +112,6 @@ class TrainingConfig:
     epochs: int = 100
     batch_size: int = 128
     lr_schedule: tuple[float, int, float] = (1e-3, 100, 0.1)
-    optimizer: str = "adam"
     seed: int = 0
     kl_weight: float | None = None
 
@@ -127,8 +125,6 @@ class TrainingConfig:
         if initial <= 0 or step < 1 or factor <= 0:
             raise ValueError(f"invalid lr_schedule {self.lr_schedule}")
         object.__setattr__(self, "lr_schedule", (float(initial), int(step), float(factor)))
-        if self.optimizer not in _OPTIMIZERS:
-            raise ValueError(f"optimizer must be one of {_OPTIMIZERS}, got {self.optimizer!r}")
         if self.kl_weight is not None and self.kl_weight <= 0:
             raise ValueError(f"kl_weight must be positive when given, got {self.kl_weight}")
 
@@ -168,14 +164,11 @@ class TrainingTrace:
 class Adam:
     """Adam with the usual bias-corrected moment estimates, over a parameter block."""
 
-    def __init__(
-        self, shape: tuple[int, ...], beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-    ):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, shape: tuple[int, ...]):
         self.m = np.zeros(shape)
         self.v = np.zeros(shape)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
 
     def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
@@ -198,22 +191,6 @@ class Adam:
         denom += self.eps
         step /= denom
         params -= step
-
-
-class SGD:
-    def __init__(self, shape: tuple[int, ...]):
-        pass
-
-    def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
-        params -= lr * grad
-
-
-def make_optimizer(name: str, shape: tuple[int, ...]):
-    if name == "adam":
-        return Adam(shape)
-    if name == "sgd":
-        return SGD(shape)
-    raise ValueError(f"unknown optimizer {name!r}")
 
 
 def _point_draw(phi: np.ndarray, epoch: int, b: int):
@@ -247,8 +224,8 @@ def _minibatch_loop(
     theta, the (K, P) parameters to run the networks with; a pullback from
     the theta-gradient of the data term to the phi-gradient of the whole
     batch objective; and the value of the prior term, a scalar or one per
-    row.  One forward pass is kept for the backward pass, and one optimizer
-    step updates the whole block.  Each sampler fixes ``batch_mean``: the
+    row.  One forward pass is kept for the backward pass, and one Adam step
+    updates the whole block.  Each sampler fixes ``batch_mean``: the
     data term is the batch mean of the weighted NLL, or the batch sum.  A
     non-finite prediction, objective or gradient raises
     ``TrainingDivergedError`` naming the member, epoch and batch.
@@ -263,7 +240,7 @@ def _minibatch_loop(
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("training data contains non-finite values")
     slots = parameter_layout(spec)
-    opt = make_optimizer(cfg.optimizer, phi.shape)
+    opt = Adam(phi.shape)
     traces = [TrainingTrace() for _ in shuffle_seeds]
     batches = [slice(i, min(i + cfg.batch_size, n)) for i in range(0, n, cfg.batch_size)]
 
@@ -303,17 +280,15 @@ def _minibatch_loop(
 
 
 def train(
-    net: TwoHeadNetwork, data, cfg: TrainingConfig
-) -> tuple[TwoHeadNetwork, TrainingTrace]:
+    spec: ArchitectureSpec, params: np.ndarray, data, cfg: TrainingConfig
+) -> tuple[np.ndarray, TrainingTrace]:
     """Mini-batch training of one network under the batch-mean weighted NLL.
 
     ``data`` is any object with ``inputs`` (n, d) and ``targets`` (n,) arrays.
-    The input network is never mutated; a trained copy is returned together
+    ``params`` is never mutated; the trained (P,) vector is returned together
     with the per-epoch trace.  Shuffling is reseeded per epoch from
     ``cfg.seed`` so a run is reproducible from the config alone.
     """
-    trained = net.copy()
-    [trace] = _minibatch_loop(
-        trained.params[None], trained.spec, data, cfg, (cfg.seed,), _point_draw, batch_mean=True
-    )
-    return trained, trace
+    out = _check_params(spec, params).copy()
+    [trace] = _minibatch_loop(out[None], spec, data, cfg, (cfg.seed,), _point_draw, batch_mean=True)
+    return out, trace

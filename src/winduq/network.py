@@ -3,21 +3,21 @@
 A network maps an input vector to the mean and variance of a Gaussian
 predictive distribution.  Both heads share a stack of hidden layers; the mean
 head is linear and the variance head passes through a softplus plus a floor,
-so the predicted variance is always positive.  Parameters live in one flat
-float64 vector, which keeps optimizers and posterior samplers trivial: every
-consumer sees the same layout.
+so the predicted variance is always positive.  A network is a spec plus one
+flat (P,) float64 parameter vector, with no object around the pair; the
+optimizer and the posterior samplers all see the same layout.
 
-``forward_batch`` and ``backward_batch`` validate a batch of row inputs, then
-run ``_forward_cached``; ``_backward_cached`` reads the activations it kept.
-That private pair works on a block of K networks at once: parameters
-(K, P), inputs (K, B, d), one batch per network, with every matmul stacked
-on the leading axis.  The training loop calls the pair directly, once per
-batch, on all K deep-ensemble members together (K = 1 for the other
-samplers); ``forward_batch``, ``backward_batch`` and posterior prediction are
-the K = 1 case.  numpy runs a stacked matmul slice by slice with the kernel
-a single matmul would use, and every other step is elementwise or a per-row
-reduction, so each row of a block computes exactly what a single network
-would.
+``forward_batch`` and ``backward_batch`` validate one parameter vector and a
+batch of row inputs, then run ``_forward_cached``; ``_backward_cached`` reads
+the activations it kept.  That private pair works on a block of K networks
+at once: parameters (K, P), inputs (K, B, d), one batch per network, with
+every matmul stacked on the leading axis.  The training loop calls the pair
+directly, once per batch, on all K deep-ensemble members together (K = 1 for
+the other samplers); ``forward_batch``, ``backward_batch`` and posterior
+prediction are the K = 1 case.  numpy runs a stacked matmul slice by slice
+with the kernel a single matmul would use, and every other step is
+elementwise or a per-row reduction, so each row of a block computes exactly
+what a single network would.
 """
 
 from __future__ import annotations
@@ -148,27 +148,8 @@ def weight_position_mask(spec: ArchitectureSpec) -> np.ndarray:
     return mask
 
 
-@dataclass
-class TwoHeadNetwork:
-    """An architecture plus one concrete flat parameter vector."""
-
-    spec: ArchitectureSpec
-    params: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.params = np.asarray(self.params, dtype=np.float64)
-        if self.params.shape != (self.spec.n_parameters,):
-            raise ValueError(
-                f"parameter vector has shape {self.params.shape}, "
-                f"expected ({self.spec.n_parameters},)"
-            )
-
-    def copy(self) -> "TwoHeadNetwork":
-        return TwoHeadNetwork(self.spec, self.params.copy())
-
-
-def init_parameters(spec: ArchitectureSpec, seed: int) -> TwoHeadNetwork:
-    """Deterministic uniform fan-in initialization.
+def init_parameters(spec: ArchitectureSpec, seed: int) -> np.ndarray:
+    """The (P,) float64 parameter vector of a deterministic uniform fan-in initialization.
 
     Weights are drawn from U(-a, a) with a = sqrt(6 / fan_in), the He-uniform
     bound appropriate for relu stacks; biases start at zero, which puts the
@@ -180,7 +161,7 @@ def init_parameters(spec: ArchitectureSpec, seed: int) -> TwoHeadNetwork:
         if slot.is_weight:
             bound = np.sqrt(6.0 / slot.shape[0])
             flat[slot.start : slot.stop] = rng.uniform(-bound, bound, size=slot.shape).ravel()
-    return TwoHeadNetwork(spec, flat)
+    return flat
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -278,22 +259,39 @@ def _backward_cached(
     return np.concatenate([g.reshape(k, -1) for g in grads], axis=1)
 
 
-def forward_batch(net: TwoHeadNetwork, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Predict (means, variances) for a batch of row-vector inputs. Never mutates the network."""
-    X = _check_inputs(net.spec, X)
-    act = _forward_cached(net.spec, parameter_layout(net.spec), net.params[None], X[None])
+def _check_params(spec: ArchitectureSpec, params: np.ndarray) -> np.ndarray:
+    params = np.asarray(params, dtype=np.float64)
+    if params.shape != (spec.n_parameters,):
+        raise ValueError(
+            f"parameter vector has shape {params.shape}, expected ({spec.n_parameters},)"
+        )
+    return params
+
+
+def forward_batch(
+    spec: ArchitectureSpec, params: np.ndarray, X: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Predict (means, variances) for a batch of row-vector inputs. Never mutates ``params``."""
+    params = _check_params(spec, params)
+    X = _check_inputs(spec, X)
+    act = _forward_cached(spec, parameter_layout(spec), params[None], X[None])
     return act.mu[0], act.sigma2[0]
 
 
 def backward_batch(
-    net: TwoHeadNetwork, X: np.ndarray, d_mean: np.ndarray, d_variance: np.ndarray
+    spec: ArchitectureSpec,
+    params: np.ndarray,
+    X: np.ndarray,
+    d_mean: np.ndarray,
+    d_variance: np.ndarray,
 ) -> np.ndarray:
     """Flat parameter gradient of sum_i [d_mean_i * mu_i + d_variance_i * sigma2_i].
 
     ``d_mean`` and ``d_variance`` are the upstream loss derivatives with
     respect to each row's predicted mean and variance.
     """
-    X = _check_inputs(net.spec, X)
+    params = _check_params(spec, params)
+    X = _check_inputs(spec, X)
     d_mean = np.asarray(d_mean, dtype=np.float64)
     d_variance = np.asarray(d_variance, dtype=np.float64)
     n = X.shape[0]
@@ -301,6 +299,5 @@ def backward_batch(
         raise ValueError("upstream gradients must be 1-D arrays matching the batch size")
     if not (np.all(np.isfinite(d_mean)) and np.all(np.isfinite(d_variance))):
         raise ValueError("upstream gradients contain non-finite values")
-    act = _forward_cached(net.spec, parameter_layout(net.spec), net.params[None], X[None])
-    return _backward_cached(net.spec, act, d_mean[None], d_variance[None])[0]
-
+    act = _forward_cached(spec, parameter_layout(spec), params[None], X[None])
+    return _backward_cached(spec, act, d_mean[None], d_variance[None])[0]

@@ -228,11 +228,11 @@ def fit(
         raise ValueError(f"kl_weight is only meaningful for bayes_by_backprop, not {sampler.kind}")
     if sampler.kind == "deep_ensemble":
         seeds = [derive_seed(cfg.seed, _STREAM_MEMBER, k) for k in range(sampler.ensemble_size)]
-        phi = np.stack([init_parameters(spec, derive_seed(s, 1)).params for s in seeds])
+        phi = np.stack([init_parameters(spec, derive_seed(s, 1)) for s in seeds])
         shuffle_seeds = [derive_seed(s, 2) for s in seeds]
         traces = _minibatch_loop(phi, spec, data, cfg, shuffle_seeds, _point_draw, batch_mean=True)
         return FittedPosterior(sampler.kind, spec, phi, sampler.sample_count, 0.0), traces
-    start = init_parameters(spec, derive_seed(cfg.seed, _STREAM_INIT)).params
+    start = init_parameters(spec, derive_seed(cfg.seed, _STREAM_INIT))
     if sampler.kind == "mc_dropconnect":
         phi = start[None]
         draw = _dropconnect_draw(spec, sampler.drop_rate, cfg.seed)
@@ -340,13 +340,6 @@ def save_posterior(fp: FittedPosterior, directory: str | Path, extra: dict | Non
     (directory / "posterior.json").write_text(json.dumps(manifest, indent=1))
 
 
-
-def _require(record: dict, keys: tuple[str, ...], path: Path) -> None:
-    for key in keys:
-        if key not in record:
-            raise ValueError(f"{path}: missing key {key!r}")
-
-
 def load_posterior(directory: str | Path) -> FittedPosterior:
     """Read a posterior written by :func:`save_posterior`.
 
@@ -369,7 +362,9 @@ def load_posterior(directory: str | Path) -> FittedPosterior:
             f"{manifest_path}: unsupported posterior format version {version!r}; this build "
             f"reads version {POSTERIOR_FORMAT_VERSION} only, so re-fit the posterior"
         )
-    _require(manifest, ("kind", "spec", "sample_count", "drop_rate"), manifest_path)
+    for key in ("kind", "spec", "sample_count", "drop_rate"):
+        if key not in manifest:
+            raise ValueError(f"{manifest_path}: missing key {key!r}")
     sample_count = manifest["sample_count"]
     if type(sample_count) is not int:  # not bool, float or str
         raise ValueError(f"{manifest_path}: sample_count must be an integer, got {sample_count!r}")

@@ -30,7 +30,6 @@ from winduq.experiments import (
 from winduq.losses import beta_nll_grads, beta_nll_terms, nll_terms
 from winduq.network import (
     ArchitectureSpec,
-    TwoHeadNetwork,
     backward_batch,
     forward_batch,
     init_parameters,
@@ -88,27 +87,27 @@ def test_full_network_gradients_match_finite_differences():
             tuple(int(w) for w in rng.integers(3, 8, size=int(rng.integers(1, 3)))),
             "sigmoid",
         )
-        net = init_parameters(spec, seed=int(rng.integers(100_000)))
+        params = init_parameters(spec, seed=int(rng.integers(100_000)))
         X = rng.normal(size=(int(rng.integers(1, 4)), spec.input_dim))
         y = rng.normal(size=X.shape[0])
-        mu0, sigma20 = forward_batch(net, X)
+        mu0, sigma20 = forward_batch(spec, params, X)
         for beta in (0.0, 0.5, 1.0):
             # the variance-power weight is frozen at the base point by construction
             frozen_w = sigma20**beta
 
             def value(theta):
-                mu, sigma2 = forward_batch(TwoHeadNetwork(spec, theta), X)
+                mu, sigma2 = forward_batch(spec, theta, X)
                 return float(
                     np.sum(frozen_w * (0.5 * np.log(sigma2) + (mu - y) ** 2 / (2 * sigma2)))
                 )
 
             d_mean, d_variance = beta_nll_grads(mu0, sigma20, y, beta)
-            analytic = backward_batch(net, X, d_mean, d_variance)
+            analytic = backward_batch(spec, params, X, d_mean, d_variance)
             numeric = np.zeros_like(analytic)
             for i in range(analytic.size):
-                up = net.params.copy()
+                up = params.copy()
                 up[i] += h
-                dn = net.params.copy()
+                dn = params.copy()
                 dn[i] -= h
                 numeric[i] = (value(up) - value(dn)) / (2 * h)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-9)
@@ -280,8 +279,8 @@ def test_posterior_property_suite():
         assert au == pytest.approx(v, rel=1e-15)
         assert tu == au
     spec = ArchitectureSpec(2, (6,))
-    net = init_parameters(spec, seed=4)
-    clones = FittedPosterior("deep_ensemble", spec, np.stack([net.params] * 3), 3, 0.0)
+    params = init_parameters(spec, seed=4)
+    clones = FittedPosterior("deep_ensemble", spec, np.stack([params] * 3), 3, 0.0)
     dec = decompose_batch(clones, rng.normal(size=(20, 2)))
     assert np.all(dec.epistemic == 0.0)
 

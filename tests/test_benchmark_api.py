@@ -1,14 +1,17 @@
-"""The names perfbench's tracer wraps still exist, without running the benchmark.
+"""What the benchmark uses of winduq still works, without running the benchmark.
 
 ``perfbench/tracing.py`` swaps winduq functions for timing wrappers by name,
 and its hooks read some of their arguments by parameter name and some
 attributes of those arguments, so renaming any of them breaks the
-benchmark's traced run rather than any test.
+benchmark's traced run rather than any test.  ``perfbench/workloads.py``
+builds its configs, samplers and fits through the public API, so each
+workload is prepared and run once here at its toy size.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
@@ -20,10 +23,14 @@ from winduq.data import make_sine_dataset
 from winduq.experiments import write_csv
 from winduq.losses import TrainingConfig
 from winduq.network import ArchitectureSpec
-from winduq.posterior import PosteriorSampler, fit, save_posterior
+from winduq.posterior import SAMPLER_KINDS, PosteriorSampler, fit, save_posterior
 from winduq.uncertainty import decompose_batch
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+WORKLOAD_NAMES = [
+    w["name"] for w in json.loads((PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]
+]
 
 # parameters each hook in tracing.py reads from the bound arguments
 HOOK_PARAMETERS = {
@@ -103,3 +110,26 @@ def test_every_hook_reads_a_toy_run(targets, tmp_path, sampler, networks):
     for attr, (args, expected) in calls.items():
         bound = inspect.signature(_resolve(hooked[attr])).bind(*args).arguments
         assert hooked[attr].hook(bound) == expected, attr
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    # workloads.py imports tracing.py as a top-level module, as run.py runs it
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        module = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    yield module.WORKLOADS
+    for name in ("workloads", "tracing"):
+        del sys.modules[name]
+
+
+@pytest.mark.parametrize("name", WORKLOAD_NAMES)
+def test_every_workload_runs_at_toy_size(workloads, tmp_path, name):
+    workload = workloads[name]
+    prepared = workload.prepare(3, True, tmp_path / "work")
+    result = workload.run_pass(prepared, tmp_path / "out")
+    assert sorted(result.cells) == sorted(SAMPLER_KINDS)
+    for path in [*result.cells.values(), *result.others]:
+        assert path.is_file() and path.stat().st_size > 0, path

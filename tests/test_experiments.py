@@ -267,10 +267,14 @@ class TestBuildConfig:
             ("bayes_by_backprop.epochs", "-1", "bayes_by_backprop: epochs must be >= 0"),
             ("batch_size", "0", "batch_size must be >= 1"),
             ("activation", "tanh", "hidden_activation must be one of"),
-            ("optimizer", "rmsprop", "optimizer must be one of"),
+            # Adam is the only optimizer, so there is no key that selects one
+            ("optimizer", "adam", r"unknown config keys \['optimizer'\]"),
             ("drop_rate", "1.5", "mc_dropconnect: drop_rate must lie in"),
             ("mc_samples", "0", "sample_count must be >= 1"),
             ("betas", "2.0", "beta must lie in"),
+            # an empty test split would fail only after the first cell's files
+            ("sine_n_test", "0", "sine_n_test must be >= 1, got 0"),
+            ("sine_n_train", "0", "sine_n_train must be >= 1, got 0"),
         ],
     )
     def test_values_a_cell_would_reject_fail_in_build_config(self, key, raw, message):
@@ -306,10 +310,20 @@ _BAD_CSVS = {
     "empty": ("", "empty first line"),
     "duplicate-header": ("a,b,a\n1,2,3\n", "duplicate column name 'a'"),
     "empty-name": ("a,,c\n1,2,3\n", "column 2 has an empty"),
-    "ragged": ("a,b\n1,2\n3\n", "number of columns changed from 2 to 1"),
-    "short-rows": ("a,b,c\n1,2\n3,4\n", "3 column names but 2 values per row"),
-    "non-numeric": ("a,b\n1,x\n", "could not convert string 'x'"),
-    "non-finite": ("a,b\n1,2\n3,nan\n", "non-finite value in data row 2, column 'b'"),
+    "ragged": ("a,b\n1,2\n3\n", "line 3: the number of columns changed from 2 to 1"),
+    "short-rows": ("a,b,c\n1,2\n3,4\n", "line 2: the number of columns changed from 3 to 2"),
+    "non-numeric": ("a,b\n1,x\n", "line 2, column 'b': expected a finite number, got 'x'"),
+    "non-finite": ("a,b\n1,2\n3,nan\n", "line 3, column 'b': expected a finite number, got 'nan'"),
+    # blank lines are skipped, so a data row's number is not its line's
+    "ragged-after-blank": (
+        "a,b\n\n1,2\n\n3,4,5\n", "line 5: the number of columns changed from 2 to 3"
+    ),
+    "digit-separator": (
+        "a,b\n1,2\n3,1_0\n", "line 3, column 'b': expected a finite number, got '1_0'"
+    ),
+    "overflow-after-blank": (
+        "a,b\n1,2\n\n1e999,4\n", "line 4, column 'a': expected a finite number, got '1e999'"
+    ),
     "numeric-header": ("0.5\n0.6\n0.7\n", "column name '0.5' is a number"),
     "header-only": ("a,b\n", "no data rows"),
     "undecodable": ("\xff\xfe,a\n1,2\n", "can't decode byte 0xff"),
@@ -699,7 +713,7 @@ class TestCli:
 
     def test_decompose_matches_library_call(self, tmp_path):
         spec = ArchitectureSpec(2, (4,))
-        phi = init_parameters(spec, seed=5).params[None]
+        phi = init_parameters(spec, seed=5)[None]
         fp = FittedPosterior("mc_dropconnect", spec, phi, 8, 0.2)
         pdir = tmp_path / "posterior"
         save_posterior(fp, pdir)
@@ -776,7 +790,7 @@ class TestCli:
 
     def test_malformed_posterior_fails_with_manifest(self, tmp_path, capsys):
         spec = ArchitectureSpec(1, (3,))
-        phi = np.stack([init_parameters(spec, seed=k).params for k in range(2)])
+        phi = np.stack([init_parameters(spec, seed=k) for k in range(2)])
         pdir = tmp_path / "posterior"
         save_posterior(FittedPosterior("deep_ensemble", spec, phi, 2, 0.0), pdir)
         np.save(pdir / "params.npy", phi[:, :-1])  # one column short of the spec's 14
@@ -823,6 +837,27 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed" and "epochs must be >= 0" in manifest["error"]
         assert "traceback" not in manifest
+
+    @pytest.mark.parametrize(
+        "command, extra, error",
+        [
+            ("synthetic", {"sine_n_test": "0"}, "sine_n_test must be >= 1, got 0"),
+            ("scaling", {"series_n": "400", "ratios": "1.0, 0.0001"},
+             "ratio 0.0001 selects no rows from 338"),
+        ],
+        ids=["empty-sine-test-split", "ratio-selecting-no-rows"],
+    )
+    def test_rejection_leaves_only_a_failed_manifest(self, tmp_path, capsys, command, extra, error):
+        # each used to fail only after the first cell had written its CSV or posterior
+        entries = {k: v for k, v in _synthetic_entries(tmp_path).items() if k != "out_dir"}
+        entries.update(extra, save_posteriors="true")
+        cfg_path = self._write_config(tmp_path / "run.cfg", entries)
+        out = tmp_path / "out"
+        assert main([command, "--config", str(cfg_path), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"] == error
 
     def test_config_error_exits_nonzero(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path / "bad.cfg", {"not_a_key": "1"})

@@ -1,11 +1,16 @@
-"""Property tests of the two run-input readers.
+"""Property tests of the run-input readers.
 
 ``_read_numeric_csv`` must give back the column names verbatim and every
 value bit for bit from a file written the way ``write_csv`` writes one
 (floats via repr), for any shape down to one row or one column.
 ``read_config_file`` must give back every ``key = value`` entry, stripped,
-whatever comments and blank lines surround them.
+whatever comments and blank lines surround them.  ``load_scada_csv`` must
+give back every parseable row bit for bit, whatever the column order, extra
+columns and renamed headers, and name each unparseable row by its line.
 """
+
+import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +19,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from winduq.data import SCADA_COLUMNS, load_scada_csv  # noqa: E402
 from winduq.experiments import _read_numeric_csv, read_config_file  # noqa: E402
 
 # examples come from a fixed seed and no example database, so every run
@@ -79,3 +85,65 @@ def test_config_file_round_trips(tmp_path_factory, entries, data):
     path = tmp_path_factory.mktemp("cfg") / "run.cfg"
     path.write_text("\n".join(lines) + "\n")
     assert read_config_file(path) == entries
+
+
+# (text in the file, value it reads as); None marks an unparseable field
+_SCADA_FIELDS = st.one_of(
+    _VALUES.map(lambda v: (repr(float(v)), float(v))),
+    st.sampled_from(["", " ", "\t"]).map(lambda t: (t, math.nan)),
+    st.sampled_from(["bad", "1.2.3", "--1", "5 m/s", "0x1p3"]).map(lambda t: (t, None)),
+)
+_SCADA_TEXT = st.text(alphabet="0129-: Tabc", max_size=12)
+# upper case, so never one of the canonical names
+_SCADA_HEADERS = st.text(alphabet="ABCWSP ()/-", min_size=1, max_size=8)
+
+
+@st.composite
+def _scada_files(draw):
+    """(file text, column_map, expected rows, expected diagnostics)."""
+    n_extra = draw(st.integers(0, 2))
+    names = draw(st.lists(_SCADA_HEADERS, min_size=4 + n_extra, max_size=4 + n_extra, unique=True))
+    header = {
+        c: names[i] if draw(st.booleans()) else c for i, c in enumerate(SCADA_COLUMNS)
+    }
+    columns = draw(st.permutations(list(header.values()) + names[4:]))
+    rows, kept, diagnostics = [], [], []
+    for line in range(2, 2 + draw(st.integers(1, 8))):
+        fields = {header["timestamp"]: (draw(_SCADA_TEXT), None)}
+        for c in SCADA_COLUMNS[1:]:
+            fields[header[c]] = draw(_SCADA_FIELDS)
+        for extra in names[4:]:
+            fields[extra] = (draw(_SCADA_TEXT), None)
+        rows.append(",".join(fields[c][0] for c in columns))
+        values = [fields[header[c]][1] for c in SCADA_COLUMNS[1:]]
+        if None in values:
+            diagnostics.append(f"line {line}: unparseable numeric field")
+        else:
+            kept.append((fields[header["timestamp"]][0], *values))
+    text = "\n".join([",".join(columns), *rows]) + "\n"
+    column_map = {c: h for c, h in header.items() if h != c}
+    return text, column_map, kept, diagnostics
+
+
+@_SETTINGS
+@given(_scada_files())
+@example(("timestamp,wind_speed,wind_direction,active_power\nt,5.1,,-0.0\n", {},
+          [("t", 5.1, math.nan, -0.0)], []))
+@example(("WS,timestamp,wind_direction,active_power,X\n1.0,a,2,3,z\nbad,b,2,3,z\n",
+          {"wind_speed": "WS"}, [("a", 1.0, 2.0, 3.0)], ["line 3: unparseable numeric field"]))
+def test_scada_csv_round_trips_and_names_bad_lines(tmp_path_factory, case):
+    text, column_map, kept, diagnostics = case
+    path = tmp_path_factory.mktemp("scada") / "scada.csv"
+    path.write_text(text)
+    total = len(text.splitlines()) - 1
+    if 2 * len(diagnostics) > total:
+        message = f"{len(diagnostics)} of {total} rows invalid; first: {diagnostics[0]}"
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            load_scada_csv(path, column_map)
+        return
+    table, got = load_scada_csv(path, column_map)
+    assert got == diagnostics
+    assert list(table.timestamp) == [row[0] for row in kept]
+    for i, name in enumerate(SCADA_COLUMNS[1:], start=1):
+        expected = np.array([row[i] for row in kept], dtype=np.float64)
+        assert getattr(table, name).tobytes() == expected.tobytes(), name

@@ -7,13 +7,14 @@ inputs go through the batch API as one-row matrices.
 """
 
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from winduq.network import (
     ArchitectureSpec,
-    TwoHeadNetwork,
     _backward_cached,
     _forward_cached,
     backward_batch,
@@ -22,6 +23,7 @@ from winduq.network import (
     parameter_layout,
     weight_position_mask,
 )
+from winduq.losses import TrainingConfig, train
 from winduq.posterior import _dropconnect_draw, sample_weight_mask
 from winduq.seeding import spawn_rng
 
@@ -38,16 +40,16 @@ def fd_gradient(fun, theta, h=1e-5):
     return grad
 
 
-def predict_one(net, x):
+def predict_one(spec, params, x):
     """(mean, variance) of one input vector through the batch API."""
-    mu, sigma2 = forward_batch(net, np.asarray(x, dtype=np.float64)[None, :])
+    mu, sigma2 = forward_batch(spec, params, np.asarray(x, dtype=np.float64)[None, :])
     return float(mu[0]), float(sigma2[0])
 
 
-def backward_one(net, x, upstream):
+def backward_one(spec, params, x, upstream):
     """Flat gradient for one input vector through the batch API."""
     x = np.asarray(x, dtype=np.float64)[None, :]
-    return backward_batch(net, x, np.array([upstream[0]]), np.array([upstream[1]]))
+    return backward_batch(spec, params, x, np.array([upstream[0]]), np.array([upstream[1]]))
 
 
 class TestArchitectureSpec:
@@ -101,8 +103,7 @@ class TestForward:
         # one input, one hidden relu unit, hand-set weights
         spec = ArchitectureSpec(1, (1,), "relu", variance_floor=1e-6)
         params = np.array([0.5, 0.1, 2.0, 0.3, -1.0, 0.2])
-        net = TwoHeadNetwork(spec, params)
-        mean, variance = predict_one(net, [2.0])
+        mean, variance = predict_one(spec, params, [2.0])
         h = max(0.5 * 2.0 + 0.1, 0.0)
         assert mean == pytest.approx(2.0 * h + 0.3, abs=1e-15)
         expected_var = math.log1p(math.exp(-1.0 * h + 0.2)) + 1e-6
@@ -110,28 +111,27 @@ class TestForward:
 
     def test_zero_parameters_give_softplus_zero_variance(self):
         spec = ArchitectureSpec(2, (8, 8), variance_floor=1e-6)
-        net = TwoHeadNetwork(spec, np.zeros(spec.n_parameters))
-        mean, variance = predict_one(net, [0.7, -0.3])
+        mean, variance = predict_one(spec, np.zeros(spec.n_parameters), [0.7, -0.3])
         assert mean == 0.0
         assert variance == pytest.approx(math.log(2.0) + 1e-6, rel=1e-14)
 
     def test_variance_always_at_least_floor(self):
         rng = np.random.default_rng(5)
         spec = ArchitectureSpec(3, (16, 16), variance_floor=1e-6)
-        net = init_parameters(spec, seed=11)
+        params = init_parameters(spec, seed=11)
         X = rng.normal(0.0, 50.0, size=(200, 3))
-        _, sigma2 = forward_batch(net, X)
+        _, sigma2 = forward_batch(spec, params, X)
         assert np.all(sigma2 >= 1e-6)
         assert np.all(np.isfinite(sigma2))
 
     def test_batch_matches_single_rows(self):
         rng = np.random.default_rng(6)
         spec = ArchitectureSpec(4, (6, 5), "sigmoid")
-        net = init_parameters(spec, seed=3)
+        params = init_parameters(spec, seed=3)
         X = rng.normal(size=(10, 4))
-        mu, sigma2 = forward_batch(net, X)
+        mu, sigma2 = forward_batch(spec, params, X)
         for i in range(10):
-            mean, variance = predict_one(net, X[i])
+            mean, variance = predict_one(spec, params, X[i])
             # matmul accumulation order differs between shapes, so agreement
             # is only up to floating-point associativity
             assert mean == pytest.approx(mu[i], rel=1e-13, abs=1e-15)
@@ -139,20 +139,20 @@ class TestForward:
 
     def test_forward_is_pure(self):
         spec = ArchitectureSpec(2, (5,))
-        net = init_parameters(spec, seed=0)
-        before = net.params.copy()
-        forward_batch(net, np.array([[1.0, 2.0]]))
-        assert np.array_equal(net.params, before)
+        params = init_parameters(spec, seed=0)
+        before = params.copy()
+        forward_batch(spec, params, np.array([[1.0, 2.0]]))
+        assert np.array_equal(params, before)
 
     def test_input_validation(self):
         spec = ArchitectureSpec(2, (4,))
-        net = init_parameters(spec, seed=0)
+        params = init_parameters(spec, seed=0)
         with pytest.raises(ValueError):
-            forward_batch(net, np.array([[1.0]]))
+            forward_batch(spec, params, np.array([[1.0]]))
         with pytest.raises(ValueError):
-            forward_batch(net, np.array([[1.0, np.nan]]))
+            forward_batch(spec, params, np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError):
-            forward_batch(net, np.array([1.0, 2.0]))
+            forward_batch(spec, params, np.array([1.0, 2.0]))
 
 
 class TestInit:
@@ -161,22 +161,23 @@ class TestInit:
         a = init_parameters(spec, seed=42)
         b = init_parameters(spec, seed=42)
         c = init_parameters(spec, seed=43)
-        assert np.array_equal(a.params, b.params)
-        assert not np.array_equal(a.params, c.params)
+        assert a.shape == (spec.n_parameters,) and a.dtype == np.float64
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_biases_start_at_zero_weights_within_bound(self):
         spec = ArchitectureSpec(3, (16,))
-        net = init_parameters(spec, seed=9)
+        params = init_parameters(spec, seed=9)
         wpos = weight_position_mask(spec)
-        assert np.all(net.params[~wpos] == 0.0)
+        assert np.all(params[~wpos] == 0.0)
         bound = math.sqrt(6.0 / 3.0)  # widest bound is the first layer's
-        assert np.all(np.abs(net.params[wpos]) <= bound)
+        assert np.all(np.abs(params[wpos]) <= bound)
 
     def test_negative_seed_accepted(self):
         spec = ArchitectureSpec(1, (4,))
         a = init_parameters(spec, seed=-17)
         b = init_parameters(spec, seed=-17)
-        assert np.array_equal(a.params, b.params)
+        assert np.array_equal(a, b)
 
 
 class TestBackward:
@@ -189,41 +190,39 @@ class TestBackward:
                 tuple(int(w) for w in rng.integers(3, 8, size=int(rng.integers(1, 3)))),
                 activation,
             )
-            net = init_parameters(spec, seed=int(rng.integers(10_000)))
+            params = init_parameters(spec, seed=int(rng.integers(10_000)))
             x = rng.normal(size=spec.input_dim)
             c1, c2 = rng.normal(size=2)
 
             def value(theta, spec=spec, x=x, c1=c1, c2=c2):
-                mean, variance = predict_one(TwoHeadNetwork(spec, theta), x)
+                mean, variance = predict_one(spec, theta, x)
                 return c1 * mean + c2 * variance
 
-            analytic = backward_one(net, x, (c1, c2))
-            numeric = fd_gradient(value, net.params.copy())
+            analytic = backward_one(spec, params, x, (c1, c2))
+            numeric = fd_gradient(value, params.copy())
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
     def test_mean_bias_gradient_is_upstream_exactly(self):
         spec = ArchitectureSpec(2, (6, 4))
-        net = init_parameters(spec, seed=7)
-        grad = backward_one(net, [0.4, -1.2], (0.3, 0.7))
+        grad = backward_one(spec, init_parameters(spec, seed=7), [0.4, -1.2], (0.3, 0.7))
         (mean_bias,) = [s for s in parameter_layout(spec) if s.name == "mean.b"]
         assert grad[mean_bias.start] == 0.3
 
     def test_batch_gradient_is_sum_of_rows(self):
         rng = np.random.default_rng(88)
         spec = ArchitectureSpec(3, (5,), "sigmoid")
-        net = init_parameters(spec, seed=21)
+        params = init_parameters(spec, seed=21)
         X = rng.normal(size=(6, 3))
         dm = rng.normal(size=6)
         dv = rng.normal(size=6)
-        whole = backward_batch(net, X, dm, dv)
-        parts = sum(backward_one(net, X[i], (dm[i], dv[i])) for i in range(6))
+        whole = backward_batch(spec, params, X, dm, dv)
+        parts = sum(backward_one(spec, params, X[i], (dm[i], dv[i])) for i in range(6))
         np.testing.assert_allclose(whole, parts, rtol=1e-12, atol=1e-15)
 
     def test_non_finite_upstream_rejected(self):
         spec = ArchitectureSpec(1, (4,))
-        net = init_parameters(spec, seed=1)
         with pytest.raises(ValueError):
-            backward_one(net, [1.0], (np.nan, 0.0))
+            backward_one(spec, init_parameters(spec, seed=1), [1.0], (np.nan, 0.0))
 
 
 class TestStackedBlock:
@@ -232,7 +231,7 @@ class TestStackedBlock:
     def _block(self, activation, k=3, batch=7):
         rng = np.random.default_rng(61)
         spec = ArchitectureSpec(2, (5, 4), activation)
-        params = np.stack([init_parameters(spec, seed=s).params for s in range(10, 10 + k)])
+        params = np.stack([init_parameters(spec, seed=s) for s in range(10, 10 + k)])
         # nonzero biases keep relu pre-activations off the kink at exactly 0,
         # where finite differences straddle the subgradient
         params += rng.normal(0.05, 0.1, size=params.shape)
@@ -246,10 +245,9 @@ class TestStackedBlock:
         grads = _backward_cached(spec, act, dm, dv)
         assert grads.shape == params.shape
         for k in range(len(params)):
-            net = TwoHeadNetwork(spec, params[k])
-            mu, sigma2 = forward_batch(net, X[k])
+            mu, sigma2 = forward_batch(spec, params[k], X[k])
             assert np.array_equal(act.mu[k], mu) and np.array_equal(act.sigma2[k], sigma2)
-            assert np.array_equal(grads[k], backward_batch(net, X[k], dm[k], dv[k]))
+            assert np.array_equal(grads[k], backward_batch(spec, params[k], X[k], dm[k], dv[k]))
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
     def test_block_gradient_matches_finite_differences(self, activation):
@@ -273,29 +271,26 @@ class TestWeightMask:
 
     def test_masking_mean_head_pins_mean_to_bias(self):
         spec = ArchitectureSpec(2, (6,))
-        net = init_parameters(spec, seed=2)
+        params = init_parameters(spec, seed=2)
         slots = {s.name: s for s in parameter_layout(spec)}
-        net.params[slots["mean.b"].start] = 1.5  # make the pinned value nonzero
+        params[slots["mean.b"].start] = 1.5  # make the pinned value nonzero
         mask = np.ones(spec.n_parameters)
         mask[slots["mean.W"].start : slots["mean.W"].stop] = 0.0
-        masked = TwoHeadNetwork(spec, net.params * mask)
-        mu, _ = forward_batch(masked, np.array([[0.3, 0.4], [5.0, -2.0]]))
-        bias = net.params[slots["mean.b"].start]
-        assert np.all(mu == bias)
+        mu, _ = forward_batch(spec, params * mask, np.array([[0.3, 0.4], [5.0, -2.0]]))
+        assert np.all(mu == 1.5)
 
     def test_masked_positions_get_zero_gradient(self):
         rng = np.random.default_rng(3)
         spec = ArchitectureSpec(2, (6, 5))
-        net = init_parameters(spec, seed=14)
+        params = init_parameters(spec, seed=14)
         draw = _dropconnect_draw(spec, 0.3, seed=14)
-        theta, pullback, prior = draw(net.params, 2, 1)
+        theta, pullback, prior = draw(params, 2, 1)
         mask = sample_weight_mask(spec, 0.3, spawn_rng(14, 102, 2, 1))
-        assert np.array_equal(theta, net.params * mask) and prior == 0.0
+        assert np.array_equal(theta, params * mask) and prior == 0.0
         dropped = np.flatnonzero(mask == 0.0)
         assert dropped.size > 0
         g = backward_batch(
-            TwoHeadNetwork(spec, theta), rng.normal(size=(4, 2)), rng.normal(size=4),
-            rng.normal(size=4),
+            spec, theta, rng.normal(size=(4, 2)), rng.normal(size=4), rng.normal(size=4)
         )
         assert np.all(pullback(g)[dropped] == 0.0)
 
@@ -304,29 +299,49 @@ class TestWeightMask:
         # at the batch's fixed mask
         rng = np.random.default_rng(44)
         spec = ArchitectureSpec(2, (5, 4))
-        net = init_parameters(spec, seed=31)
+        params = init_parameters(spec, seed=31)
         # keep pre-activations away from the relu kink: masking every input
         # of a unit with a zero bias would park it exactly at z = 0, where
         # finite differences straddle the subgradient
-        phi = net.params + rng.normal(0.05, 0.1, size=spec.n_parameters)
+        phi = params + rng.normal(0.05, 0.1, size=spec.n_parameters)
         draw = _dropconnect_draw(spec, 0.3, seed=5)
         X = rng.normal(size=(3, 2))
         c1, c2 = rng.normal(size=3), rng.normal(size=3)
 
         def objective(phi_):
             theta, _, prior = draw(phi_, 0, 0)
-            mu, sigma2 = forward_batch(TwoHeadNetwork(spec, theta), X)
+            mu, sigma2 = forward_batch(spec, theta, X)
             return float(c1 @ mu + c2 @ sigma2) + prior
 
         theta, pullback, _ = draw(phi, 0, 0)
         assert np.any(theta != phi)
-        analytic = pullback(backward_batch(TwoHeadNetwork(spec, theta), X, c1, c2))
+        analytic = pullback(backward_batch(spec, theta, X, c1, c2))
         numeric = fd_gradient(objective, phi.copy())
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 
 
 class TestCheckpoints:
     def test_wrong_parameter_length_rejected(self):
+        # each public single-network function checks its vector
         spec = ArchitectureSpec(1, (2,))
-        with pytest.raises(ValueError):
-            TwoHeadNetwork(spec, np.zeros(spec.n_parameters + 1))
+        assert spec.n_parameters == 10
+        X, d = np.zeros((3, 1)), np.zeros(3)
+        data = SimpleNamespace(inputs=X, targets=d)
+        calls = (
+            lambda p: forward_batch(spec, p, X),
+            lambda p: backward_batch(spec, p, X, d, d),
+            lambda p: train(spec, p, data, TrainingConfig(epochs=1)),
+        )
+        for shape in [(9,), (11,), (1, 10), ()]:
+            message = f"parameter vector has shape {re.escape(str(shape))}, expected \\(10,\\)"
+            for call in calls:
+                with pytest.raises(ValueError, match=message):
+                    call(np.zeros(shape))
+
+    def test_integer_vector_is_read_as_float64(self):
+        spec = ArchitectureSpec(1, (2,))
+        X = np.array([[0.5], [-1.0]])
+        mu, sigma2 = forward_batch(spec, np.arange(10), X)
+        ref_mu, ref_sigma2 = forward_batch(spec, np.arange(10.0), X)
+        assert mu.dtype == np.float64
+        assert np.array_equal(mu, ref_mu) and np.array_equal(sigma2, ref_sigma2)

@@ -20,7 +20,6 @@ from winduq.data import make_sine_dataset
 from winduq.losses import TrainingConfig, TrainingDivergedError, beta_nll_terms, train
 from winduq.network import (
     ArchitectureSpec,
-    TwoHeadNetwork,
     backward_batch,
     forward_batch,
     init_parameters,
@@ -170,9 +169,9 @@ class TestEnsembleFit:
         fp, traces = fit(PosteriorSampler("deep_ensemble", 3, ensemble_size=3), spec, data, cfg)
         for k in range(3):
             member_seed = derive_seed(cfg.seed, 201, k)
-            net0 = init_parameters(spec, derive_seed(member_seed, 1))
-            alone, trace = train(net0, data, replace(cfg, seed=derive_seed(member_seed, 2)))
-            assert np.array_equal(fp.phi[k], alone.params)
+            start = init_parameters(spec, derive_seed(member_seed, 1))
+            alone, trace = train(spec, start, data, replace(cfg, seed=derive_seed(member_seed, 2)))
+            assert np.array_equal(fp.phi[k], alone)
             for column in ("epoch", "mean_loss", "kl", "mse", "learning_rate"):
                 assert np.array_equal(getattr(traces[k], column), getattr(trace, column))
 
@@ -195,9 +194,8 @@ class TestDropConnectFit:
         cfg = TrainingConfig(epochs=3, batch_size=16, seed=11)
         sampler = PosteriorSampler("mc_dropconnect", sample_count=8, drop_rate=0.0)
         fp, _ = fit(sampler, spec, data, cfg)
-        net0 = init_parameters(spec, derive_seed(cfg.seed, 202))
-        plain, _ = train(net0, data, cfg)
-        assert fp.phi[0].tobytes() == plain.params.tobytes()
+        plain, _ = train(spec, init_parameters(spec, derive_seed(cfg.seed, 202)), data, cfg)
+        assert fp.phi[0].tobytes() == plain.tobytes()
 
     def test_fit_is_deterministic(self):
         data = _tiny_sine()
@@ -213,25 +211,24 @@ class TestDropConnectFit:
         from winduq.network import weight_position_mask
 
         spec = ArchitectureSpec(2, (8,))
-        net = init_parameters(spec, seed=1)
-        net.params[:] = np.arange(1, spec.n_parameters + 1, dtype=np.float64)
-        fp = FittedPosterior("mc_dropconnect", spec, net.params[None], 6, drop_rate=0.4)
+        params = np.arange(1, spec.n_parameters + 1, dtype=np.float64)
+        fp = FittedPosterior("mc_dropconnect", spec, params[None], 6, drop_rate=0.4)
         thetas = draw_parameter_matrix(fp, 200, np.random.default_rng(8))
         wpos = weight_position_mask(spec)
-        assert np.all(thetas[:, ~wpos] == net.params[~wpos])
+        assert np.all(thetas[:, ~wpos] == params[~wpos])
         dropped = thetas[:, wpos] == 0.0
-        kept = thetas[:, wpos] == net.params[wpos]
+        kept = thetas[:, wpos] == params[wpos]
         assert np.all(dropped | kept)
         assert dropped.mean() == pytest.approx(0.4, abs=0.02)
 
     def test_parameter_draws_match_sequential_masks(self):
         spec = ArchitectureSpec(2, (5, 3))
-        net = init_parameters(spec, seed=4)
-        fp = FittedPosterior("mc_dropconnect", spec, net.params[None], 9, drop_rate=0.3)
+        params = init_parameters(spec, seed=4)
+        fp = FittedPosterior("mc_dropconnect", spec, params[None], 9, drop_rate=0.3)
         thetas = draw_parameter_matrix(fp, 9, np.random.default_rng(21))
         rng = np.random.default_rng(21)
         masks = np.stack([sample_weight_mask(spec, 0.3, rng) for _ in range(9)])
-        assert np.array_equal(thetas, net.params[None, :] * masks)
+        assert np.array_equal(thetas, params[None, :] * masks)
 
 
 class TestVariationalFit:
@@ -270,8 +267,7 @@ class TestVariationalFit:
         cfg = TrainingConfig(epochs=0, batch_size=16, seed=2, kl_weight=1.0)
         fp, _ = fit(sampler, spec, data, cfg)
         assert_allclose(softplus(fp.phi[1]), 0.02, rtol=1e-12)
-        start = init_parameters(spec, derive_seed(cfg.seed, 202))
-        assert np.array_equal(fp.phi[0], start.params)
+        assert np.array_equal(fp.phi[0], init_parameters(spec, derive_seed(cfg.seed, 202)))
 
     def test_kl_weight_is_required(self):
         data = _tiny_sine(n=16)
@@ -296,11 +292,11 @@ class TestVariationalFit:
         cfg = TrainingConfig(beta=0.5, epochs=1, batch_size=32, seed=8, kl_weight=0.25)
         _, [trace] = fit(sampler, spec, data, cfg)
         p = spec.n_parameters
-        mean = init_parameters(spec, derive_seed(cfg.seed, 202)).params
+        mean = init_parameters(spec, derive_seed(cfg.seed, 202))
         rho = np.full(p, softplus_inverse(0.1))
         eps = spawn_rng(cfg.seed, 103, 0, 0).standard_normal(p)
         theta = mean + softplus(rho) * eps
-        mu, sigma2 = forward_batch(TwoHeadNetwork(spec, theta), data.inputs)
+        mu, sigma2 = forward_batch(spec, theta, data.inputs)
         values, _ = beta_nll_terms(mu, sigma2, data.targets, cfg.beta)
         assert trace.mean_loss[0] == pytest.approx(values.sum() / 20, rel=1e-12)
         assert trace.kl[0] == pytest.approx(0.25 * kl_to_unit_gaussian(mean, rho) / 20, rel=1e-12)
@@ -321,12 +317,12 @@ class TestVariationalFit:
 
         def objective(phi_):
             theta, _, prior = draw(phi_, 1, 2)
-            mu, sigma2 = forward_batch(TwoHeadNetwork(spec, theta), X)
+            mu, sigma2 = forward_batch(spec, theta, X)
             return float(c1 @ mu + c2 @ sigma2) + prior
 
         theta, pullback, prior = draw(phi, 1, 2)
         assert prior == pytest.approx(0.3 * kl_to_unit_gaussian(phi[:p], phi[p:]), rel=1e-15)
-        analytic = pullback(backward_batch(TwoHeadNetwork(spec, theta), X, c1, c2))
+        analytic = pullback(backward_batch(spec, theta, X, c1, c2))
         h = 1e-6
         numeric = np.zeros_like(phi)
         for i in range(phi.size):
@@ -340,9 +336,7 @@ class TestVariationalFit:
         data = _tiny_sine()
         spec = ArchitectureSpec(1, (8,))
         sampler = PosteriorSampler("bayes_by_backprop", sample_count=5)
-        cfg = TrainingConfig(
-            epochs=3, optimizer="sgd", lr_schedule=(1e200, 10, 1.0), seed=0, kl_weight=0.1
-        )
+        cfg = TrainingConfig(epochs=3, lr_schedule=(1e200, 10, 1.0), seed=0, kl_weight=0.1)
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergedError, match=r"epoch \d+, batch \d+"):
                 fit(sampler, spec, data, cfg)
@@ -373,7 +367,7 @@ class TestDraws:
         mu, sigma2 = draw_prediction_arrays(fp, x, seed=9)
         thetas = draw_parameter_matrix(fp, fp.sample_count, spawn_rng(9, 301))
         for s in range(fp.sample_count):
-            ref_mu, ref_sigma2 = forward_batch(TwoHeadNetwork(fp.spec, thetas[s]), x[None, :])
+            ref_mu, ref_sigma2 = forward_batch(fp.spec, thetas[s], x[None, :])
             assert mu[s] == ref_mu[0] and sigma2[s] == ref_sigma2[0]
 
     def test_same_seed_same_draws(self):
@@ -461,12 +455,12 @@ class TestPersistence:
         return ArchitectureSpec(2, (5, 3), variance_floor=1e-5)
 
     def _dropconnect(self, spec, seed=1, sample_count=9, drop_rate=0.1):
-        phi = init_parameters(spec, seed=seed).params[None]
+        phi = init_parameters(spec, seed=seed)[None]
         return FittedPosterior("mc_dropconnect", spec, phi, sample_count, drop_rate)
 
     def test_ensemble_round_trip(self, tmp_path):
         spec = self._specs()
-        phi = np.stack([init_parameters(spec, seed=k).params for k in range(3)])
+        phi = np.stack([init_parameters(spec, seed=k) for k in range(3)])
         fp = FittedPosterior("deep_ensemble", spec, phi, 3, 0.0)
         save_posterior(fp, tmp_path / "ens")
         assert sorted(p.name for p in (tmp_path / "ens").iterdir()) == [

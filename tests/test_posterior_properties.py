@@ -58,7 +58,7 @@ def _exact_entries():
     """One DropConnect posterior of a sigmoid network whose first three
     parameters are 1/3, 1e-300 and -0.0."""
     spec = ArchitectureSpec(2, (9, 3), "sigmoid", variance_floor=1e-5)
-    params = init_parameters(spec, seed=77).params
+    params = init_parameters(spec, seed=77)
     params[:3] = [1.0 / 3.0, 1e-300, -0.0]
     return FittedPosterior("mc_dropconnect", spec, params[None], 5, 1.0 / 3.0)
 

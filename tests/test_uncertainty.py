@@ -121,11 +121,11 @@ class TestDecomposeBatch:
     SPEC = ArchitectureSpec(2, (6,))
 
     def _dropconnect(self, rate=0.3):
-        phi = init_parameters(self.SPEC, seed=3).params[None]
+        phi = init_parameters(self.SPEC, seed=3)[None]
         return FittedPosterior("mc_dropconnect", self.SPEC, phi, 20, rate)
 
     def _ensemble(self):
-        phi = np.stack([init_parameters(self.SPEC, seed=k).params for k in range(4)])
+        phi = np.stack([init_parameters(self.SPEC, seed=k) for k in range(4)])
         return FittedPosterior("deep_ensemble", self.SPEC, phi, 4, 0.0)
 
     def test_rows_match_single_input_draws(self):
@@ -178,7 +178,7 @@ class TestDecomposeBatch:
     def test_variational_zero_std_has_exactly_zero_epistemic(self):
         # softplus(-1000) underflows to exactly 0, collapsing every draw onto the mean
         rho = np.full(self.SPEC.n_parameters, -1000.0)
-        mean = init_parameters(self.SPEC, seed=2).params
+        mean = init_parameters(self.SPEC, seed=2)
         fp = FittedPosterior("bayes_by_backprop", self.SPEC, np.stack([mean, rho]), 12, 0.0)
         X = np.random.default_rng(0).normal(size=(4, 2))
         batch = decompose_batch(fp, X, seed=1)
