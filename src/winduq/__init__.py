@@ -9,7 +9,6 @@ variance.
 
 from .data import (
     ColumnStats,
-    FeatureScaling,
     PowerCurveSpec,
     RegressionDataset,
     ScadaTable,
@@ -58,7 +57,6 @@ __all__ = [
     "ArchitectureSpec",
     "BatchDecomposition",
     "ColumnStats",
-    "FeatureScaling",
     "FittedPosterior",
     "PosteriorSampler",
     "PowerCurveSpec",

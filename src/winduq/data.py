@@ -3,6 +3,8 @@
 The SCADA path mirrors a fixed pipeline: load a raw table, repair negative
 power readings, drop rows with missing values, min-max normalize every
 variable to [0, 1], then slice lagged windows and split chronologically.
+The per-column min/max of that normalization (``ColumnStats``) is recorded
+once and travels with every windowed split.
 A bundled power-curve surrogate generator produces tables with the same
 qualitative shape (long-tailed speeds, saturating curve, heteroscedastic
 scatter, off-curve outliers) for self-contained runs.
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,36 +25,25 @@ SCADA_COLUMNS = ("timestamp", "wind_speed", "wind_direction", "active_power")
 
 
 @dataclass(frozen=True)
-class FeatureScaling:
-    """Min-max statistics used to map features and target into [0, 1]."""
+class ColumnStats:
+    """Per-column min/max recorded by preprocessing, in physical units."""
 
-    feature_min: np.ndarray
-    feature_max: np.ndarray
-    target_min: float
-    target_max: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "feature_min", np.asarray(self.feature_min, dtype=np.float64))
-        object.__setattr__(self, "feature_max", np.asarray(self.feature_max, dtype=np.float64))
-
-    def denormalize_feature(self, column: np.ndarray, index: int) -> np.ndarray:
-        lo, hi = self.feature_min[index], self.feature_max[index]
-        return lo + np.asarray(column) * (hi - lo)
-
-    def denormalize_targets(self, y: np.ndarray) -> np.ndarray:
-        return self.target_min + np.asarray(y) * (self.target_max - self.target_min)
+    minima: dict[str, float]
+    maxima: dict[str, float]
 
 
 @dataclass
 class RegressionDataset:
-    """Inputs, targets, optional scaling record, split tag, provenance note."""
+    """Inputs, targets, split tag, provenance note, and the ``ColumnStats`` the
+    inputs were min-max normalized with (None for raw units); inputs that
+    carry such a record must lie in [0, 1]."""
 
     inputs: np.ndarray
     targets: np.ndarray
     feature_names: tuple[str, ...]
     tag: str = ""
     provenance: str = ""
-    scaling: FeatureScaling | None = None
+    scaling: ColumnStats | None = None
 
     def __post_init__(self) -> None:
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -161,9 +152,10 @@ def load_scada_csv(
 
     ``column_map`` maps the canonical names (timestamp, wind_speed,
     wind_direction, active_power) to the file's header names.  Rows whose
-    numeric fields cannot be parsed are dropped and reported; more than 50%
-    bad rows aborts with an error.  Empty numeric fields become NaN so the
-    preprocessing stage can drop them explicitly.
+    field count differs from the header's, or whose numeric fields cannot be
+    parsed, are dropped and reported by file line; more than 50% bad rows
+    aborts with an error.  Blank lines are skipped.  Empty numeric fields
+    become NaN so the preprocessing stage can drop them explicitly.
     """
     path = Path(path)
     colmap = {name: name for name in SCADA_COLUMNS}
@@ -174,59 +166,42 @@ def load_scada_csv(
         colmap.update(column_map)
 
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError(f"{path}: empty file, expected a CSV header")
-        missing = [colmap[c] for c in SCADA_COLUMNS if colmap[c] not in reader.fieldnames]
+        missing = [colmap[c] for c in SCADA_COLUMNS if colmap[c] not in header]
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")
+        stamp_at, *value_at = (header.index(colmap[c]) for c in SCADA_COLUMNS)
         stamps: list[str] = []
-        speeds: list[float] = []
-        directions: list[float] = []
-        powers: list[float] = []
+        values: list[list[float]] = []
         diagnostics: list[str] = []
-        total = 0
-
-        def parse(raw: str | None) -> float:
-            if raw is None or raw.strip() == "":
-                return math.nan
-            return float(raw)
-
-        for line_no, row in enumerate(reader, start=2):
-            total += 1
-            try:
-                speed = parse(row[colmap["wind_speed"]])
-                direction = parse(row[colmap["wind_direction"]])
-                power = parse(row[colmap["active_power"]])
-            except ValueError:
-                diagnostics.append(f"line {line_no}: unparseable numeric field")
+        for row in reader:
+            if not row:  # blank line
                 continue
-            stamps.append(row[colmap["timestamp"]])
-            speeds.append(speed)
-            directions.append(direction)
-            powers.append(power)
+            if len(row) != len(header):
+                diagnostics.append(
+                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
+                )
+                continue
+            try:
+                values.append([float(row[i]) if row[i].strip() else math.nan for i in value_at])
+            except ValueError:
+                diagnostics.append(f"line {reader.line_num}: unparseable numeric field")
+                continue
+            stamps.append(row[stamp_at])
 
+    total = len(stamps) + len(diagnostics)
     if total == 0:
         raise ValueError(f"{path}: no data rows")
     if len(diagnostics) * 2 > total:
         raise ValueError(
             f"{path}: {len(diagnostics)} of {total} rows invalid; first: {diagnostics[0]}"
         )
-    table = ScadaTable(
-        timestamp=np.array(stamps, dtype=object),
-        wind_speed=np.array(speeds),
-        wind_direction=np.array(directions),
-        active_power=np.array(powers),
-    )
+    speeds, directions, powers = np.array(values, dtype=np.float64).T
+    table = ScadaTable(np.array(stamps, dtype=object), speeds, directions, powers)
     return table, diagnostics
-
-
-@dataclass(frozen=True)
-class ColumnStats:
-    """Per-column min/max recorded by preprocessing, in physical units."""
-
-    minima: dict[str, float]
-    maxima: dict[str, float]
 
 
 def preprocess_power_table(table: ScadaTable) -> tuple[ScadaTable, ColumnStats]:
@@ -289,6 +264,18 @@ def _lagged(col: np.ndarray, lags: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(col, lags)[:-1]
 
 
+def _chronological_split(
+    X: np.ndarray, y: np.ndarray, names: tuple[str, ...], provenance: str,
+    cuts: tuple[int, ...], tags: tuple[str, ...], scaling: ColumnStats | None,
+) -> tuple[RegressionDataset, ...]:
+    """Consecutive windows cut at ``cuts``, one dataset per tag, oldest first."""
+    bounds = (0, *cuts, len(y))
+    return tuple(
+        RegressionDataset(X[lo:hi], y[lo:hi], names, tag, provenance, scaling)
+        for tag, lo, hi in zip(tags, bounds[:-1], bounds[1:])
+    )
+
+
 def window_power_table(
     clean: ScadaTable,
     stats: ColumnStats,
@@ -301,7 +288,8 @@ def window_power_table(
     speed, direction and power, plus the current speed and direction
     (3 * lags + 2 features).  The target is the current power.  The split is
     train/validation/test in time order; train and validation sizes are
-    floored, the remainder is the test set.
+    floored, the remainder is the test set.  Every split carries ``stats``
+    unchanged as its ``scaling`` record.
     """
     n = len(clean)
     if lags < 1:
@@ -329,43 +317,21 @@ def window_power_table(
         + tuple(f"power_lag{k}" for k in range(lags, 0, -1))
         + ("speed_now", "direction_now")
     )
-    per_feature_source = (
-        ["wind_speed"] * lags + ["wind_direction"] * lags + ["active_power"] * lags
-        + ["wind_speed", "wind_direction"]
-    )
-    scaling = FeatureScaling(
-        feature_min=np.array([stats.minima[c] for c in per_feature_source]),
-        feature_max=np.array([stats.maxima[c] for c in per_feature_source]),
-        target_min=stats.minima["active_power"],
-        target_max=stats.maxima["active_power"],
-    )
-
     n_windows = X.shape[0]
     n_train = int(n_windows * split[0])
     n_val = int(n_windows * split[1])
-    bounds = (0, n_train, n_train + n_val, n_windows)
-    tags = ("train", "validation", "test")
-    out = []
-    for tag, lo, hi in zip(tags, bounds[:-1], bounds[1:]):
-        out.append(
-            RegressionDataset(
-                inputs=X[lo:hi],
-                targets=y[lo:hi],
-                feature_names=names,
-                tag=tag,
-                provenance=f"windowed power table, lags={lags}",
-                scaling=scaling,
-            )
-        )
-    return out[0], out[1], out[2]
+    return _chronological_split(
+        X, y, names, f"windowed power table, lags={lags}", (n_train, n_train + n_val),
+        ("train", "validation", "test"), stats,
+    )
 
 
 def current_speed_column(ds: RegressionDataset) -> np.ndarray:
     """Physical-unit current wind speed for each row of a windowed dataset."""
     if ds.scaling is None:
         raise ValueError("dataset carries no scaling record")
-    idx = ds.feature_names.index("speed_now")
-    return ds.scaling.denormalize_feature(ds.inputs[:, idx], idx)
+    lo, hi = ds.scaling.minima["wind_speed"], ds.scaling.maxima["wind_speed"]
+    return lo + ds.inputs[:, ds.feature_names.index("speed_now")] * (hi - lo)
 
 
 def window_univariate_series(
@@ -377,7 +343,8 @@ def window_univariate_series(
 
     The series is min-max normalized (NaN entries dropped first); each row
     t >= lags predicts value t from the previous ``lags`` values.  The test
-    set is the most recent ceil(test_fraction * n_windows) rows.
+    set is the most recent ceil(test_fraction * n_windows) rows.  Neither
+    split carries a scaling record.
     """
     series = np.asarray(series, dtype=np.float64).ravel()
     series = series[np.isfinite(series)]
@@ -400,24 +367,10 @@ def window_univariate_series(
     if n_test >= n_windows:
         raise ValueError("test fraction leaves no training rows")
     names = tuple(f"lag{k}" for k in range(lags, 0, -1))
-    scaling = FeatureScaling(
-        feature_min=np.full(lags, lo),
-        feature_max=np.full(lags, hi),
-        target_min=lo,
-        target_max=hi,
+    return _chronological_split(
+        X, y, names, f"univariate windows, lags={lags}", (n_windows - n_test,),
+        ("train", "test"), None,
     )
-
-    def cut(a_lo: int, a_hi: int, tag: str) -> RegressionDataset:
-        return RegressionDataset(
-            inputs=X[a_lo:a_hi],
-            targets=y[a_lo:a_hi],
-            feature_names=names,
-            tag=tag,
-            provenance=f"univariate windows, lags={lags}",
-            scaling=scaling,
-        )
-
-    return cut(0, n_windows - n_test, "train"), cut(n_windows - n_test, n_windows, "test")
 
 
 def subsample_dataset(ds: RegressionDataset, ratio: float, seed: int) -> RegressionDataset:
@@ -433,13 +386,9 @@ def subsample_dataset(ds: RegressionDataset, ratio: float, seed: int) -> Regress
     if size < 1:
         raise ValueError(f"ratio {ratio} selects no rows from {n}")
     idx = np.sort(spawn_rng(seed).choice(n, size=size, replace=False))
-    return RegressionDataset(
-        inputs=ds.inputs[idx],
-        targets=ds.targets[idx],
-        feature_names=ds.feature_names,
-        tag=ds.tag,
+    return replace(
+        ds, inputs=ds.inputs[idx], targets=ds.targets[idx],
         provenance=f"{ds.provenance} | subsampled ratio={ratio}",
-        scaling=ds.scaling,
     )
 
 

@@ -770,24 +770,33 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
     )
 
 
+def _reads_as_finite(text: str, width: int) -> bool:
+    """Whether ``np.loadtxt`` reads ``text`` as one row of ``width`` finite numbers."""
+    try:  # not float, which also reads "1_0" and non-ASCII digits
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty field reads as no data
+            row = np.loadtxt([text], delimiter=",", ndmin=2, comments=None)
+    except ValueError:
+        return False
+    return row.shape == (1, width) and bool(np.isfinite(row).all())
+
+
 def _first_bad_line(path: Path, header: list[str]) -> str | None:
     """What is wrong with the first malformed data line of a CSV input, by file
-    line and column name, or None if ``float`` reads every field as finite."""
+    line and column name, or None if ``np.loadtxt`` reads every line."""
     width = len(header)
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, quoting=csv.QUOTE_NONE)  # loadtxt keeps quotes too
         next(reader)
         for row in reader:
+            if not row or _reads_as_finite(",".join(row), width):
+                continue
             line = reader.line_num
-            if row and len(row) != width:
+            if len(row) != width:
                 return f"line {line}: the number of columns changed from {width} to {len(row)}"
             for name, raw in zip(header, row):
-                try:  # float reads "1_0", loadtxt does not
-                    if "_" not in raw and math.isfinite(float(raw)):
-                        continue
-                except ValueError:
-                    pass
-                return f"line {line}, column {name!r}: expected a finite number, got {raw!r}"
+                if not _reads_as_finite(raw, 1):
+                    return f"line {line}, column {name!r}: expected a finite number, got {raw!r}"
     return None
 
 

@@ -14,7 +14,6 @@ from numpy.testing import assert_allclose
 
 from winduq.data import (
     ColumnStats,
-    FeatureScaling,
     PowerCurveSpec,
     RegressionDataset,
     ScadaTable,
@@ -172,6 +171,7 @@ class TestWindowing:
         # 1000 windows at fractions 9/11, 1/11 floored; remainder is test
         assert len(train) == 818 and len(val) == 90 and len(test) == 92
         assert len(train) + len(val) + len(test) == 1000
+        assert train.scaling is stats and val.scaling is stats and test.scaling is stats
         assert train.targets[0] == table.active_power[10]
         assert test.targets[-1] == table.active_power[-1]
 
@@ -203,19 +203,13 @@ class TestUnivariateWindows:
         assert train.targets[0] == pytest.approx(norm[24])
         assert_allclose(test.targets, norm[-8:])
         assert train.feature_names[0] == "lag24" and train.feature_names[-1] == "lag1"
+        assert train.scaling is None and test.scaling is None
 
     def test_nan_dropped_before_windowing(self):
         series = np.arange(40.0)
         series[7] = np.nan
         train, test = window_univariate_series(series, lags=4, test_fraction=0.25)
         assert len(train) + len(test) == 39 - 4
-
-    def test_denormalization_round_trip(self):
-        series = np.linspace(50.0, 250.0, 60)
-        train, _ = window_univariate_series(series, lags=5)
-        assert train.scaling is not None
-        back = train.scaling.denormalize_targets(train.targets)
-        assert_allclose(back, series[5 : 5 + len(train)], rtol=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -406,16 +400,6 @@ class TestHourlySeries:
 
 
 class TestScalingRecords:
-    def test_denormalize_round_trips(self):
-        scaling = FeatureScaling(
-            feature_min=np.array([0.0, 10.0]),
-            feature_max=np.array([1.0, 20.0]),
-            target_min=5.0,
-            target_max=9.0,
-        )
-        assert_allclose(scaling.denormalize_feature(np.array([0.0, 0.5, 1.0]), 1), [10.0, 15.0, 20.0])
-        assert scaling.denormalize_targets(np.array([0.25]))[0] == pytest.approx(6.0)
-
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
             RegressionDataset(np.zeros(3), np.zeros(3), ("a",))
@@ -423,6 +407,6 @@ class TestScalingRecords:
             RegressionDataset(np.zeros((3, 1)), np.zeros(2), ("a",))
         with pytest.raises(ValueError):
             RegressionDataset(np.zeros((3, 2)), np.zeros(3), ("a",))
-        scaling = FeatureScaling(np.zeros(1), np.ones(1), 0.0, 1.0)
+        scaling = ColumnStats(minima={"a": 0.0}, maxima={"a": 1.0})
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             RegressionDataset(np.full((2, 1), 1.5), np.zeros(2), ("a",), scaling=scaling)

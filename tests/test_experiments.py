@@ -326,7 +326,13 @@ _BAD_CSVS = {
     ),
     "numeric-header": ("0.5\n0.6\n0.7\n", "column name '0.5' is a number"),
     "header-only": ("a,b\n", "no data rows"),
-    "undecodable": ("\xff\xfe,a\n1,2\n", "can't decode byte 0xff"),
+    "non-ascii-digit": (
+        "a,b\n1,2\n3,\u0661\n", "line 3, column 'b': expected a finite number, got '\u0661'"
+    ),
+    "quoted-field": (
+        'a,b\n1,2\n3,"4"\n', "line 3, column 'b': expected a finite number, got '\"4\"'"
+    ),
+    "undecodable": (b"\xff\xfe,a\n1,2\n", "can't decode byte 0xff"),
 }
 
 
@@ -335,7 +341,7 @@ class TestReadNumericCsv:
     def test_malformed_input_rejected(self, tmp_path, case):
         text, message = _BAD_CSVS[case]
         path = tmp_path / "inputs.csv"
-        path.write_bytes(text.encode("latin-1"))
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(ConfigError, match=re.escape(message)) as exc:
             _read_numeric_csv(path)
         assert str(exc.value).startswith(f"{path}: ") and "\n" not in str(exc.value)
@@ -470,6 +476,26 @@ class TestDataPropertyRunner:
         ]
         speeds = np.array([float(r["wind_speed"]) for r in samples])
         assert speeds.max() > 11.0 or speeds.min() < 2.0  # out-of-band rows exist
+
+    def test_scada_csv_export_runs_like_the_surrogate(self, tmp_path):
+        # repr floats read back bit for bit, so the --dataset path must write
+        # the very bytes the in-memory surrogate run writes
+        table = make_power_curve_table(seed=7, n=600)
+        columns = (table.timestamp, table.wind_speed, table.wind_direction, table.active_power)
+        rows = zip(*(c.tolist() for c in columns))
+        scada = tmp_path / "scada.csv"
+        scada.write_text(
+            "timestamp,wind_speed,wind_direction,active_power\n"
+            + "".join(f"{t},{s!r},{d!r},{p!r}\n" for t, s, d, p in rows)
+        )
+        entries = {"surrogate_seed": "7", "surrogate_n": "600", "hidden_widths": "8, 8",
+                   "epochs": "2"}
+        for name, extra in (("surrogate", {}), ("csv", {"dataset": str(scada)})):
+            out = {"out_dir": str(tmp_path / name)}
+            run_data_property(build_config("data_property", {**entries, **extra, **out}))
+        written = csv_bytes(tmp_path / "surrogate")
+        assert len(written) == 7  # six cells and the summary
+        assert csv_bytes(tmp_path / "csv") == written
 
 
     def test_save_posteriors_are_listed_in_the_manifest(self, tmp_path):

@@ -6,7 +6,8 @@ value bit for bit from a file written the way ``write_csv`` writes one
 ``read_config_file`` must give back every ``key = value`` entry, stripped,
 whatever comments and blank lines surround them.  ``load_scada_csv`` must
 give back every parseable row bit for bit, whatever the column order, extra
-columns and renamed headers, and name each unparseable row by its line.
+columns, renamed headers and blank lines, and name each unparseable or
+ragged row by its file line.
 """
 
 import math
@@ -107,20 +108,28 @@ def _scada_files(draw):
         c: names[i] if draw(st.booleans()) else c for i, c in enumerate(SCADA_COLUMNS)
     }
     columns = draw(st.permutations(list(header.values()) + names[4:]))
-    rows, kept, diagnostics = [], [], []
-    for line in range(2, 2 + draw(st.integers(1, 8))):
+    lines, kept, diagnostics = [], [], []
+    for _ in range(draw(st.integers(1, 8))):
+        lines += [""] * draw(st.integers(0, 1))  # skipped, but still a file line
+        line = 2 + len(lines)
         fields = {header["timestamp"]: (draw(_SCADA_TEXT), None)}
         for c in SCADA_COLUMNS[1:]:
             fields[header[c]] = draw(_SCADA_FIELDS)
         for extra in names[4:]:
             fields[extra] = (draw(_SCADA_TEXT), None)
-        rows.append(",".join(fields[c][0] for c in columns))
+        texts = [fields[c][0] for c in columns]
+        # mostly whole rows; a short row keeps at least one comma, so it is never blank
+        surplus = draw(st.sampled_from([0, 0, 0, 0, -2, -1, 1]))
+        texts = texts[: len(texts) + surplus] + [draw(_SCADA_TEXT) for _ in range(surplus)]
+        lines.append(",".join(texts))
         values = [fields[header[c]][1] for c in SCADA_COLUMNS[1:]]
-        if None in values:
+        if surplus:
+            diagnostics.append(f"line {line}: expected {len(columns)} fields, got {len(texts)}")
+        elif None in values:
             diagnostics.append(f"line {line}: unparseable numeric field")
         else:
             kept.append((fields[header["timestamp"]][0], *values))
-    text = "\n".join([",".join(columns), *rows]) + "\n"
+    text = "\n".join([",".join(columns), *lines]) + "\n"
     column_map = {c: h for c, h in header.items() if h != c}
     return text, column_map, kept, diagnostics
 
@@ -131,11 +140,16 @@ def _scada_files(draw):
           [("t", 5.1, math.nan, -0.0)], []))
 @example(("WS,timestamp,wind_direction,active_power,X\n1.0,a,2,3,z\nbad,b,2,3,z\n",
           {"wind_speed": "WS"}, [("a", 1.0, 2.0, 3.0)], ["line 3: unparseable numeric field"]))
+@example(("timestamp,wind_speed,wind_direction,active_power\nt1,5.1,180,300\n\n"
+          "t2,bad,181,310\nt3,5.3\nt4,5.4,182,320,999\n", {},
+          [("t1", 5.1, 180.0, 300.0)],
+          ["line 4: unparseable numeric field", "line 5: expected 4 fields, got 2",
+           "line 6: expected 4 fields, got 5"]))
 def test_scada_csv_round_trips_and_names_bad_lines(tmp_path_factory, case):
     text, column_map, kept, diagnostics = case
     path = tmp_path_factory.mktemp("scada") / "scada.csv"
     path.write_text(text)
-    total = len(text.splitlines()) - 1
+    total = sum(1 for line in text.splitlines()[1:] if line)  # blank lines skipped
     if 2 * len(diagnostics) > total:
         message = f"{len(diagnostics)} of {total} rows invalid; first: {diagnostics[0]}"
         with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
