@@ -151,11 +151,12 @@ def load_scada_csv(
     """Read a raw SCADA CSV into a table, collecting per-row diagnostics.
 
     ``column_map`` maps the canonical names (timestamp, wind_speed,
-    wind_direction, active_power) to the file's header names.  Rows whose
-    field count differs from the header's, or whose numeric fields cannot be
-    parsed, are dropped and reported by file line; more than 50% bad rows
-    aborts with an error.  Blank lines are skipped.  Empty numeric fields
-    become NaN so the preprocessing stage can drop them explicitly.
+    wind_direction, active_power) to the file's header names; a header naming
+    a column twice is rejected.  Rows whose field count differs from the
+    header's, or whose numeric fields cannot be parsed, are dropped and
+    reported by file line; more than 50% bad rows aborts with an error.  Blank
+    lines are skipped.  Empty numeric fields become NaN so the preprocessing
+    stage can drop them explicitly.
     """
     path = Path(path)
     colmap = {name: name for name in SCADA_COLUMNS}
@@ -170,6 +171,9 @@ def load_scada_csv(
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty file, expected a CSV header")
+        twice = [c for i, c in enumerate(header) if c in header[:i]]
+        if twice:
+            raise ValueError(f"{path}: header names column {twice[0]!r} twice")
         missing = [colmap[c] for c in SCADA_COLUMNS if colmap[c] not in header]
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")

@@ -371,6 +371,8 @@ def _validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("decompose needs a posterior_dir config entry")
     if cfg.experiment == "decompose" and cfg.dataset is None:
         raise ConfigError("decompose needs --dataset pointing at a CSV of input rows")
+    if cfg.experiment == "decompose" and len(cfg.seeds) != 1:
+        raise ConfigError(f"decompose draws with one seed, got seeds {list(cfg.seeds)}")
     # build what every cell builds (input width and training-set size aside,
     # which the data sets), so a bad value fails before the first cell's files
     try:
@@ -403,12 +405,15 @@ def format_cell(value) -> str:
     return str(value)
 
 
-def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
+    """Write rows, a list or a 2-D float array, each cell as ``format_cell`` would: an
+    array's rows come from one ``tolist()``, whose Python floats ``repr`` writes."""
+    rows, cell = (rows.tolist(), repr) if isinstance(rows, np.ndarray) else (rows, format_cell)
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"row width {len(row)} != header width {len(header)}")
-        lines.append(",".join(format_cell(v) for v in row))
+        lines.append(",".join(map(cell, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -609,7 +614,8 @@ def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
         write_csv(
             cfg.out_dir / name,
             ["x", "mean", "aleatoric", "epistemic", "total"],
-            list(zip(grid, dec_grid.mean, dec_grid.aleatoric, dec_grid.epistemic, dec_grid.total)),
+            np.column_stack([grid, dec_grid.mean, dec_grid.aleatoric, dec_grid.epistemic,
+                             dec_grid.total]),
         )
         mean_eu_id = float(dec_grid.epistemic[in_domain].mean())
         mean_eu_ood = float(dec_grid.epistemic[beyond].mean())
@@ -679,8 +685,8 @@ def run_data_property(cfg: ExperimentConfig) -> dict:
             cfg.out_dir / name,
             ["wind_speed", "power", "mean", "aleatoric", "epistemic", "total",
              "density_rank"],
-            list(zip(speed_phys, test.targets, dec.mean, dec.aleatoric, dec.epistemic,
-                     dec.total, density_rank)),
+            np.column_stack([speed_phys, test.targets, dec.mean, dec.aleatoric, dec.epistemic,
+                             dec.total, density_rank]),
         )
         return {
             "mse_test": mse(dec.mean, test.targets),
@@ -857,10 +863,7 @@ def run_decompose(cfg: ExperimentConfig) -> dict:
     write_csv(
         cfg.out_dir / name,
         names + ["mean", "aleatoric", "epistemic", "total"],
-        [
-            list(X[i]) + [dec.mean[i], dec.aleatoric[i], dec.epistemic[i], dec.total[i]]
-            for i in range(X.shape[0])
-        ],
+        np.column_stack([X, dec.mean, dec.aleatoric, dec.epistemic, dec.total]),
     )
     return _write_run_manifest(
         cfg, "ok", [name], [], time.monotonic() - t0,

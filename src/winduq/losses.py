@@ -7,13 +7,13 @@ differentiation (a stop-gradient).  ``beta = 0`` recovers the plain NLL;
 ``beta = 1`` makes the mean gradient independent of the predicted variance,
 matching a squared-error fit of the mean.
 
-Every sampler trains through the one mini-batch loop here.  The loop trains
-a (K, P) block of parameter vectors, one row per network, each with its own
-shuffle stream, and takes one Adam step over the whole block per batch;
-Adam is the only optimizer.  A deep ensemble's K members train together as
-one block; ``train``, which takes and returns a bare (P,) vector, and the
-DropConnect and Bayes-by-backprop samplers are the K = 1 case, and
-:mod:`winduq.posterior` supplies their parameter draws.
+Every sampler trains through the one mini-batch loop here: a (K, P) block
+of parameter vectors, one row per network, each with its own shuffle
+stream.  Per batch one residual feeds the weighted NLL, its gradients and
+the squared error, and one in-place Adam step, the only optimizer, updates
+the block.  A deep ensemble's K members train as one block; ``train`` (a
+bare (P,) vector in and out) and the DropConnect and Bayes-by-backprop
+samplers are the K = 1 case, with draws from :mod:`winduq.posterior`.
 """
 
 from __future__ import annotations
@@ -40,19 +40,23 @@ class TrainingDivergedError(RuntimeError):
     """Raised when a non-finite prediction, loss or gradient appears during training."""
 
 
-def _validate_terms(sigma2: np.ndarray) -> None:
-    # written so that NaN variances fail too
-    if not np.all(sigma2 > 0.0):
+def _beta_nll(mu, sigma2, y, beta: float) -> tuple[np.ndarray, ...]:
+    """(values, weights, d/d mean, d/d variance, squared residuals) of the
+    weighted NLL, with the variances validated once and one residual feeding all."""
+    mu, sigma2, y = (np.asarray(a, dtype=np.float64) for a in (mu, sigma2, y))
+    if not np.all(sigma2 > 0.0):  # written so that NaN variances fail too
         raise ValueError("predicted variance must be strictly positive")
+    r = mu - y
+    r2 = r**2  # (y - mu)**2 bit for bit
+    weight = sigma2**beta
+    values = weight * (0.5 * np.log(sigma2) + r2 / (2.0 * sigma2))
+    d_variance = (sigma2 - r2) / (2.0 * sigma2 ** (2.0 - beta))
+    return values, weight, r / sigma2 ** (1.0 - beta), d_variance, r2
 
 
 def nll_terms(mu: np.ndarray, sigma2: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise Gaussian negative log likelihood, constant terms dropped."""
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _validate_terms(sigma2)
-    return 0.5 * np.log(sigma2) + (mu - y) ** 2 / (2.0 * sigma2)
+    return _beta_nll(mu, sigma2, y, 0.0)[0]
 
 
 def _check_beta(beta: float) -> float:
@@ -71,10 +75,7 @@ def beta_nll_terms(
     differentiation.  At beta = 0 the weight is exactly 1 and the values are
     bit-for-bit identical to ``nll_terms``.
     """
-    beta = _check_beta(beta)
-    base = nll_terms(mu, sigma2, y)
-    weight = np.asarray(sigma2, dtype=np.float64) ** beta
-    return weight * base, weight
+    return _beta_nll(mu, sigma2, y, _check_beta(beta))[:2]
 
 
 def beta_nll_grads(
@@ -88,14 +89,7 @@ def beta_nll_grads(
         d/d mean     = (mean - y) / sigma2**(1 - beta)
         d/d variance = (sigma2 - (y - mean)**2) / (2 * sigma2**(2 - beta))
     """
-    beta = _check_beta(beta)
-    mu = np.asarray(mu, dtype=np.float64)
-    sigma2 = np.asarray(sigma2, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    _validate_terms(sigma2)
-    d_mean = (mu - y) / sigma2 ** (1.0 - beta)
-    d_variance = (sigma2 - (y - mu) ** 2) / (2.0 * sigma2 ** (2.0 - beta))
-    return d_mean, d_variance
+    return _beta_nll(mu, sigma2, y, _check_beta(beta))[2:4]
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,7 @@ class TrainingConfig:
     kl_weight: float | None = None
 
     def __post_init__(self) -> None:
-        _check_beta(self.beta)
+        object.__setattr__(self, "beta", _check_beta(self.beta))
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -167,30 +161,29 @@ class Adam:
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     def __init__(self, shape: tuple[int, ...]):
-        self.m = np.zeros(shape)
-        self.v = np.zeros(shape)
-        self.t = 0
+        self.m, self.v, self.t = np.zeros(shape), np.zeros(shape), 0
+        self._a, self._b = np.empty(shape), np.empty(shape)  # scratch: a step allocates nothing
 
     def step(self, params: np.ndarray, grad: np.ndarray, lr: float) -> None:
-        # in place, so a stacked block makes few fresh arrays, and in the
-        # operation order of, so bit-identical to:
+        # in place, and in the operation order of, so bit-identical to:
         #   m = beta1 * m + (1 - beta1) * grad
         #   v = beta2 * v + (1 - beta2) * grad * grad
         #   params -= lr * mhat / (sqrt(vhat) + eps)
         self.t += 1
+        a, b = self._a, self._b
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * grad
-        g2 = (1.0 - self.beta2) * grad
-        g2 *= grad
+        self.m += np.multiply(1.0 - self.beta1, grad, out=a)
+        np.multiply(1.0 - self.beta2, grad, out=a)
+        a *= grad
         self.v *= self.beta2
-        self.v += g2
-        step = self.m / (1.0 - self.beta1**self.t)
-        step *= lr
-        denom = self.v / (1.0 - self.beta2**self.t)
-        np.sqrt(denom, out=denom)
-        denom += self.eps
-        step /= denom
-        params -= step
+        self.v += a
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=a)
+        a *= lr
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        params -= a
 
 
 def _point_draw(phi: np.ndarray, epoch: int, b: int):
@@ -258,21 +251,20 @@ def _minibatch_loop(
             theta, pullback, prior = draw(phi, epoch, b)
             act = _forward_cached(spec, slots, theta, Xb)
             mu, sigma2 = act.mu, act.sigma2
-            if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma2))):
+            if not (np.isfinite(mu).all() and np.isfinite(sigma2).all()):
                 raise _diverged("non-finite prediction", epoch, b, mu, sigma2)
-            values, _ = beta_nll_terms(mu, sigma2, yb, cfg.beta)
+            values, _, d_mean, d_variance, r2 = _beta_nll(mu, sigma2, yb, cfg.beta)
             batch_loss = values.sum(axis=-1)
-            d_mean, d_variance = beta_nll_grads(mu, sigma2, yb, cfg.beta)
             scale = 1.0 / idx.shape[1] if batch_mean else 1.0
             grad = pullback(_backward_cached(spec, act, d_mean * scale, d_variance * scale))
             del act  # hold one batch's activations at a time
             objective = batch_loss + prior
-            if not (np.all(np.isfinite(objective)) and np.all(np.isfinite(grad))):
+            if not (np.isfinite(objective).all() and np.isfinite(grad).all()):
                 raise _diverged("non-finite loss or gradient", epoch, b, objective, grad)
             opt.step(phi, grad, lr)
             loss_sum += batch_loss
             prior_sum += prior
-            se_sum += ((mu - yb) ** 2).sum(axis=-1)
+            se_sum += r2.sum(axis=-1)
         for k, trace in enumerate(traces):
             trace.append(epoch, loss_sum[k] / n, prior_sum[k] / n, se_sum[k] / n, lr)
 

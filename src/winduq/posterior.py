@@ -14,8 +14,8 @@ vector plus a forward pass":
 * ``mc_dropconnect``: phi is (1, P); a draw multiplies it by a Bernoulli
   keep-mask over the weights, resampled per draw.  Biases are never masked.
 * ``bayes_by_backprop``: phi is (2, P), the mean and rho of a factorized
-  Gaussian with std = softplus(rho), trained against a unit Gaussian prior
-  by reparameterized sampling, one weight draw per batch.
+  Gaussian with std = softplus(rho), trained against a unit Gaussian prior by
+  one reparameterized weight draw per batch, from one softplus and one sigmoid.
 
 A saved posterior is ``posterior.json`` plus phi as one ``params.npy``.
 """
@@ -42,7 +42,6 @@ from .network import (
     parameter_layout,
     sigmoid,
     softplus,
-    weight_position_mask,
 )
 from .seeding import derive_seed, spawn_rng
 
@@ -93,41 +92,48 @@ class PosteriorSampler:
             raise ValueError(f"init_sigma must be positive, got {self.init_sigma}")
 
 
-def _keep_masks(
-    spec: ArchitectureSpec, drop_rate: float, rng: np.random.Generator, n: int
-) -> np.ndarray:
-    """(n, P) ones with Bernoulli keeps at the weight positions, from one
-    row-major block of uniforms: the stream of n sequential single masks."""
-    wpos = weight_position_mask(spec)
-    masks = np.ones((n, wpos.size))
-    masks[:, wpos] = rng.random((n, int(wpos.sum()))) >= drop_rate
-    return masks
+def _fill_keeps(slots: tuple, drop_rate: float, rng, out: np.ndarray) -> np.ndarray:
+    """Bernoulli keeps into the weight slots of ``out`` (..., P), slot by slot,
+    from one row-major block of uniforms: the stream of sequential single masks."""
+    weights = [s for s in slots if s.is_weight]
+    u = rng.random(out.shape[:-1] + (sum(w.stop - w.start for w in weights),))
+    start = 0
+    for w in weights:
+        stop = start + w.stop - w.start
+        np.greater_equal(u[..., start:stop], drop_rate, out=out[..., w.start : w.stop])
+        start = stop
+    return out
 
 
 def sample_weight_mask(
     spec: ArchitectureSpec, drop_rate: float, rng: np.random.Generator
 ) -> np.ndarray:
     """One Bernoulli keep-mask over the flat layout; bias entries stay 1."""
-    return _keep_masks(spec, drop_rate, rng, 1)[0]
+    return _fill_keeps(parameter_layout(spec), drop_rate, rng, np.ones(spec.n_parameters))
+
+
+def _kl_terms(mean: np.ndarray, sigma: np.ndarray, sigmoid_rho: np.ndarray):
+    """The KL below, sum(-log(sigma) + (sigma**2 + mean**2 - 1) / 2), and its rho-gradient
+    (sigma - 1 / sigma) * sigmoid(rho), bit for bit but with fewer temporary arrays."""
+    terms, log_sigma = sigma**2 + mean**2, np.log(sigma)
+    terms -= 1.0
+    terms /= 2.0
+    terms -= log_sigma  # x - y is x + (-y)
+    d_rho = sigma - 1.0 / sigma
+    d_rho *= sigmoid_rho
+    return float(np.sum(terms)), d_rho
 
 
 def kl_to_unit_gaussian(mean: np.ndarray, rho: np.ndarray) -> float:
     """KL( N(mean, softplus(rho)^2) || N(0, I) ), summed over coordinates."""
-    mean = np.asarray(mean, dtype=np.float64)
-    sigma = softplus(np.asarray(rho, dtype=np.float64))
-    return float(np.sum(-np.log(sigma) + (sigma**2 + mean**2 - 1.0) / 2.0))
+    mean, rho = (np.asarray(a, dtype=np.float64) for a in (mean, rho))
+    return _kl_terms(mean, softplus(rho), sigmoid(rho))[0]
 
 
-def kl_to_unit_gaussian_grads(
-    mean: np.ndarray, rho: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def kl_to_unit_gaussian_grads(mean: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of the closed-form KL with respect to (mean, rho)."""
-    mean = np.asarray(mean, dtype=np.float64)
-    rho = np.asarray(rho, dtype=np.float64)
-    sigma = softplus(rho)
-    d_mean = mean.copy()
-    d_rho = (sigma - 1.0 / sigma) * sigmoid(rho)
-    return d_mean, d_rho
+    mean, rho = (np.asarray(a, dtype=np.float64) for a in (mean, rho))
+    return mean.copy(), _kl_terms(mean, softplus(rho), sigmoid(rho))[1]
 
 
 def softplus_inverse(y: float) -> float:
@@ -176,32 +182,41 @@ class FittedPosterior:
 
 
 def _dropconnect_draw(spec: ArchitectureSpec, rate: float, seed: int):
-    """theta = phi * m with a fresh Bernoulli keep-mask m per batch; no prior."""
+    """theta = phi * m with a fresh Bernoulli keep-mask m per batch, refilled in place."""
+    slots = parameter_layout(spec)
+    m = np.ones(spec.n_parameters)  # each pullback runs before the next draw refills m
 
     def draw(phi: np.ndarray, epoch: int, b: int):
-        m = sample_weight_mask(spec, rate, spawn_rng(seed, _STREAM_MASK, epoch, b))
+        _fill_keeps(slots, rate, spawn_rng(seed, _STREAM_MASK, epoch, b), m)
         return phi * m, lambda g: g * m, 0.0
 
     return draw
 
 
 def _variational_draw(n_params: int, kl_weight: float, seed: int):
-    """theta = mean + softplus(rho) * eps over phi = [mean, rho] (last axis), with
-    the weighted KL to the unit Gaussian prior as the prior term."""
+    """theta = mean + softplus(rho) * eps over phi = [mean, rho] (last axis), with the
+    weighted KL to the unit Gaussian prior as the prior term; the pullback reads phi."""
 
     def draw(phi: np.ndarray, epoch: int, b: int):
         mean, rho = phi[..., :n_params], phi[..., n_params:]
         eps = spawn_rng(seed, _STREAM_WEIGHT_DRAW, epoch, b).standard_normal(n_params)
-        theta = mean + softplus(rho) * eps
-        kl_d_mean, kl_d_rho = kl_to_unit_gaussian_grads(mean, rho)
+        sigma, sigmoid_rho = softplus(rho), sigmoid(rho)
+        theta = mean + sigma * eps
+        kl, kl_d_rho = _kl_terms(mean, sigma, sigmoid_rho)
+        kl_d_rho *= kl_weight
 
         def pullback(g: np.ndarray) -> np.ndarray:
-            return np.concatenate(
-                [g + kl_weight * kl_d_mean, g * eps * sigmoid(rho) + kl_weight * kl_d_rho],
-                axis=-1,
-            )
+            # [g + kl_weight * mean | g * eps * sigmoid(rho) + kl_weight * kl_d_rho]
+            out = np.empty(g.shape[:-1] + (2 * n_params,))
+            d_mean, d_rho = out[..., :n_params], out[..., n_params:]
+            np.multiply(kl_weight, mean, out=d_mean)
+            d_mean += g
+            np.multiply(g, eps, out=d_rho)
+            d_rho *= sigmoid_rho
+            d_rho += kl_d_rho
+            return out
 
-        return theta, pullback, kl_weight * kl_to_unit_gaussian(mean, rho)
+        return theta, pullback, kl_weight * kl
 
     return draw
 
@@ -259,7 +274,8 @@ def _draw_ensemble(fp: FittedPosterior, n_draws: int, rng: np.random.Generator) 
 
 
 def _draw_dropconnect(fp: FittedPosterior, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    return fp.phi * _keep_masks(fp.spec, fp.drop_rate, rng, n_draws)
+    masks = np.ones((n_draws, fp.spec.n_parameters))
+    return fp.phi * _fill_keeps(parameter_layout(fp.spec), fp.drop_rate, rng, masks)
 
 
 def _draw_variational(fp: FittedPosterior, n_draws: int, rng: np.random.Generator) -> np.ndarray:

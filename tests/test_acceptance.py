@@ -130,6 +130,7 @@ def test_beta_endpoints_recover_nll_and_variance_free_mean_gradient():
     assert time.monotonic() - t0 < 5.0
 
 
+@pytest.mark.slow
 def test_sine_extrapolation_directions_hold_for_seed_majority(tmp_path):
     t0 = time.monotonic()
     out = tmp_path / "sine"
@@ -153,6 +154,7 @@ def test_sine_extrapolation_directions_hold_for_seed_majority(tmp_path):
     assert time.monotonic() - t0 < 300.0
 
 
+@pytest.mark.slow
 def test_power_table_band_and_density_directions(tmp_path):
     t0 = time.monotonic()
     out = tmp_path / "property"
@@ -217,6 +219,7 @@ def test_real_scada_ensemble_mse(tmp_path):
     assert time.monotonic() - t0 < 600.0
 
 
+@pytest.mark.slow
 def test_data_volume_shrinks_epistemic_for_seed_majority(tmp_path):
     t0 = time.monotonic()
     out = tmp_path / "scaling"

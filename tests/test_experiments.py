@@ -214,6 +214,12 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match="dataset"):
             build_config("decompose", {"posterior_dir": "p"})
 
+    def test_decompose_takes_one_seed(self):
+        entries = {"posterior_dir": "p", "dataset": "x.csv"}
+        assert build_config("decompose", {**entries, "seeds": "7"}).seeds == (7,)
+        with pytest.raises(ConfigError, match=r"one seed, got seeds \[1, 2, 3\]"):
+            build_config("decompose", {**entries, "seeds": "1, 2, 3"})
+
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError, match="unknown experiment"):
             build_config("calibration", {})
@@ -382,6 +388,27 @@ class TestCsvWriting:
     def test_row_width_checked(self, tmp_path):
         with pytest.raises(ValueError, match="width"):
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0]])
+
+    def test_float_matrix_writes_the_bytes_of_format_cell(self, tmp_path):
+        rng = np.random.default_rng(5)
+        matrix = np.vstack([
+            [-0.0, 5e-324, 1e16, 0.1, -1e-300, np.inf],
+            [np.nextafter(1.0, 2.0), -np.inf, np.nan, 1.0, 2.0**53, -123.0],
+            rng.normal(size=(3, 6)) * 10.0 ** rng.integers(-20, 20, size=(3, 6)),
+        ])
+        header = list("abcdef")
+        reference = [",".join(header)] + [",".join(format_cell(v) for v in row) for row in matrix]
+        write_csv(tmp_path / "m.csv", header, matrix)
+        assert (tmp_path / "m.csv").read_text() == "\n".join(reference) + "\n"
+        assert "-0.0,5e-324,1e+16," in reference[1]
+        # summary rows mix str, int and float cells
+        rows = [["deep_ensemble", 0.5, 3, -0.0, ""], ["bayes_by_backprop", 1e16, 12, 5e-324, 7]]
+        write_csv(tmp_path / "s.csv", list("vwxyz"), rows)
+        assert (tmp_path / "s.csv").read_text() == (
+            "v,w,x,y,z\ndeep_ensemble,0.5,3,-0.0,\nbayes_by_backprop,1e+16,12,5e-324,7\n"
+        )
+        with pytest.raises(ValueError, match="width"):
+            write_csv(tmp_path / "t.csv", ["a"], matrix)
 
     def test_trailing_newline(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -145,10 +145,16 @@ def _scada_files(draw):
           [("t1", 5.1, 180.0, 300.0)],
           ["line 4: unparseable numeric field", "line 5: expected 4 fields, got 2",
            "line 6: expected 4 fields, got 5"]))
+@example(("timestamp,wind_speed,wind_speed,wind_direction,active_power\n"
+          "t1,1,9,3,4\nt2,2,8,3,4\n", {}, None, ["header names column 'wind_speed' twice"]))
 def test_scada_csv_round_trips_and_names_bad_lines(tmp_path_factory, case):
     text, column_map, kept, diagnostics = case
     path = tmp_path_factory.mktemp("scada") / "scada.csv"
     path.write_text(text)
+    if kept is None:  # the header is rejected, with the one diagnostic
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {diagnostics[0]}")):
+            load_scada_csv(path, column_map)
+        return
     total = sum(1 for line in text.splitlines()[1:] if line)  # blank lines skipped
     if 2 * len(diagnostics) > total:
         message = f"{len(diagnostics)} of {total} rows invalid; first: {diagnostics[0]}"

@@ -12,6 +12,7 @@ import pytest
 
 from winduq.data import make_sine_dataset
 from winduq.losses import (
+    Adam,
     TrainingConfig,
     TrainingDivergedError,
     _minibatch_loop,
@@ -112,6 +113,19 @@ class TestBetaGradients:
         expected_var = (sigma2 - (y - mu) ** 2) / (2.0 * sigma2 ** (2.0 - beta))
         assert d == (pytest.approx(expected_mean, rel=1e-15), pytest.approx(expected_var, rel=1e-15))
 
+    @pytest.mark.parametrize("beta", [0.0, 0.4, 0.5, 1.0])
+    def test_terms_and_grads_are_the_plain_formulas_bit_for_bit(self, beta):
+        rng = np.random.default_rng(3)
+        mu, y = rng.normal(size=(2, 257))
+        sigma2 = rng.uniform(1e-3, 9.0, size=257)
+        values, weights = beta_nll_terms(mu, sigma2, y, beta)
+        d_mean, d_variance = beta_nll_grads(mu, sigma2, y, beta)
+        nll = 0.5 * np.log(sigma2) + (mu - y) ** 2 / (2.0 * sigma2)
+        assert np.array_equal(weights, sigma2**beta)
+        assert np.array_equal(values, sigma2**beta * nll)
+        assert np.array_equal(d_mean, (mu - y) / sigma2 ** (1.0 - beta))
+        assert np.array_equal(d_variance, (sigma2 - (y - mu) ** 2) / (2.0 * sigma2 ** (2.0 - beta)))
+
     def test_beta_one_mean_gradient_ignores_variance(self):
         rng = np.random.default_rng(11)
         mu = rng.normal(size=500)
@@ -189,6 +203,27 @@ class TestTrainingConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainingConfig(**kwargs)
+
+
+class TestAdam:
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_matches_the_textbook_update_bit_for_bit(self, rows):
+        rng = np.random.default_rng(rows)
+        shape = (rows, 263)
+        params = rng.normal(size=shape)
+        expected = params.copy()
+        m, v = np.zeros(shape), np.zeros(shape)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        opt = Adam(shape)
+        for t in range(1, 5):
+            grad = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 4, size=shape)
+            lr = 1e-3 * t
+            opt.step(params, grad, lr)
+            m = b1 * m + (1 - b1) * grad
+            v = b2 * v + (1 - b2) * grad * grad
+            expected = expected - lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            assert np.array_equal(params, expected), t
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
 
 
 class TestTrain:

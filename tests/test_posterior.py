@@ -23,11 +23,13 @@ from winduq.network import (
     backward_batch,
     forward_batch,
     init_parameters,
+    sigmoid,
     softplus,
 )
 from winduq.posterior import (
     FittedPosterior,
     PosteriorSampler,
+    _dropconnect_draw,
     _variational_draw,
     draw_parameter_matrix,
     draw_prediction_arrays,
@@ -207,6 +209,21 @@ class TestDropConnectFit:
         assert fp1.phi.tobytes() == fp2.phi.tobytes()
         assert traces[0].kl == [0.0, 0.0]
 
+    def test_consecutive_draws_do_not_alias(self):
+        # the draw refills one keep-mask vector; what it returned must not change
+        spec = ArchitectureSpec(2, (6, 5))
+        phi = init_parameters(spec, seed=3)[None]
+        g = np.random.default_rng(1).normal(size=phi.shape)
+        draw = _dropconnect_draw(spec, 0.4, seed=8)
+        theta1, pullback1, _ = draw(phi, 0, 0)
+        grad1 = pullback1(g)
+        kept = theta1.copy(), grad1.copy()
+        theta2, pullback2, _ = draw(phi, 0, 1)
+        assert np.array_equal(theta1, kept[0]) and np.array_equal(grad1, kept[1])
+        assert not np.array_equal(theta1, theta2)
+        mask = sample_weight_mask(spec, 0.4, spawn_rng(8, 102, 0, 1))
+        assert np.array_equal(theta2, phi * mask) and np.array_equal(pullback2(g), g * mask)
+
     def test_parameter_draws_zero_only_weight_positions(self):
         from winduq.network import weight_position_mask
 
@@ -331,6 +348,48 @@ class TestVariationalFit:
             dn[i] -= h
             numeric[i] = (objective(up) - objective(dn)) / (2 * h)
         assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("rows", [(), (1,)])
+    def test_draw_matches_the_reference_composition_bit_for_bit(self, rows):
+        # rho of both signs, and zero, runs both branches of sigmoid
+        rng = np.random.default_rng(23)
+        p = 301
+        mean = rng.normal(size=rows + (p,))
+        rho = rng.normal(scale=4.0, size=rows + (p,))
+        rho[..., 0] = 0.0
+        assert (rho > 0).any() and (rho < 0).any()
+        g = rng.normal(size=rows + (p,))
+        draw = _variational_draw(p, 0.3, seed=6)
+        theta, pullback, prior = draw(np.concatenate([mean, rho], axis=-1), 2, 5)
+        eps = spawn_rng(6, 103, 2, 5).standard_normal(p)
+        assert np.array_equal(theta, mean + softplus(rho) * eps)
+        assert prior == 0.3 * kl_to_unit_gaussian(mean, rho)
+        kl_d_mean, kl_d_rho = kl_to_unit_gaussian_grads(mean, rho)
+        sigma = softplus(rho)  # the public KL pair is the plain formula
+        plain_kl = np.sum(-np.log(sigma) + (sigma**2 + mean**2 - 1.0) / 2.0)
+        assert kl_to_unit_gaussian(mean, rho) == float(plain_kl)
+        assert np.array_equal(kl_d_rho, (sigma - 1.0 / sigma) * sigmoid(rho))
+        expected = np.concatenate(
+            [g + 0.3 * kl_d_mean, g * eps * sigmoid(rho) + 0.3 * kl_d_rho], axis=-1
+        )
+        assert np.array_equal(pullback(g), expected)
+
+    def test_consecutive_pullbacks_do_not_alias(self):
+        rng = np.random.default_rng(29)
+        p = 40
+        phi = np.concatenate([rng.normal(size=p), _rho_for_std(rng.uniform(0.1, 1, p))])[None]
+        g1, g2 = rng.normal(size=(2, 1, p))
+        draw = _variational_draw(p, 0.5, seed=2)
+        theta1, pullback1, _ = draw(phi, 0, 0)
+        first = pullback1(g1)
+        kept = first.copy(), theta1.copy()
+        theta2, pullback2, _ = draw(phi, 0, 1)
+        second = pullback2(g2)
+        again = pullback2(g2)
+        assert np.array_equal(first, kept[0]) and np.array_equal(theta1, kept[1])
+        for a, b in [(first, second), (second, again), (theta1, theta2)]:
+            assert not np.shares_memory(a, b)
+        assert np.array_equal(second, again)
 
     def test_divergence_aborts_with_location(self):
         data = _tiny_sine()
