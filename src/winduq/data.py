@@ -8,13 +8,20 @@ once and travels with every windowed split.
 A bundled power-curve surrogate generator produces tables with the same
 qualitative shape (long-tailed speeds, saturating curve, heteroscedastic
 scatter, off-curve outliers) for self-contained runs.
+Both CSV readers, ``load_scada_csv`` and ``_read_numeric_csv`` (the inputs
+of ``scaling`` and ``decompose``), share one header check, one scan that
+names file lines and one number grammar, ``np.loadtxt``'s.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
+import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -145,67 +152,138 @@ def make_sine_dataset(
 # SCADA ingestion and preprocessing
 
 
+# np.loadtxt's float grammar, after it strips padding whitespace
+_FLOAT = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[+-]?[0-9]+)?|inf(?:inity)?|nan)",
+                    re.ASCII | re.IGNORECASE)
+
+
+def _read_float(text: str) -> float | None:
+    """One CSV field as ``np.loadtxt`` reads a float (ASCII digits, no ``_``, padding
+    whitespace ignored), or None where it reads none; a blank field reads as NaN."""
+    text = text.strip()
+    if not text:
+        return math.nan
+    return float(text) if _FLOAT.fullmatch(text) else None
+
+
+def _csv_rows(path: Path, quoting: int) -> Iterator[tuple[int, list[str]]]:
+    """(file line, fields) of a CSV file's header, which may quote its names and is
+    checked to be there with distinct ones, then of every non-blank line below it,
+    read with ``quoting`` (blank lines still count)."""
+    with open(path, newline="") as fh:
+        head, body = csv.reader(fh), csv.reader(fh, quoting=quoting)
+        try:
+            header = next(head, [])
+            if not header:
+                raise ValueError("empty first line, expected a header row naming the columns")
+            twice = [name for i, name in enumerate(header) if name in header[:i]]
+            if twice:
+                raise ValueError(f"duplicate column name {twice[0]!r}")
+            yield head.line_num, header
+            yield from ((head.line_num + body.line_num, row) for row in body if row)
+        except csv.Error as exc:
+            raise ValueError(f"line {head.line_num + body.line_num}: {exc}") from None
+
+
 def load_scada_csv(
     path: str | Path, column_map: dict[str, str] | None = None
 ) -> tuple[ScadaTable, list[str]]:
     """Read a raw SCADA CSV into a table, collecting per-row diagnostics.
 
     ``column_map`` maps the canonical names (timestamp, wind_speed,
-    wind_direction, active_power) to the file's header names; a header naming
-    a column twice is rejected.  Rows whose field count differs from the
-    header's, or whose numeric fields cannot be parsed, are dropped and
-    reported by file line; more than 50% bad rows aborts with an error.  Blank
-    lines are skipped.  Empty numeric fields become NaN so the preprocessing
-    stage can drop them explicitly.
+    wind_direction, active_power) to the file's header names.  Rows whose
+    field count differs from the header's, or whose numeric fields do not
+    parse, are dropped and reported by file line; more than 50% bad rows
+    aborts.  Empty numeric fields become NaN, for preprocessing to drop.
+    The splits follow row order, so where every kept timestamp parses with
+    ``datetime.fromisoformat``, one running backwards is an error; otherwise
+    one more diagnostic says that their order was not checked.
     """
-    path = Path(path)
-    colmap = {name: name for name in SCADA_COLUMNS}
-    if column_map:
-        unknown = set(column_map) - set(SCADA_COLUMNS)
-        if unknown:
-            raise ValueError(f"column_map refers to unknown canonical names: {sorted(unknown)}")
-        colmap.update(column_map)
-
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, expected a CSV header")
-        twice = [c for i, c in enumerate(header) if c in header[:i]]
-        if twice:
-            raise ValueError(f"{path}: header names column {twice[0]!r} twice")
-        missing = [colmap[c] for c in SCADA_COLUMNS if colmap[c] not in header]
+    column_map = column_map or {}
+    unknown = set(column_map) - set(SCADA_COLUMNS)
+    if unknown:
+        raise ValueError(f"column_map refers to unknown canonical names: {sorted(unknown)}")
+    names = [column_map.get(c, c) for c in SCADA_COLUMNS]  # the file's, in canonical order
+    try:
+        rows = _csv_rows(path, csv.QUOTE_MINIMAL)
+        _, header = next(rows)
+        missing = [name for name in names if name not in header]
         if missing:
-            raise ValueError(f"{path}: missing required columns {missing}")
-        stamp_at, *value_at = (header.index(colmap[c]) for c in SCADA_COLUMNS)
-        stamps: list[str] = []
-        values: list[list[float]] = []
-        diagnostics: list[str] = []
-        for row in reader:
-            if not row:  # blank line
-                continue
+            raise ValueError(f"missing required columns {missing}")
+        stamp_at, *value_at = map(header.index, names)
+        kept, diagnostics = [], []  # kept: (file line, timestamp, values) of each good row
+        for line, row in rows:
             if len(row) != len(header):
-                diagnostics.append(
-                    f"line {reader.line_num}: expected {len(header)} fields, got {len(row)}"
-                )
-                continue
-            try:
-                values.append([float(row[i]) if row[i].strip() else math.nan for i in value_at])
-            except ValueError:
-                diagnostics.append(f"line {reader.line_num}: unparseable numeric field")
-                continue
-            stamps.append(row[stamp_at])
+                diagnostics.append(f"line {line}: expected {len(header)} fields, got {len(row)}")
+            elif None in (numbers := [_read_float(row[i]) for i in value_at]):
+                diagnostics.append(f"line {line}: unparseable numeric field")
+            else:
+                kept.append((line, row[stamp_at], numbers))
 
-    total = len(stamps) + len(diagnostics)
-    if total == 0:
-        raise ValueError(f"{path}: no data rows")
-    if len(diagnostics) * 2 > total:
-        raise ValueError(
-            f"{path}: {len(diagnostics)} of {total} rows invalid; first: {diagnostics[0]}"
-        )
+        total = len(kept) + len(diagnostics)
+        if total == 0:
+            raise ValueError("no data rows")
+        if len(diagnostics) * 2 > total:
+            raise ValueError(f"{len(diagnostics)} of {total} rows invalid; first: {diagnostics[0]}")
+        lines, stamps, values = zip(*kept)
+        try:  # times, not strings, which a "T" or " " separator or an offset reorders
+            times = [datetime.fromisoformat(s) for s in stamps]
+            back = next((i for i in range(1, len(times)) if times[i] < times[i - 1]), 0)
+        except (ValueError, TypeError):  # TypeError: naive and aware times mixed
+            diagnostics.append("timestamps are not all ISO 8601; their order was not checked")
+            back = 0
+        if back:
+            raise ValueError(f"line {lines[back]}: timestamp {stamps[back]!r} is earlier than "
+                             f"{stamps[back - 1]!r} on line {lines[back - 1]}")
+    except ValueError as exc:  # also undecodable bytes
+        raise ValueError(f"{path}: {exc}") from None
     speeds, directions, powers = np.array(values, dtype=np.float64).T
-    table = ScadaTable(np.array(stamps, dtype=object), speeds, directions, powers)
-    return table, diagnostics
+    return ScadaTable(np.array(stamps, dtype=object), speeds, directions, powers), diagnostics
+
+
+def _read_numeric_csv(path: Path) -> tuple[np.ndarray, list[str]]:
+    """The (n, d) float64 rows and the d column names of a CSV input.
+
+    The first line names the columns: distinct, non-empty, non-numeric and
+    kept verbatim.  Every later non-blank line is a row of d finite numbers,
+    and there is at least one; its fields are read as ``np.loadtxt`` reads
+    them, quotes included.  Any other file raises a one-line ValueError
+    naming it, and the line and column of a malformed row.
+    """
+    try:
+        rows = _csv_rows(path, csv.QUOTE_NONE)  # np.loadtxt keeps a row's quotes too
+        _, header = next(rows)
+        width = len(header)
+        for i, name in enumerate(header):
+            if not name.strip() or "," in name:  # a quoted comma would split the output
+                raise ValueError(f"column {i + 1} has an empty or comma-holding name")
+            if _read_float(name) is not None:
+                raise ValueError(f"column name {name!r} is a number, expected a header row")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body is reported below
+                X = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+        except ValueError:
+            X = None
+        if X is not None and X.shape[0] == 0:
+            raise ValueError("no data rows below the header")
+        if X is None or X.shape[1] != width or not np.isfinite(X).all():
+            # numpy counts rows from other bases; the same grammar names the file line
+            for line, row in rows:
+                if len(row) != width:
+                    raise ValueError(
+                        f"line {line}: the number of columns changed from {width} to {len(row)}"
+                    )
+                for name, raw in zip(header, row):
+                    value = _read_float(raw)
+                    if value is None or not math.isfinite(value):
+                        raise ValueError(
+                            f"line {line}, column {name!r}: expected a finite number, got {raw!r}"
+                        )
+            raise ValueError("malformed data row")
+    except ValueError as exc:  # also undecodable bytes
+        raise ValueError(f"{path}: {exc}") from None
+    return X, header
 
 
 def preprocess_power_table(table: ScadaTable) -> tuple[ScadaTable, ColumnStats]:

@@ -17,34 +17,38 @@ decomposition seeds, fits, and saves the posterior when ``save_posteriors``
 is set.  An experiment supplies its data, a per-cell ``evaluate`` and the
 tables it builds from the cell records.  Every run writes deterministic CSV
 tables (floats via repr, so reruns are byte-identical) plus a
-``manifest.json``, built by ``_write_run_manifest``, describing config, data
-fingerprint, produced artifacts and any saved posterior directories.  A
-config that repeats a seed, sampler, ratio or one sampler's beta is
-rejected, because each entry names its own cells' files; betas and ratios
-count as repeats when their six-significant-digit file tags agree.
+``manifest.json``, built by ``_write_run_manifest``: config, environment,
+data fingerprint, artifacts and any saved posterior directories.  A config
+key the experiment does not read (``_EXPERIMENT_DEFAULTS`` lists them) is
+rejected, and so is a config that repeats a seed, sampler, ratio or one
+sampler's beta, since each entry names its own cells' files; betas and
+ratios count as repeats when their six-significant-digit file tags agree.
 """
 
 from __future__ import annotations
 
 import copy
-import csv
 import dataclasses
 import functools
 import hashlib
 import json
 import math
+import os
+import platform
 import time
 import typing
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import __version__
 from .data import (
     PowerCurveSpec,
     RegressionDataset,
+    _read_float,
+    _read_numeric_csv,
     current_speed_column,
     load_scada_csv,
     make_hourly_power_series,
@@ -85,47 +89,46 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # defaults
 
-# Per experiment, the ExperimentConfig defaults that are not the dataclass's:
+_TRAINING_KEYS = ("experiment", "out_dir", "seeds", "samplers", "hidden_widths", "activation",
+                  "variance_floor", "batch_size", "betas", "epochs", "lr", "mc_samples",
+                  "ensemble_size", "drop_rate", "init_sigma", "kl_weight", "save_posteriors")
+
+# Per experiment, the ExperimentConfig fields it reads (any other key is
+# rejected), and those of their defaults that are not the dataclass's:
 # per-sampler betas, epochs and lr, and some networks and lag windows.
-_EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "synthetic_ood": {
-        "betas": {k: (0.0, 0.5, 1.0) for k in SAMPLER_KINDS},
-        "epochs": {k: 600 for k in SAMPLER_KINDS},
-        "lr": {
-            "deep_ensemble": (1e-2, 200, 0.3),
-            "mc_dropconnect": (1e-2, 200, 0.3),
-            "bayes_by_backprop": (3e-3, 200, 0.3),
+_EXPERIMENT_DEFAULTS: dict[str, tuple[tuple[str, ...], dict]] = {
+    "synthetic_ood": (
+        _TRAINING_KEYS + ("grid_points", "sine_n_train", "sine_n_test", "sine_noise_scale"),
+        {
+            "betas": {k: (0.0, 0.5, 1.0) for k in SAMPLER_KINDS},
+            "epochs": {k: 600 for k in SAMPLER_KINDS},
+            "lr": {"deep_ensemble": (1e-2, 200, 0.3), "mc_dropconnect": (1e-2, 200, 0.3),
+                   "bayes_by_backprop": (3e-3, 200, 0.3)},
         },
-    },
-    "data_property": {
-        "hidden_widths": (64, 64, 64),
-        "betas": {
-            "mc_dropconnect": (0.4, 0.8),
-            "bayes_by_backprop": (0.4, 0.6),
-            "deep_ensemble": (0.2, 0.8),
+    ),
+    "data_property": (
+        _TRAINING_KEYS + ("dataset", "surrogate_n", "outlier_fraction", "surrogate_seed", "lags",
+                          "density_bins", "band"),
+        {
+            "hidden_widths": (64, 64, 64),
+            "betas": {"mc_dropconnect": (0.4, 0.8), "bayes_by_backprop": (0.4, 0.6),
+                      "deep_ensemble": (0.2, 0.8)},
+            "epochs": {"deep_ensemble": 20, "mc_dropconnect": 150, "bayes_by_backprop": 300},
+            "lr": {"deep_ensemble": (1e-3, 10, 0.1), "mc_dropconnect": (1e-3, 60, 0.1),
+                   "bayes_by_backprop": (1e-3, 100, 0.1)},
         },
-        "epochs": {"deep_ensemble": 20, "mc_dropconnect": 150, "bayes_by_backprop": 300},
-        "lr": {
-            "deep_ensemble": (1e-3, 10, 0.1),
-            "mc_dropconnect": (1e-3, 60, 0.1),
-            "bayes_by_backprop": (1e-3, 100, 0.1),
+    ),
+    "dataset_scaling": (
+        _TRAINING_KEYS + ("dataset", "series_n", "series_seed", "test_fraction", "ratios", "lags"),
+        {
+            "lags": 24,
+            "betas": {k: (0.6,) for k in SAMPLER_KINDS},
+            "epochs": {"deep_ensemble": 15, "mc_dropconnect": 120, "bayes_by_backprop": 200},
+            "lr": {"deep_ensemble": (1e-3, 10, 0.1), "mc_dropconnect": (1e-3, 100, 0.1),
+                   "bayes_by_backprop": (1e-4, 100, 0.1)},
         },
-    },
-    "dataset_scaling": {
-        "lags": 24,
-        "betas": {k: (0.6,) for k in SAMPLER_KINDS},
-        "epochs": {"deep_ensemble": 15, "mc_dropconnect": 120, "bayes_by_backprop": 200},
-        "lr": {
-            "deep_ensemble": (1e-3, 10, 0.1),
-            "mc_dropconnect": (1e-3, 100, 0.1),
-            "bayes_by_backprop": (1e-4, 100, 0.1),
-        },
-    },
-    "decompose": {
-        "betas": {k: () for k in SAMPLER_KINDS},
-        "epochs": {k: 0 for k in SAMPLER_KINDS},
-        "lr": {k: (1e-3, 100, 0.1) for k in SAMPLER_KINDS},
-    },
+    ),
+    "decompose": (("experiment", "out_dir", "seeds", "dataset", "posterior_dir", "mc_samples"), {}),
 }
 
 
@@ -180,11 +183,8 @@ class ExperimentConfig:
 
 
 def _parse_float(raw: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"expected a number, got {raw!r}") from exc
-    if not math.isfinite(value):
+    value = _read_float(raw)  # the number grammar of every input file
+    if value is None or not math.isfinite(value):
         raise ConfigError(f"expected a finite number, got {raw!r}")
     return value
 
@@ -298,8 +298,8 @@ def build_config(experiment: str, entries: dict[str, str]) -> ExperimentConfig:
     """Resolve raw key-value entries against per-experiment defaults, then
     check every value the run's cells will use.
 
-    Unknown keys are rejected outright; ``experiment`` inside the file must
-    agree with the subcommand that was invoked.
+    Unknown keys, and keys the experiment does not read, are rejected outright;
+    ``experiment`` inside the file must agree with the subcommand invoked.
     """
     cfg = _resolve_entries(experiment, entries)
     _validate_config(cfg)
@@ -313,17 +313,17 @@ def _resolve_entries(experiment: str, entries: dict[str, str]) -> ExperimentConf
     unknown = sorted(set(entries) - _CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys {unknown}; valid keys: {sorted(_CONFIG_KEYS)}")
+    keys, defaults = _EXPERIMENT_DEFAULTS[experiment]
+    unread = sorted(k for k in entries if k.rpartition(".")[2] not in keys)
+    if unread:
+        raise ConfigError(f"{unread[0]} is not read by {experiment}")
     declared = entries.get("experiment")
     if declared is not None and declared != experiment:
         raise ConfigError(
             f"config declares experiment {declared!r} but the {experiment!r} command was invoked"
         )
 
-    cfg = ExperimentConfig(
-        experiment=experiment,
-        out_dir=Path(f"runs/{experiment}"),
-        **copy.deepcopy(_EXPERIMENT_DEFAULTS[experiment]),
-    )
+    cfg = ExperimentConfig(experiment, Path(f"runs/{experiment}"), **copy.deepcopy(defaults))
     # plain keys first, so that a <kind>. key overrides whatever the entry order
     for key in sorted(entries, key=lambda k: "." in k):
         kind, _, name = key.rpartition(".")
@@ -341,12 +341,11 @@ def _resolve_entries(experiment: str, entries: dict[str, str]) -> ExperimentConf
 
 
 def _validate_config(cfg: ExperimentConfig) -> None:
-    # every entry names its own cells' files; betas and ratios by _token,
+    # a key the experiment does not read keeps its default, which passes;
+    # every entry names its own cells' files, betas and ratios by _token,
     # which keeps six significant digits
-    cell_keys = {"seeds": cfg.seeds, "samplers": cfg.samplers}
+    cell_keys = {"seeds": cfg.seeds, "samplers": cfg.samplers, "ratios": cfg.ratios}
     cell_keys.update((f"{kind}.betas", betas) for kind, betas in cfg.betas.items())
-    if cfg.experiment == "dataset_scaling":
-        cell_keys["ratios"] = cfg.ratios
     for key, values in cell_keys.items():
         names = [_token(v) if isinstance(v, float) else v for v in values]
         for i, name in enumerate(names):
@@ -355,18 +354,16 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                     f"duplicate {key} entry {values[i]!r}: its cells' files would "
                     f"overwrite those of {values[names.index(name)]!r}"
                 )
-    if cfg.experiment == "dataset_scaling":
-        if any(not 0 < r <= 1 for r in cfg.ratios):
-            raise ConfigError(f"ratios must lie in (0, 1], got {cfg.ratios}")
-        for kind, betas in cfg.betas.items():
-            if len(betas) != 1:
-                raise ConfigError(
-                    f"dataset_scaling fits one beta per sampler; {kind} has {list(betas)}"
-                )
-    if cfg.experiment == "synthetic_ood":
-        for key, low in (("grid_points", 2), ("sine_n_train", 1), ("sine_n_test", 1)):
-            if getattr(cfg, key) < low:
-                raise ConfigError(f"{key} must be >= {low}, got {getattr(cfg, key)}")
+    if any(not 0 < r <= 1 for r in cfg.ratios):
+        raise ConfigError(f"ratios must lie in (0, 1], got {cfg.ratios}")
+    for kind, betas in cfg.betas.items():
+        if cfg.experiment == "dataset_scaling" and len(betas) != 1:
+            raise ConfigError(
+                f"dataset_scaling fits one beta per sampler; {kind} has {list(betas)}"
+            )
+    for key, low in (("grid_points", 2), ("sine_n_train", 1), ("sine_n_test", 1)):
+        if getattr(cfg, key) < low:
+            raise ConfigError(f"{key} must be >= {low}, got {getattr(cfg, key)}")
     if cfg.experiment == "decompose" and cfg.posterior_dir is None:
         raise ConfigError("decompose needs a posterior_dir config entry")
     if cfg.experiment == "decompose" and cfg.dataset is None:
@@ -382,7 +379,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     for kind in cfg.samplers:
         try:
             _sampler_for(cfg, kind)
-            for beta in cfg.betas[kind]:
+            for beta in cfg.betas.get(kind, ()):  # decompose trains nothing
                 _training_config(cfg, kind, beta, 0, 1)
         except ValueError as exc:
             raise ConfigError(f"{kind}: {exc}") from exc
@@ -430,18 +427,16 @@ def _dataset_fingerprint(ds: RegressionDataset) -> dict:
     }
 
 
-def _config_echo(cfg: ExperimentConfig) -> dict:
-    echo = {}
-    for f in dataclasses.fields(cfg):
-        value = getattr(cfg, f.name)
-        if isinstance(value, Path):
-            value = str(value)
-        elif isinstance(value, dict):
-            value = {k: list(v) if isinstance(v, tuple) else v for k, v in value.items()}
-        elif isinstance(value, tuple):
-            value = list(value)
-        echo[f.name] = value
-    return echo
+def _environment() -> dict:
+    """The interpreter, numpy, BLAS, BLAS threads and package version of a run."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (KeyError, TypeError):  # numpy before 1.26 only prints its config
+        blas = {}
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    return {"python": platform.python_version(), "numpy": np.__version__, "winduq": __version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")},
+            "threads": {v: os.environ.get(v) for v in threads}}
 
 
 def _write_run_manifest(
@@ -469,9 +464,10 @@ def _write_run_manifest(
     manifest = {
         "experiment": cfg.experiment,
         "status": status,
-        "config": _config_echo(cfg),
+        "config": json.loads(json.dumps(dataclasses.asdict(cfg), default=str)),
         "artifacts": artifacts,
         "wall_time_s": wall_time_s,
+        "environment": _environment(),
         **fields,
     }
     if cfg.save_posteriors and status == "ok":
@@ -774,76 +770,6 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
         datasets=[_dataset_fingerprint(pool), _dataset_fingerprint(test)],
         cells=cells,
     )
-
-
-def _reads_as_finite(text: str, width: int) -> bool:
-    """Whether ``np.loadtxt`` reads ``text`` as one row of ``width`` finite numbers."""
-    try:  # not float, which also reads "1_0" and non-ASCII digits
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an empty field reads as no data
-            row = np.loadtxt([text], delimiter=",", ndmin=2, comments=None)
-    except ValueError:
-        return False
-    return row.shape == (1, width) and bool(np.isfinite(row).all())
-
-
-def _first_bad_line(path: Path, header: list[str]) -> str | None:
-    """What is wrong with the first malformed data line of a CSV input, by file
-    line and column name, or None if ``np.loadtxt`` reads every line."""
-    width = len(header)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, quoting=csv.QUOTE_NONE)  # loadtxt keeps quotes too
-        next(reader)
-        for row in reader:
-            if not row or _reads_as_finite(",".join(row), width):
-                continue
-            line = reader.line_num
-            if len(row) != width:
-                return f"line {line}: the number of columns changed from {width} to {len(row)}"
-            for name, raw in zip(header, row):
-                if not _reads_as_finite(raw, 1):
-                    return f"line {line}, column {name!r}: expected a finite number, got {raw!r}"
-    return None
-
-
-def _read_numeric_csv(path: Path) -> tuple[np.ndarray, list[str]]:
-    """The (n, d) float64 rows and the d column names of a CSV input.
-
-    The first line names the columns: distinct, non-empty, non-numeric and
-    kept verbatim.  Every later non-blank line is a row of d finite numbers,
-    and there is at least one.  Any other file raises a one-line
-    ``ConfigError`` naming it, and the line and column of a malformed row.
-    """
-    try:
-        with open(path, newline="") as fh:
-            header = next(csv.reader(fh), [])
-        if not header:
-            raise ValueError("empty first line, expected a header row naming the columns")
-        for i, name in enumerate(header):
-            if not name.strip() or "," in name:
-                raise ValueError(f"column {i + 1} has an empty or comma-holding name")
-            if name in header[:i]:
-                raise ValueError(f"duplicate column name {name!r}")
-            try:
-                float(name)
-            except ValueError:
-                continue
-            raise ValueError(f"column name {name!r} is a number, expected a header row")
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # an empty body is reported below
-                X = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
-        except ValueError as exc:
-            # numpy's messages count rows from different bases; name the file line
-            raise ValueError(_first_bad_line(path, header) or str(exc)) from None
-        if X.shape[0] == 0:
-            raise ValueError("no data rows below the header")
-        if X.shape[1] != len(header) or not np.isfinite(X).all():
-            raise ValueError(_first_bad_line(path, header) or "malformed data row")
-    except (ValueError, csv.Error) as exc:  # ValueError covers undecodable bytes
-        # drop numpy's "; use `usecols` ..." advice, which a caller cannot take
-        raise ConfigError(f"{path}: {str(exc).partition(';')[0]}") from None
-    return X, header
 
 
 def run_decompose(cfg: ExperimentConfig) -> dict:

@@ -170,12 +170,8 @@ def softplus(z: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))  # exp(-|z|), which never overflows; NaN keeps its sign
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_inputs(spec: ArchitectureSpec, X: np.ndarray) -> np.ndarray:

@@ -296,7 +296,8 @@ class TestCsvLoading:
                 "active_power": "LV ActivePower (kW)",
             },
         )
-        assert diagnostics == []
+        # "x" and "y" are no ISO 8601 times, so their order is not checked
+        assert diagnostics == ["timestamps are not all ISO 8601; their order was not checked"]
         assert_allclose(table.wind_speed, [4.0, 5.0])
 
     def test_majority_bad_rows_abort(self, tmp_path):
@@ -307,6 +308,18 @@ class TestCsvLoading:
         with pytest.raises(ValueError, match="invalid"):
             load_scada_csv(path)
 
+    def test_order_note_is_no_bad_row(self, tmp_path):
+        # one bad row of two is no majority, and the note on unchecked order
+        # ("a", "b" are no ISO 8601 times) must not make it one
+        path = tmp_path / "half.csv"
+        path.write_text(self.HEADER + "a,oops,1,1\n" + "b,3.0,1.0,1.0\n")
+        table, diagnostics = load_scada_csv(path)
+        assert list(table.timestamp) == ["b"]
+        assert diagnostics == [
+            "line 2: unparseable numeric field",
+            "timestamps are not all ISO 8601; their order was not checked",
+        ]
+
     def test_missing_column_and_empty_file(self, tmp_path):
         path = tmp_path / "short.csv"
         path.write_text("timestamp,wind_speed\n" + "a,1.0\n")
@@ -314,8 +327,9 @@ class TestCsvLoading:
             load_scada_csv(path)
         empty = tmp_path / "empty.csv"
         empty.write_text("")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(ValueError, match="empty first line, expected a header row") as exc:
             load_scada_csv(empty)
+        assert str(exc.value).startswith(f"{empty}: ")
         headless = tmp_path / "no_rows.csv"
         headless.write_text(self.HEADER)
         with pytest.raises(ValueError, match="no data rows"):

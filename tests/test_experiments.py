@@ -8,16 +8,19 @@ import ast
 import csv
 import dataclasses
 import json
+import os
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import winduq
 from winduq import cli
 from winduq.cli import main
 from winduq.data import (
     PowerCurveSpec,
+    _read_numeric_csv,
     make_hourly_power_series,
     make_power_curve_table,
     make_sine_dataset,
@@ -30,7 +33,6 @@ from winduq.experiments import (
     ConfigError,
     ExperimentConfig,
     OUT_DIR_ENV_VAR,
-    _read_numeric_csv,
     auto_kl_weight,
     build_config,
     format_cell,
@@ -295,6 +297,26 @@ class TestBuildConfig:
         per_sampler = {f"{k}.{n}" for k in SAMPLER_KINDS for n in ("betas", "epochs", "lr")}
         assert sorted(listed) == sorted(fields | per_sampler)
 
+    @pytest.mark.parametrize(
+        "experiment, entries, unread",
+        [
+            ("dataset_scaling", {"grid_points": "5"}, "grid_points"),
+            ("data_property", {"ratios": "0.5", "series_n": "10"}, "ratios"),
+            ("synthetic_ood", {"surrogate_n": "3", "band": "1, 2"}, "band"),
+            ("decompose", {"posterior_dir": "p", "dataset": "x.csv", "deep_ensemble.betas": "0.5"},
+             "deep_ensemble.betas"),
+            ("decompose", {"posterior_dir": "p", "dataset": "x.csv", "epochs": "3"}, "epochs"),
+        ],
+    )
+    def test_a_key_the_experiment_does_not_read_is_rejected(self, experiment, entries, unread):
+        # each used to build, and its manifest echoed the ignored value as if it applied
+        with pytest.raises(ConfigError, match=f"^{re.escape(unread)} is not read by {experiment}$"):
+            build_config(experiment, entries)
+
+    def test_decompose_keeps_no_training_placeholders(self):
+        cfg = build_config("decompose", {"posterior_dir": "p", "dataset": "x.csv"})
+        assert cfg.betas == {} and cfg.epochs == {} and cfg.lr == {}
+
     def test_every_shipped_config_resolves(self):
         configs = Path(__file__).resolve().parents[1] / "configs"
         assert sorted(p.name for p in configs.glob("*.cfg")) == sorted(_SHIPPED_CONFIGS)
@@ -311,7 +333,7 @@ _SHIPPED_CONFIGS = {
 }
 
 
-# CSV inputs that _read_numeric_csv must reject, and what its error says
+# CSV inputs that data._read_numeric_csv must reject, and what its error says
 _BAD_CSVS = {
     "empty": ("", "empty first line"),
     "duplicate-header": ("a,b,a\n1,2,3\n", "duplicate column name 'a'"),
@@ -348,10 +370,20 @@ class TestReadNumericCsv:
         text, message = _BAD_CSVS[case]
         path = tmp_path / "inputs.csv"
         path.write_bytes(text if isinstance(text, bytes) else text.encode())
-        with pytest.raises(ConfigError, match=re.escape(message)) as exc:
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
             _read_numeric_csv(path)
         assert str(exc.value).startswith(f"{path}: ") and "\n" not in str(exc.value)
         assert "usecols" not in str(exc.value)
+
+
+    def test_the_header_may_quote_its_names_and_rows_may_not(self, tmp_path):
+        path = tmp_path / "inputs.csv"
+        path.write_text('"wind speed",b\n1,2\n')
+        X, names = _read_numeric_csv(path)
+        assert names == ["wind speed", "b"] and X.tolist() == [[1.0, 2.0]]
+        path.write_text('"wind speed",b\n"1",2\n')
+        with pytest.raises(ValueError, match="line 2, column 'wind speed': expected a finite"):
+            _read_numeric_csv(path)
 
 
 class TestAutoKlWeight:
@@ -463,6 +495,26 @@ class TestSyntheticRunner:
         for row in summary:
             assert float(row["mean_eu_id"]) >= 0.0
             assert np.isfinite(float(row["mse_test"]))
+
+    def test_manifests_stamp_the_environment_and_csvs_do_not(self, tmp_path, monkeypatch):
+        first, second = tmp_path / "a", tmp_path / "b"
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        manifest = run_synthetic_ood(build_config("synthetic_ood", _synthetic_entries(first)))
+        env = manifest["environment"]
+        assert sorted(env) == ["blas", "numpy", "python", "threads", "winduq"]
+        assert sorted(env["blas"]) == ["name", "version"]
+        assert env["threads"] == {
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "OPENBLAS_NUM_THREADS": "1",
+            "MKL_NUM_THREADS": os.environ.get("MKL_NUM_THREADS"),
+        }
+        assert env["numpy"] == np.__version__ and env["winduq"] == winduq.__version__
+        assert json.loads((first / "manifest.json").read_text())["environment"] == env
+        # another environment changes the manifest only
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        run_synthetic_ood(build_config("synthetic_ood", _synthetic_entries(second)))
+        assert json.loads((second / "manifest.json").read_text())["environment"] != env
+        assert csv_bytes(first) == csv_bytes(second)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -840,6 +892,7 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"]
+        assert sorted(manifest["environment"]) == ["blas", "numpy", "python", "threads", "winduq"]
 
     def test_malformed_posterior_fails_with_manifest(self, tmp_path, capsys):
         spec = ArchitectureSpec(1, (3,))
@@ -902,7 +955,9 @@ class TestCli:
     )
     def test_rejection_leaves_only_a_failed_manifest(self, tmp_path, capsys, command, extra, error):
         # each used to fail only after the first cell had written its CSV or posterior
-        entries = {k: v for k, v in _synthetic_entries(tmp_path).items() if k != "out_dir"}
+        sine_keys = ("grid_points", "sine_n_train", "sine_n_test")  # synthetic_ood's own
+        entries = {k: v for k, v in _synthetic_entries(tmp_path).items()
+                   if k != "out_dir" and (command == "synthetic" or k not in sine_keys)}
         entries.update(extra, save_posteriors="true")
         cfg_path = self._write_config(tmp_path / "run.cfg", entries)
         out = tmp_path / "out"

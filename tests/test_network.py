@@ -21,6 +21,7 @@ from winduq.network import (
     forward_batch,
     init_parameters,
     parameter_layout,
+    sigmoid,
     weight_position_mask,
 )
 from winduq.losses import TrainingConfig, train
@@ -153,6 +154,31 @@ class TestForward:
             forward_batch(spec, params, np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError):
             forward_batch(spec, params, np.array([1.0, 2.0]))
+
+
+def _two_branch_sigmoid(z: np.ndarray) -> np.ndarray:
+    # the reference form: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z)) elsewhere
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("shape", [(), (263,), (5, 128)])
+    def test_matches_the_two_branch_form_bit_for_bit(self, shape):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 710.5, -710.5, 745.2, -746.0,
+                   1e308, -1e308, 5e-324, -5e-324, 36.7, -36.7, 1.0, -1.0]
+        rng = np.random.default_rng(9)
+        pool = np.concatenate([special, rng.normal(0.0, 30.0, 4096)])
+        z = pool[rng.integers(0, pool.size, int(np.prod(shape)))].reshape(shape)
+        if shape == (263,):
+            z[: len(special)] = special  # every special value, at least once
+        got = np.asarray(sigmoid(z))
+        assert got.shape == z.shape and got.dtype == np.float64
+        assert got.tobytes() == _two_branch_sigmoid(z).tobytes()
 
 
 class TestInit:
