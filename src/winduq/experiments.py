@@ -17,12 +17,13 @@ decomposition seeds, fits, and saves the posterior when ``save_posteriors``
 is set.  An experiment supplies its data, a per-cell ``evaluate`` and the
 tables it builds from the cell records.  Every run writes deterministic CSV
 tables (floats via repr, so reruns are byte-identical) plus a
-``manifest.json``, built by ``_write_run_manifest``: config, environment,
-data fingerprint, artifacts and any saved posterior directories.  A config
-key the experiment does not read (``_EXPERIMENT_DEFAULTS`` lists them) is
-rejected, and so is a config that repeats a seed, sampler, ratio or one
-sampler's beta, since each entry names its own cells' files; betas and
-ratios count as repeats when their six-significant-digit file tags agree.
+``manifest.json``, built by ``_write_run_manifest``: the config keys the
+experiment reads, environment, data fingerprint, artifacts and any saved
+posterior directories.  A config key the experiment does not read
+(``_EXPERIMENT_DEFAULTS`` lists them) is rejected, and so is a config that
+repeats a seed, sampler, ratio or one sampler's beta, since each entry
+names its own cells' files; betas and ratios count as repeats when their
+six-significant-digit file tags agree.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import json
 import math
 import os
 import platform
+import re
 import time
 import typing
 from dataclasses import dataclass, field
@@ -190,10 +192,10 @@ def _parse_float(raw: str) -> float:
 
 
 def _parse_int(raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"expected an integer, got {raw!r}") from exc
+    # an optional sign and ASCII digits: int() would also take 1_000 and ١
+    if not re.fullmatch(r"[+-]?[0-9]+", raw.strip()):
+        raise ConfigError(f"expected an integer, got {raw!r}")
+    return int(raw)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -461,10 +463,11 @@ def _write_run_manifest(
     for name in posteriors:
         if not (cfg.out_dir / name / "posterior.json").is_file():
             raise RuntimeError(f"manifest lists missing posterior {cfg.out_dir / name}")
+    echo = {k: getattr(cfg, k) for k in _EXPERIMENT_DEFAULTS[cfg.experiment][0]}
     manifest = {
         "experiment": cfg.experiment,
         "status": status,
-        "config": json.loads(json.dumps(dataclasses.asdict(cfg), default=str)),
+        "config": json.loads(json.dumps(echo, default=str)),
         "artifacts": artifacts,
         "wall_time_s": wall_time_s,
         "environment": _environment(),

@@ -25,10 +25,10 @@ import numpy as np
 from .network import (
     ArchitectureSpec,
     _backward_cached,
+    _Blocks,
     _check_params,
     _forward_cached,
     forward_batch,  # noqa: F401  kept importable here; perfbench/test_smoke.py looks it up
-    parameter_layout,
 )
 from .seeding import spawn_rng
 
@@ -213,7 +213,8 @@ def _minibatch_loop(
 
     Row k is one network, shuffled each epoch by
     ``spawn_rng(shuffle_seeds[k], 101, epoch)``; its batches are gathered
-    into one (K, B, d) block.  Per batch, ``draw(phi, epoch, b)`` returns
+    into one (K, B, d) block, one of the blocks made once per fit that the
+    passes write into.  Per batch, ``draw(phi, epoch, b)`` returns
     theta, the (K, P) parameters to run the networks with; a pullback from
     the theta-gradient of the data term to the phi-gradient of the whole
     batch objective; and the value of the prior term, a scalar or one per
@@ -232,10 +233,10 @@ def _minibatch_loop(
         raise ValueError("training data is empty")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("training data contains non-finite values")
-    slots = parameter_layout(spec)
     opt = Adam(phi.shape)
     traces = [TrainingTrace() for _ in shuffle_seeds]
     batches = [slice(i, min(i + cfg.batch_size, n)) for i in range(0, n, cfg.batch_size)]
+    blocks = _Blocks(spec, len(traces), min(cfg.batch_size, n), True)
 
     for epoch in range(cfg.epochs):
         lr = learning_rate_at(cfg.lr_schedule, epoch)
@@ -247,9 +248,12 @@ def _minibatch_loop(
         se_sum = np.zeros(len(traces))
         for b, sl in enumerate(batches):
             idx = perms[:, sl]
-            Xb, yb = X[idx], y[idx]
+            rows = blocks.at(idx.shape[1])
+            # X[idx] and y[idx]; "clip" never clips a permutation, and spares "raise" its copy
+            Xb = np.take(X, idx, axis=0, out=rows.x, mode="clip")
+            yb = np.take(y, idx, out=rows.y, mode="clip")
             theta, pullback, prior = draw(phi, epoch, b)
-            act = _forward_cached(spec, slots, theta, Xb)
+            act = _forward_cached(spec, blocks, theta, Xb)
             mu, sigma2 = act.mu, act.sigma2
             if not (np.isfinite(mu).all() and np.isfinite(sigma2).all()):
                 raise _diverged("non-finite prediction", epoch, b, mu, sigma2)
@@ -257,7 +261,6 @@ def _minibatch_loop(
             batch_loss = values.sum(axis=-1)
             scale = 1.0 / idx.shape[1] if batch_mean else 1.0
             grad = pullback(_backward_cached(spec, act, d_mean * scale, d_variance * scale))
-            del act  # hold one batch's activations at a time
             objective = batch_loss + prior
             if not (np.isfinite(objective).all() and np.isfinite(grad).all()):
                 raise _diverged("non-finite loss or gradient", epoch, b, objective, grad)

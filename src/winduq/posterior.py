@@ -17,6 +17,11 @@ vector plus a forward pass":
   Gaussian with std = softplus(rho), trained against a unit Gaussian prior by
   one reparameterized weight draw per batch, from one softplus and one sigmoid.
 
+Each kind's draw is one row rule, which writes draw k into a (P,) vector.
+``draw_parameter_matrix`` stacks S rows into the (S, P) matrix; prediction
+streams them instead, one reused vector and one forward pass per draw, so
+it holds no (S, P) block and gives the matrix's bits.
+
 A saved posterior is ``posterior.json`` plus phi as one ``params.npy``.
 """
 
@@ -36,6 +41,7 @@ from .losses import (
 )
 from .network import (
     ArchitectureSpec,
+    _Blocks,
     _check_inputs,
     _forward_cached,
     init_parameters,
@@ -265,26 +271,39 @@ def fit(
     return FittedPosterior(sampler.kind, spec, phi.reshape(2, p), sampler.sample_count, 0.0), traces
 
 
-def _draw_ensemble(fp: FittedPosterior, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+# A row rule turns (fp, S) into row(k, rng, out), which writes draw k of S into
+# the (P,) vector ``out``.  Draws k = 0, 1, ... read ``rng`` in turn, and numpy
+# fills a block row by row, so S rows draw the bits of one (S, P) draw.
+
+
+def _ensemble_rows(fp: FittedPosterior, n_draws: int):
     if n_draws != fp.sample_count:
         raise ValueError(
             f"deep_ensemble yields exactly {fp.sample_count} draws, requested {n_draws}"
         )
-    return fp.phi.copy()
+    return lambda k, rng, out: np.copyto(out, fp.phi[k])
 
 
-def _draw_dropconnect(fp: FittedPosterior, n_draws: int, rng: np.random.Generator) -> np.ndarray:
-    masks = np.ones((n_draws, fp.spec.n_parameters))
-    return fp.phi * _fill_keeps(parameter_layout(fp.spec), fp.drop_rate, rng, masks)
+def _dropconnect_rows(fp: FittedPosterior, n_draws: int):
+    slots, keeps = parameter_layout(fp.spec), np.ones(fp.spec.n_parameters)
+    return lambda k, rng, out: np.multiply(
+        fp.phi[0], _fill_keeps(slots, fp.drop_rate, rng, keeps), out=out
+    )
 
 
-def _draw_variational(fp: FittedPosterior, n_draws: int, rng: np.random.Generator) -> np.ndarray:
+def _variational_rows(fp: FittedPosterior, n_draws: int):
     mean, rho = fp.phi
-    eps = rng.standard_normal((n_draws, mean.size))
-    return mean + softplus(rho) * eps
+    sigma = softplus(rho)
+
+    def row(k: int, rng: np.random.Generator, out: np.ndarray) -> None:
+        rng.standard_normal(out=out)
+        out *= sigma  # mean + sigma * eps, bit for bit: IEEE + and * commute exactly
+        out += mean
+
+    return row
 
 
-_DRAWS = dict(zip(SAMPLER_KINDS, (_draw_ensemble, _draw_dropconnect, _draw_variational)))
+_ROWS = dict(zip(SAMPLER_KINDS, (_ensemble_rows, _dropconnect_rows, _variational_rows)))
 
 
 def draw_parameter_matrix(
@@ -294,7 +313,11 @@ def draw_parameter_matrix(
 
     A deep ensemble's draws are its K members, so it takes exactly
     n_draws = K and leaves ``rng`` untouched."""
-    return _DRAWS[fp.kind](fp, n_draws, rng)
+    row = _ROWS[fp.kind](fp, n_draws)
+    thetas = np.empty((n_draws, fp.spec.n_parameters))
+    for k, theta in enumerate(thetas):
+        row(k, rng, theta)
+    return thetas
 
 
 def _predict_draws(
@@ -303,17 +326,20 @@ def _predict_draws(
     """(S, n) means and variances of X's rows under ``draw_parameter_matrix(fp, S,
     spawn_rng(seed, 301))``, with S defaulting to the posterior's ``sample_count``.
 
-    X is validated once, not per draw."""
+    X is validated once, not per draw.  No (S, P) matrix is built: each draw
+    is written into one (P,) vector and run through blocks made once per
+    call, and only its n means and variances are kept."""
     X = _check_inputs(fp.spec, X)
     s = fp.sample_count if n_draws is None else int(n_draws)
     if s < 1:
         raise ValueError(f"n_draws must be >= 1, got {s}")
-    thetas = draw_parameter_matrix(fp, s, spawn_rng(seed, _STREAM_PREDICT))
-    slots = parameter_layout(fp.spec)
-    means = np.empty((s, X.shape[0]))
-    variances = np.empty((s, X.shape[0]))
+    row, rng = _ROWS[fp.kind](fp, s), spawn_rng(seed, _STREAM_PREDICT)
+    theta = np.empty((1, fp.spec.n_parameters))
+    blocks = _Blocks(fp.spec, 1, X.shape[0], False)
+    means, variances = np.empty((2, s, X.shape[0]))
     for k in range(s):
-        act = _forward_cached(fp.spec, slots, thetas[k : k + 1], X[None])
+        row(k, rng, theta[0])
+        act = _forward_cached(fp.spec, blocks, theta, X[None])
         means[k], variances[k] = act.mu[0], act.sigma2[0]
     return means, variances
 

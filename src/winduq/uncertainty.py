@@ -75,9 +75,9 @@ def decompose_batch(
 ) -> BatchDecomposition:
     """Decompose every row of an input matrix under one shared set of draws.
 
-    One call draws one (S, P) parameter matrix,
-    ``draw_parameter_matrix(fp, S, spawn_rng(seed, 301))``, and every row is
-    predicted under those same S parameter vectors.  Row i is therefore the
+    One call predicts every row under the same S parameter vectors, the rows
+    of ``draw_parameter_matrix(fp, S, spawn_rng(seed, 301))``, streamed one
+    draw at a time so that no (S, P) matrix is built.  Row i is therefore the
     decomposition of ``draw_prediction_arrays(fp, inputs[i], S, seed)`` (up
     to BLAS rounding), and it does not depend on which other rows are
     present.  Deep ensembles draw their K members, so the seed is unused.

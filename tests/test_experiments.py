@@ -30,6 +30,7 @@ from winduq.data import (
     window_univariate_series,
 )
 from winduq.experiments import (
+    _EXPERIMENT_DEFAULTS,
     ConfigError,
     ExperimentConfig,
     OUT_DIR_ENV_VAR,
@@ -264,6 +265,27 @@ class TestBuildConfig:
         with pytest.raises(ConfigError, match=f"^key '{re.escape(key)}': expected a finite"):
             build_config("data_property", {key: raw})
 
+    @pytest.mark.parametrize(
+        "key, raw",
+        [
+            ("sine_n_train", "1_000"),
+            ("seeds", "\u0661, 2"),
+            ("grid_points", "1e3"),
+            ("batch_size", "1.0"),
+            ("mc_dropconnect.epochs", "\uff13"),
+            ("lr", "1e-2, 1_0, 0.5"),
+            ("mc_samples", "+-3"),
+        ],
+    )
+    def test_integers_are_a_sign_and_ascii_digits(self, key, raw):
+        # int() reads the first two as 1000 and (1, 2)
+        with pytest.raises(ConfigError, match=f"^key '{re.escape(key)}': expected an integer, got"):
+            build_config("synthetic_ood", {key: raw})
+
+    def test_signed_and_padded_integers_parse(self):
+        cfg = build_config("synthetic_ood", {"sine_n_train": " +12 ", "seeds": "3, 007, -0"})
+        assert cfg.sine_n_train == 12 and cfg.seeds == (3, 7, 0)
+
     @pytest.mark.parametrize("raw", ["1/0", "0", "-1", "0/5", "1/-4"])
     def test_kl_weight_must_be_positive(self, raw):
         with pytest.raises(ConfigError, match="^key 'kl_weight': expected a positive number"):
@@ -484,6 +506,10 @@ class TestSyntheticRunner:
         stored = json.loads((out / "manifest.json").read_text())
         assert stored["experiment"] == "synthetic_ood"
         assert stored["datasets"][0]["rows"] == 64
+        # the config echo holds the keys the experiment reads, and only those
+        assert "surrogate_n" not in stored["config"] and "ratios" not in stored["config"]
+        assert sorted(stored["config"]) == sorted(_EXPERIMENT_DEFAULTS["synthetic_ood"][0])
+        assert stored["config"]["sine_n_train"] == 64
         grid_rows = read_table(out / "synthetic_deep_ensemble_beta0p5_seed1.csv")
         assert len(grid_rows) == 21
         assert list(grid_rows[0]) == ["x", "mean", "aleatoric", "epistemic", "total"]
@@ -847,6 +873,9 @@ class TestCli:
             assert float(row["aleatoric"]) == expected.aleatoric[i]
             assert float(row["epistemic"]) == expected.epistemic[i]
             assert float(row["mean"]) == expected.mean[i]
+        echo = json.loads((out / "manifest.json").read_text())["config"]
+        assert "betas" not in echo and "epochs" not in echo
+        assert echo["mc_samples"] == 8 and echo["posterior_dir"] == str(pdir)
 
     def test_scaling_accepts_series_csv(self, tmp_path):
         series = make_hourly_power_series(seed=2, n=400)

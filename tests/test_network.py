@@ -16,6 +16,7 @@ import pytest
 from winduq.network import (
     ArchitectureSpec,
     _backward_cached,
+    _Blocks,
     _forward_cached,
     backward_batch,
     forward_batch,
@@ -267,7 +268,7 @@ class TestStackedBlock:
     @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
     def test_rows_equal_single_networks_exactly(self, activation):
         spec, params, X, dm, dv = self._block(activation)
-        act = _forward_cached(spec, parameter_layout(spec), params, X)
+        act = _forward_cached(spec, _Blocks(spec, *X.shape[:2], True), params, X)
         grads = _backward_cached(spec, act, dm, dv)
         assert grads.shape == params.shape
         for k in range(len(params)):
@@ -280,13 +281,13 @@ class TestStackedBlock:
         # one scalar over the whole block: a row that read another row's
         # weights or activations would show up off the diagonal
         spec, params, X, dm, dv = self._block(activation, batch=4)
-        slots = parameter_layout(spec)
+        blocks = _Blocks(spec, *X.shape[:2], True)
 
         def objective(flat):
-            act = _forward_cached(spec, slots, flat.reshape(params.shape), X)
+            act = _forward_cached(spec, blocks, flat.reshape(params.shape), X)
             return float(np.sum(dm * act.mu + dv * act.sigma2))
 
-        act = _forward_cached(spec, slots, params, X)
+        act = _forward_cached(spec, blocks, params, X)
         analytic = _backward_cached(spec, act, dm, dv)
         numeric = fd_gradient(objective, params.ravel().copy()).reshape(params.shape)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)

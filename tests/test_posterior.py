@@ -27,6 +27,7 @@ from winduq.network import (
     softplus,
 )
 from winduq.posterior import (
+    SAMPLER_KINDS,
     FittedPosterior,
     PosteriorSampler,
     _dropconnect_draw,
@@ -419,15 +420,24 @@ class TestDraws:
         rho = _rho_for_std(np.full(spec.n_parameters, 0.3))
         return FittedPosterior("bayes_by_backprop", spec, np.stack([mean, rho]), 16, 0.0)
 
+    def _posterior(self, kind):
+        if kind == "bayes_by_backprop":
+            return self._variational()
+        spec = ArchitectureSpec(3, (5, 4))
+        if kind == "deep_ensemble":
+            phi = np.stack([init_parameters(spec, seed=k) for k in range(4)])
+            return FittedPosterior(kind, spec, phi, 4, 0.0)
+        return FittedPosterior(kind, spec, init_parameters(spec, seed=30)[None], 16, 0.25)
+
     def test_draws_follow_the_decompose_batch_stream(self):
         # the parameter matrix comes from spawn_rng(seed, 301), as in decompose_batch
-        fp = self._variational()
         x = np.array([0.2, -1.0, 0.7])
-        mu, sigma2 = draw_prediction_arrays(fp, x, seed=9)
-        thetas = draw_parameter_matrix(fp, fp.sample_count, spawn_rng(9, 301))
-        for s in range(fp.sample_count):
-            ref_mu, ref_sigma2 = forward_batch(fp.spec, thetas[s], x[None, :])
-            assert mu[s] == ref_mu[0] and sigma2[s] == ref_sigma2[0]
+        for fp in map(self._posterior, SAMPLER_KINDS):
+            mu, sigma2 = draw_prediction_arrays(fp, x, seed=9)
+            thetas = draw_parameter_matrix(fp, fp.sample_count, spawn_rng(9, 301))
+            for s in range(fp.sample_count):
+                ref_mu, ref_sigma2 = forward_batch(fp.spec, thetas[s], x[None, :])
+                assert mu[s] == ref_mu[0] and sigma2[s] == ref_sigma2[0]
 
     def test_same_seed_same_draws(self):
         fp = self._variational()

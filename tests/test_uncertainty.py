@@ -6,14 +6,29 @@ and the Monte Carlo error of the epistemic term must shrink like one over
 the square root of the draw count.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from winduq.network import ArchitectureSpec, init_parameters
-from winduq.posterior import FittedPosterior, draw_prediction_arrays
+from winduq.network import (
+    ArchitectureSpec,
+    forward_batch,
+    init_parameters,
+    weight_position_mask,
+)
+from winduq.posterior import (
+    SAMPLER_KINDS,
+    FittedPosterior,
+    draw_parameter_matrix,
+    draw_prediction_arrays,
+    softplus_inverse,
+)
+from winduq.seeding import spawn_rng
 from winduq.uncertainty import (
     BatchDecomposition,
+    _reduce_draws,
     decompose_arrays,
     decompose_batch,
 )
@@ -187,7 +202,8 @@ class TestDecomposeBatch:
     def test_draw_count_and_shape_validation(self):
         fp = self._ensemble()
         X = np.zeros((2, 2))
-        with pytest.raises(ValueError):
+        message = r"^deep_ensemble yields exactly 4 draws, requested 9$"
+        with pytest.raises(ValueError, match=message):
             decompose_batch(fp, X, n_draws=9)
         with pytest.raises(ValueError):
             decompose_batch(fp, np.zeros((2, 3)))
@@ -203,3 +219,93 @@ class TestDecomposeBatch:
         for fp in (self._dropconnect(), self._ensemble()):
             with pytest.raises(ValueError, match="inputs contain non-finite"):
                 decompose_batch(fp, X, seed=1)
+
+
+def _posterior(kind: str, spec: ArchitectureSpec, count: int) -> FittedPosterior:
+    rng = np.random.default_rng(spec.input_dim)
+    mean = init_parameters(spec, seed=3) + rng.normal(0.0, 0.05, size=spec.n_parameters)
+    if kind == "deep_ensemble":
+        phi = np.stack([init_parameters(spec, seed=k) for k in range(count)])
+        return FittedPosterior(kind, spec, phi, count, 0.0)
+    if kind == "mc_dropconnect":
+        return FittedPosterior(kind, spec, mean[None], count, 0.3)
+    rho = np.full(spec.n_parameters, softplus_inverse(0.2))
+    return FittedPosterior(kind, spec, np.stack([mean, rho]), count, 0.0)
+
+
+# (sample_count, n_draws) per kind: S = 1 and S > 1, and n_draws other than
+# sample_count where the kind allows it
+_DRAW_COUNTS = {
+    "deep_ensemble": [(1, None), (4, None), (4, 4)],
+    "mc_dropconnect": [(4, None), (4, 1), (4, 7)],
+    "bayes_by_backprop": [(4, None), (4, 1), (4, 7)],
+}
+
+
+class TestStreamedDraws:
+    """decompose_batch streams one parameter draw at a time through reused blocks;
+    it must give the bits of the (S, P) matrix composition."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ArchitectureSpec(1, (6, 5)),
+            ArchitectureSpec(1, (4,), "sigmoid"),
+            ArchitectureSpec(3, (7, 4), "sigmoid"),
+            ArchitectureSpec(5, (8, 3, 6)),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize(
+        "kind, count, n_draws",
+        [(kind, *c) for kind in SAMPLER_KINDS for c in _DRAW_COUNTS[kind]],
+    )
+    def test_matches_the_parameter_matrix_composition(self, spec, kind, count, n_draws):
+        fp = _posterior(kind, spec, count)
+        X = np.random.default_rng(count).normal(size=(11, spec.input_dim))
+        s = count if n_draws is None else n_draws
+        thetas = draw_parameter_matrix(fp, s, spawn_rng(6, 301))
+        draws = [forward_batch(spec, theta, X) for theta in thetas]
+        expected = _reduce_draws(np.stack([m for m, _ in draws]), np.stack([v for _, v in draws]))
+        got = decompose_batch(fp, X, n_draws, seed=6)
+        for a, b in zip((got.aleatoric, got.epistemic, got.total, got.mean), expected):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", SAMPLER_KINDS)
+    def test_parameter_rows_are_the_one_block_draw(self, kind):
+        # written row by row, the matrix keeps the bits of one (S, P) draw
+        spec = ArchitectureSpec(3, (5, 4))
+        fp = _posterior(kind, spec, 4)
+        thetas = draw_parameter_matrix(fp, 4, np.random.default_rng(17))
+        rng = np.random.default_rng(17)
+        if kind == "deep_ensemble":
+            expected = fp.phi
+        elif kind == "mc_dropconnect":
+            keeps = np.ones((4, spec.n_parameters))
+            wpos = weight_position_mask(spec)
+            keeps[:, wpos] = rng.random((4, int(wpos.sum()))) >= fp.drop_rate
+            expected = fp.phi * keeps
+        else:
+            mean, rho = fp.phi
+            expected = mean + np.logaddexp(0.0, rho) * rng.standard_normal((4, spec.n_parameters))
+        assert thetas.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("kind", SAMPLER_KINDS)
+def test_decompose_peaks_below_one_parameter_matrix(kind):
+    # the draws stream through one (P,) vector: no (S, P) block is ever built
+    spec = ArchitectureSpec(32, (64, 64, 64))
+    fp = _posterior(kind, spec, 5 if kind == "deep_ensemble" else 30)
+    X = np.random.default_rng(0).normal(size=(90, 32))
+    decompose_batch(fp, X, seed=1)  # fills the per-spec layout caches
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        decompose_batch(fp, X, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < fp.sample_count * spec.n_parameters * 8
