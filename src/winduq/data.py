@@ -244,11 +244,12 @@ def load_scada_csv(
 def _read_numeric_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     """The (n, d) float64 rows and the d column names of a CSV input.
 
-    The first line names the columns: distinct, non-empty, non-numeric and
-    kept verbatim.  Every later non-blank line is a row of d finite numbers,
-    and there is at least one; its fields are read as ``np.loadtxt`` reads
-    them, quotes included.  Any other file raises a one-line ValueError
-    naming it, and the line and column of a malformed row.
+    The first line names the columns: distinct, non-empty, non-numeric, not
+    starting with a double quote once unquoted, and kept verbatim.  Every
+    later non-blank line is a row of d finite numbers, and there is at least
+    one; its fields are read as ``np.loadtxt`` reads them, quotes included.
+    Any other file raises a one-line ValueError naming it, and the line and
+    column of a malformed row.
     """
     try:
         rows = _csv_rows(path, csv.QUOTE_NONE)  # np.loadtxt keeps a row's quotes too
@@ -257,6 +258,8 @@ def _read_numeric_csv(path: Path) -> tuple[np.ndarray, list[str]]:
         for i, name in enumerate(header):
             if not name.strip() or "," in name:  # a quoted comma would split the output
                 raise ValueError(f"column {i + 1} has an empty or comma-holding name")
+            if name.startswith('"'):  # written back unquoted, it would lose its quotes
+                raise ValueError(f"column {i + 1} name {name!r} starts with a double quote")
             if _read_float(name) is not None:
                 raise ValueError(f"column name {name!r} is a number, expected a header row")
         try:

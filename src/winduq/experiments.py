@@ -405,14 +405,28 @@ def format_cell(value) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> None:
-    """Write rows, a list or a 2-D float array, each cell as ``format_cell`` would: an
-    array's rows come from one ``tolist()``, whose Python floats ``repr`` writes."""
-    rows, cell = (rows.tolist(), repr) if isinstance(rows, np.ndarray) else (rows, format_cell)
+    """Write rows, a list or a 2-D array, each cell as ``format_cell`` would.
+
+    A 2-D float64 array ``repr``s each distinct 64-bit pattern once and gathers
+    the text through ``np.unique``'s inverse index, since lagged feature windows
+    repeat each value in about ``lags + 1`` columns.  Keying on the bits, not the
+    value, keeps ``-0.0`` apart from ``0.0``, so every cell's bytes are its
+    ``repr``.  Any other array's rows come from one ``tolist()``, so an integer
+    matrix still writes ``3``.
+    """
+    cell = format_cell
+    if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
+        keys, inverse = np.unique(rows.view(np.int64), return_inverse=True)
+        text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
+        # the inverse's shape for n-d input changed across numpy 2.0.x
+        rows, cell = text[inverse.reshape(rows.shape)].tolist(), None
+    elif isinstance(rows, np.ndarray):
+        rows, cell = rows.tolist(), repr
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
             raise ValueError(f"row width {len(row)} != header width {len(header)}")
-        lines.append(",".join(map(cell, row)))
+        lines.append(",".join(row if cell is None else map(cell, row)))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -776,28 +790,42 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
 
 
 def run_decompose(cfg: ExperimentConfig) -> dict:
-    """Ad-hoc decomposition of a saved posterior over a CSV of inputs."""
+    """Ad-hoc decomposition of a saved posterior over a CSV of inputs.
+
+    The manifest's ``phase_s`` gives the seconds taken to load the posterior,
+    read the inputs, decompose them and write ``decomposition.csv``.
+    """
     t0 = time.monotonic()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     assert cfg.posterior_dir is not None and cfg.dataset is not None
+    stamps = [time.monotonic()]
     fp = load_posterior(cfg.posterior_dir)
+    stamps.append(time.monotonic())
     X, names = _read_numeric_csv(cfg.dataset)
     if X.shape[1] != fp.spec.input_dim:
         raise ConfigError(
             f"{cfg.dataset}: {X.shape[1]} columns, the posterior expects {fp.spec.input_dim}"
         )
+    outputs = ["mean", "aleatoric", "epistemic", "total"]
+    clash = [n for n in names if n in outputs]
+    if clash:
+        raise ConfigError(f"{cfg.dataset}: input column {clash[0]!r} is also an output column")
+    stamps.append(time.monotonic())
     n_draws = None if fp.kind == "deep_ensemble" else cfg.mc_samples
     dec = decompose_batch(fp, X, n_draws, seed=cfg.seeds[0])
+    stamps.append(time.monotonic())
     name = "decomposition.csv"
     write_csv(
         cfg.out_dir / name,
-        names + ["mean", "aleatoric", "epistemic", "total"],
+        names + outputs,
         np.column_stack([X, dec.mean, dec.aleatoric, dec.epistemic, dec.total]),
     )
+    stamps.append(time.monotonic())
     return _write_run_manifest(
         cfg, "ok", [name], [], time.monotonic() - t0,
         posterior_kind=fp.kind,
         rows=int(X.shape[0]),
+        phase_s=dict(zip(["load", "read", "decompose", "write"], np.diff(stamps).tolist())),
     )
 
 

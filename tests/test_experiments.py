@@ -360,6 +360,8 @@ _BAD_CSVS = {
     "empty": ("", "empty first line"),
     "duplicate-header": ("a,b,a\n1,2,3\n", "duplicate column name 'a'"),
     "empty-name": ("a,,c\n1,2,3\n", "column 2 has an empty"),
+    # `"total"` would be written unquoted and read back as a second `total`
+    "quote-first-name": ('x,"""total"""\n1,2\n', "column 2 name '\"total\"' starts with a double"),
     "ragged": ("a,b\n1,2\n3\n", "line 3: the number of columns changed from 2 to 1"),
     "short-rows": ("a,b,c\n1,2\n3,4\n", "line 2: the number of columns changed from 3 to 2"),
     "non-numeric": ("a,b\n1,x\n", "line 2, column 'b': expected a finite number, got 'x'"),
@@ -873,9 +875,45 @@ class TestCli:
             assert float(row["aleatoric"]) == expected.aleatoric[i]
             assert float(row["epistemic"]) == expected.epistemic[i]
             assert float(row["mean"]) == expected.mean[i]
-        echo = json.loads((out / "manifest.json").read_text())["config"]
+        table = np.column_stack(
+            [X, expected.mean, expected.aleatoric, expected.epistemic, expected.total]
+        )
+        body = "".join(",".join(map(format_cell, row)) + "\n" for row in table)
+        header = "f1,f2,mean,aleatoric,epistemic,total\n"
+        assert (out / "decomposition.csv").read_text() == header + body
+        manifest = json.loads((out / "manifest.json").read_text())
+        echo = manifest["config"]
         assert "betas" not in echo and "epochs" not in echo
         assert echo["mc_samples"] == 8 and echo["posterior_dir"] == str(pdir)
+        phases = manifest["phase_s"]
+        assert sorted(phases) == ["decompose", "load", "read", "write"]
+        assert all(v >= 0.0 for v in phases.values())
+        assert sum(phases.values()) <= manifest["wall_time_s"]
+
+    @pytest.mark.parametrize("column", ["mean", "aleatoric", "epistemic", "total"])
+    def test_decompose_rejects_an_input_column_named_like_an_output(
+        self, tmp_path, capsys, column
+    ):
+        spec = ArchitectureSpec(2, (3,))
+        pdir = tmp_path / "posterior"
+        phi = init_parameters(spec, seed=1)[None]
+        save_posterior(FittedPosterior("deep_ensemble", spec, phi, 1, 0.0), pdir)
+        features = tmp_path / "inputs.csv"
+        features.write_text(f"{column},x\n0.5,1.0\n")
+        cfg_path = self._write_config(tmp_path / "dec.cfg", {"posterior_dir": str(pdir)})
+        out = tmp_path / "out"
+        code = main(
+            [
+                "decompose", "--config", str(cfg_path),
+                "--dataset", str(features), "--out-dir", str(out),
+            ]
+        )
+        assert code == 1
+        error = f"{features}: input column {column!r} is also an output column"
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"] == error
 
     def test_scaling_accepts_series_csv(self, tmp_path):
         series = make_hourly_power_series(seed=2, n=400)
