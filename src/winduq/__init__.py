@@ -41,7 +41,6 @@ from .posterior import (
     FittedPosterior,
     PosteriorSampler,
     fit,
-    kl_to_unit_gaussian,
     load_posterior,
     save_posterior,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "forward_batch",
     "init_parameters",
     "joint_density_ranks",
-    "kl_to_unit_gaussian",
     "learning_rate_at",
     "load_posterior",
     "load_scada_csv",

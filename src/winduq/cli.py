@@ -53,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, help_line) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", type=Path, default=None, help="flat key = value config file")
-        p.add_argument("--seed", type=int, default=None, help="override the seed list with one seed")
+        p.add_argument("--seed", default=None, help="override the seed list with one seed")
         p.add_argument("--out-dir", type=Path, default=None, help="output directory")
         p.add_argument("--dataset", type=Path, default=None, help="input CSV (experiment-specific)")
     return parser
@@ -69,8 +69,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
         entries = read_config_file(args.config)
     # command line flags override the file; the env var overrides everything,
     # but only for the output directory
-    if args.seed is not None:
-        entries["seeds"] = str(args.seed)
+    if args.seed is not None:  # parsed like the config key, so 1_000 is no integer
+        entries["seeds"] = args.seed
     if args.dataset is not None:
         entries["dataset"] = str(args.dataset)
     if args.out_dir is not None:

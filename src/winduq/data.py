@@ -101,6 +101,9 @@ class ScadaTable:
 # synthetic sine benchmark
 
 
+SINE_TRAIN_RANGE, SINE_TEST_RANGE = (0.0, 10.0), (10.0, 15.0)  # the test set extrapolates
+
+
 def sine_mean(x: np.ndarray) -> np.ndarray:
     return x * np.sin(x)
 
@@ -115,14 +118,12 @@ def make_sine_dataset(
     n_train: int = 1000,
     n_test: int = 200,
     noise_scale: float = 0.3,
-    train_range: tuple[float, float] = (0.0, 10.0),
-    test_range: tuple[float, float] = (10.0, 15.0),
 ) -> tuple[RegressionDataset, RegressionDataset]:
     """y = x sin x + e1 x + e2 with e1, e2 ~ N(0, noise_scale^2).
 
-    Training inputs are uniform on ``train_range``; the test inputs live on
-    the disjoint ``test_range`` so the test split probes extrapolation.
-    Inputs and targets are left in raw units.
+    Training inputs are uniform on ``SINE_TRAIN_RANGE``; the test inputs live
+    on the disjoint ``SINE_TEST_RANGE`` so the test split probes
+    extrapolation.  Inputs and targets are left in raw units.
     """
     if n_train < 1 or n_test < 0:
         raise ValueError("need n_train >= 1 and n_test >= 0")
@@ -143,8 +144,8 @@ def make_sine_dataset(
             provenance=f"synthetic sine benchmark, noise_scale={noise_scale}, seed={seed}",
         )
 
-    train = draw(n_train, *train_range, "train")
-    test = draw(n_test, *test_range, "test")
+    train = draw(n_train, *SINE_TRAIN_RANGE, "train")
+    test = draw(n_test, *SINE_TEST_RANGE, "test")
     return train, test
 
 
@@ -365,26 +366,21 @@ def window_power_table(
     clean: ScadaTable,
     stats: ColumnStats,
     lags: int = 10,
-    split: tuple[float, float, float] = (9 / 11, 1 / 11, 1 / 11),
 ) -> tuple[RegressionDataset, RegressionDataset, RegressionDataset]:
     """Lagged windows over a normalized table, split chronologically.
 
     Each row t >= lags becomes one sample: the previous ``lags`` values of
     speed, direction and power, plus the current speed and direction
     (3 * lags + 2 features).  The target is the current power.  The split is
-    train/validation/test in time order; train and validation sizes are
-    floored, the remainder is the test set.  Every split carries ``stats``
-    unchanged as its ``scaling`` record.
+    train/validation/test in time order, 9:1:1; train and validation sizes
+    are floored, the remainder is the test set.  Every split carries
+    ``stats`` unchanged as its ``scaling`` record.
     """
     n = len(clean)
     if lags < 1:
         raise ValueError(f"lags must be >= 1, got {lags}")
     if n <= lags:
         raise ValueError(f"need more than {lags} rows to build windows, got {n}")
-    if not math.isclose(sum(split), 1.0, rel_tol=0, abs_tol=1e-9) or any(
-        s < 0 for s in split
-    ):
-        raise ValueError(f"split fractions must be nonnegative and sum to 1, got {split}")
 
     speed_lags = _lagged(clean.wind_speed, lags)
     direction_lags = _lagged(clean.wind_direction, lags)
@@ -403,8 +399,8 @@ def window_power_table(
         + ("speed_now", "direction_now")
     )
     n_windows = X.shape[0]
-    n_train = int(n_windows * split[0])
-    n_val = int(n_windows * split[1])
+    n_train = int(n_windows * (9 / 11))
+    n_val = int(n_windows * (1 / 11))
     return _chronological_split(
         X, y, names, f"windowed power table, lags={lags}", (n_train, n_train + n_val),
         ("train", "validation", "test"), stats,

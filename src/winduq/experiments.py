@@ -47,6 +47,8 @@ import numpy as np
 
 from . import __version__
 from .data import (
+    SINE_TEST_RANGE,
+    SINE_TRAIN_RANGE,
     PowerCurveSpec,
     RegressionDataset,
     _read_float,
@@ -375,7 +377,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
     # build what every cell builds (input width and training-set size aside,
     # which the data sets), so a bad value fails before the first cell's files
     try:
-        ArchitectureSpec(1, cfg.hidden_widths, cfg.activation, cfg.variance_floor)
+        _network_spec(cfg, 1)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for kind in cfg.samplers:
@@ -411,8 +413,7 @@ def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> N
     the text through ``np.unique``'s inverse index, since lagged feature windows
     repeat each value in about ``lags + 1`` columns.  Keying on the bits, not the
     value, keeps ``-0.0`` apart from ``0.0``, so every cell's bytes are its
-    ``repr``.  Any other array's rows come from one ``tolist()``, so an integer
-    matrix still writes ``3``.
+    ``repr``.
     """
     cell = format_cell
     if isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.ndim == 2:
@@ -420,8 +421,6 @@ def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> N
         text = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype=object)
         # the inverse's shape for n-d input changed across numpy 2.0.x
         rows, cell = text[inverse.reshape(rows.shape)].tolist(), None
-    elif isinstance(rows, np.ndarray):
-        rows, cell = rows.tolist(), repr
     lines = [",".join(header)]
     for row in rows:
         if len(row) != len(header):
@@ -493,6 +492,10 @@ def _write_run_manifest(
     return manifest
 
 
+def _network_spec(cfg: ExperimentConfig, input_dim: int) -> ArchitectureSpec:
+    return ArchitectureSpec(input_dim, cfg.hidden_widths, cfg.activation, cfg.variance_floor)
+
+
 def _sampler_for(cfg: ExperimentConfig, kind: str) -> PosteriorSampler:
     count = cfg.ensemble_size if kind == "deep_ensemble" else cfg.mc_samples
     return PosteriorSampler(
@@ -554,7 +557,6 @@ class _Cell(NamedTuple):
 
 def _run_cells(
     cfg: ExperimentConfig,
-    spec: ArchitectureSpec,
     train_for: Callable[[int, int], RegressionDataset],
     evaluate: Callable[[_Cell, FittedPosterior], tuple[dict, str | None]],
 ) -> tuple[list[dict], list[str], list[str]]:
@@ -565,10 +567,10 @@ def _run_cells(
     axis index j.  A beta sweep fits all betas of sampler k from
     ``derive_seed(seed, 402, k)``, so they share initialisation and
     shuffles; a ratio cell fits from ``derive_seed(seed, 402, k, j)``.
-    ``train_for(seed, j)`` gives the training set; ``evaluate(cell, fp)``
-    gives the cell's stats and the name of the CSV it wrote, or None.
-    Returns the cell records, those CSV names and the names of the saved
-    posterior directories.
+    ``train_for(seed, j)`` gives the training set, and the network's input
+    width; ``evaluate(cell, fp)`` gives the cell's stats and the name of the
+    CSV it wrote, or None.  Returns the cell records, those CSV names and the
+    names of the saved posterior directories.
     """
     by_ratio = cfg.experiment == "dataset_scaling"
     axis_key = "ratio" if by_ratio else "beta"
@@ -582,6 +584,7 @@ def _run_cells(
                 fit_seed = derive_seed(seed, _TAG_FIT, *((k, j) if by_ratio else (k,)))
                 train = train_for(seed, j)
                 tc = _training_config(cfg, kind, beta, fit_seed, len(train))
+                spec = _network_spec(cfg, train.inputs.shape[1])
                 fp, _ = fit(_sampler_for(cfg, kind), spec, train, tc)
                 tag = f"{axis_key}{_token(value)}"
                 decompose_seed = functools.partial(derive_seed, seed, _TAG_DECOMP, k, j)
@@ -601,13 +604,13 @@ def _run_cells(
 
 
 def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
-    """Sine benchmark: decompose over [0, 15] after training on [0, 10]."""
+    """Sine benchmark: decompose over both input ranges after training on the first."""
     t0 = time.monotonic()
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    grid = np.linspace(0.0, 15.0, cfg.grid_points)
+    grid = np.linspace(SINE_TRAIN_RANGE[0], SINE_TEST_RANGE[1], cfg.grid_points)
     grid_inputs = grid[:, None]
-    in_domain = grid <= 10.0
-    beyond = grid >= 10.0
+    in_domain = grid <= SINE_TRAIN_RANGE[1]
+    beyond = grid >= SINE_TEST_RANGE[0]
     sine = {
         s: make_sine_dataset(
             seed=derive_seed(s, _TAG_DATA),
@@ -617,7 +620,6 @@ def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
         )
         for s in cfg.seeds
     }
-    spec = ArchitectureSpec(1, cfg.hidden_widths, cfg.activation, cfg.variance_floor)
 
     def evaluate(cell: _Cell, fp: FittedPosterior) -> tuple[dict, str]:
         test = sine[cell.seed][1]
@@ -642,7 +644,7 @@ def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
             "au_iqr_id": float(np.percentile(au_id, 75) - np.percentile(au_id, 25)),
         }, name
 
-    cells, artifacts, posteriors = _run_cells(cfg, spec, lambda seed, j: sine[seed][0], evaluate)
+    cells, artifacts, posteriors = _run_cells(cfg, lambda seed, j: sine[seed][0], evaluate)
     header = ["sampler", "beta", "seed", "mse_test", "mean_eu_id", "mean_eu_ood",
               "eu_ood_ratio", "spearman_au_x", "au_iqr_id"]
     write_csv(cfg.out_dir / "summary.csv", header, _rows(cells, header))
@@ -687,10 +689,6 @@ def run_data_property(cfg: ExperimentConfig) -> dict:
             f"speed band [{lo}, {hi}] does not split the test rows; cannot compare"
         )
 
-    spec = ArchitectureSpec(
-        test.inputs.shape[1], cfg.hidden_widths, cfg.activation, cfg.variance_floor
-    )
-
     def evaluate(cell: _Cell, fp: FittedPosterior) -> tuple[dict, str]:
         dec = decompose_batch(fp, test.inputs, seed=cell.decompose_seed())
         name = f"property_{cell.kind}_{cell.tag}_seed{cell.seed}.csv"
@@ -708,7 +706,7 @@ def run_data_property(cfg: ExperimentConfig) -> dict:
             "spearman_au_density": _spearman_or_blank(dec.aleatoric, density_rank),
         }, name
 
-    cells, artifacts, posteriors = _run_cells(cfg, spec, lambda seed, j: train, evaluate)
+    cells, artifacts, posteriors = _run_cells(cfg, lambda seed, j: train, evaluate)
     header = ["sampler", "beta", "seed", "mse_test", "mean_eu_in_band", "mean_eu_out_band",
               "spearman_au_density"]
     band_counts = [int(in_band.sum()), int((~in_band).sum())]
@@ -744,9 +742,6 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     series, source = _load_series(cfg)
     pool, test = window_univariate_series(series, lags=cfg.lags, test_fraction=cfg.test_fraction)
-    spec = ArchitectureSpec(
-        pool.inputs.shape[1], cfg.hidden_widths, cfg.activation, cfg.variance_floor
-    )
 
     # all before the first fit, so a ratio selecting no rows fails before any file
     subsets = {
@@ -765,7 +760,7 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
             "mean_epistemic": float(dec.epistemic.mean()),
         }, None
 
-    cells, _, posteriors = _run_cells(cfg, spec, lambda seed, j: subsets[seed, j], evaluate)
+    cells, _, posteriors = _run_cells(cfg, lambda seed, j: subsets[seed, j], evaluate)
     header = ["sampler", "seed", "ratio", "n_train", "kl_weight", "mse_test",
               "mean_aleatoric", "mean_epistemic"]
     write_csv(cfg.out_dir / "scaling.csv", header, _rows(cells, header))

@@ -54,11 +54,6 @@ def _beta_nll(mu, sigma2, y, beta: float) -> tuple[np.ndarray, ...]:
     return values, weight, r / sigma2 ** (1.0 - beta), d_variance, r2
 
 
-def nll_terms(mu: np.ndarray, sigma2: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Elementwise Gaussian negative log likelihood, constant terms dropped."""
-    return _beta_nll(mu, sigma2, y, 0.0)[0]
-
-
 def _check_beta(beta: float) -> float:
     beta = float(beta)
     if not 0.0 <= beta <= 1.0:
@@ -73,7 +68,7 @@ def beta_nll_terms(
 
     The weight is sigma2**beta, treated as a constant during
     differentiation.  At beta = 0 the weight is exactly 1 and the values are
-    bit-for-bit identical to ``nll_terms``.
+    bit-for-bit the plain NLL, 0.5 * log(sigma2) + (y - mean)**2 / (2 * sigma2).
     """
     return _beta_nll(mu, sigma2, y, _check_beta(beta))[:2]
 

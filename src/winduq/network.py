@@ -82,23 +82,6 @@ class ArchitectureSpec:
         n += 2 * (self.hidden_widths[-1] + 1)  # mean head + variance head
         return n
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_widths": list(self.hidden_widths),
-            "hidden_activation": self.hidden_activation,
-            "variance_floor": self.variance_floor,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArchitectureSpec":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            hidden_widths=tuple(d["hidden_widths"]),
-            hidden_activation=str(d["hidden_activation"]),
-            variance_floor=float(d["variance_floor"]),
-        )
-
 
 @dataclass(frozen=True)
 class _Slot:

@@ -28,7 +28,7 @@ A saved posterior is ``posterior.json`` plus phi as one ``params.npy``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -119,8 +119,9 @@ def sample_weight_mask(
 
 
 def _kl_terms(mean: np.ndarray, sigma: np.ndarray, sigmoid_rho: np.ndarray):
-    """The KL below, sum(-log(sigma) + (sigma**2 + mean**2 - 1) / 2), and its rho-gradient
-    (sigma - 1 / sigma) * sigmoid(rho), bit for bit but with fewer temporary arrays."""
+    """KL(N(mean, sigma^2) || N(0, I)) = sum(-log(sigma) + (sigma**2 + mean**2 - 1) / 2) and
+    its rho-gradient (sigma - 1 / sigma) * sigmoid(rho), for sigma = softplus(rho): those
+    formulas bit for bit, with fewer temporary arrays."""
     terms, log_sigma = sigma**2 + mean**2, np.log(sigma)
     terms -= 1.0
     terms /= 2.0
@@ -128,18 +129,6 @@ def _kl_terms(mean: np.ndarray, sigma: np.ndarray, sigmoid_rho: np.ndarray):
     d_rho = sigma - 1.0 / sigma
     d_rho *= sigmoid_rho
     return float(np.sum(terms)), d_rho
-
-
-def kl_to_unit_gaussian(mean: np.ndarray, rho: np.ndarray) -> float:
-    """KL( N(mean, softplus(rho)^2) || N(0, I) ), summed over coordinates."""
-    mean, rho = (np.asarray(a, dtype=np.float64) for a in (mean, rho))
-    return _kl_terms(mean, softplus(rho), sigmoid(rho))[0]
-
-
-def kl_to_unit_gaussian_grads(mean: np.ndarray, rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients of the closed-form KL with respect to (mean, rho)."""
-    mean, rho = (np.asarray(a, dtype=np.float64) for a in (mean, rho))
-    return mean.copy(), _kl_terms(mean, softplus(rho), sigmoid(rho))[1]
 
 
 def softplus_inverse(y: float) -> float:
@@ -374,7 +363,7 @@ def save_posterior(fp: FittedPosterior, directory: str | Path, extra: dict | Non
         "kind": fp.kind,
         "sample_count": fp.sample_count,
         "drop_rate": fp.drop_rate,
-        "spec": fp.spec.to_dict(),
+        "spec": asdict(fp.spec),
     }
     if extra:
         manifest["training"] = extra
@@ -382,15 +371,25 @@ def save_posterior(fp: FittedPosterior, directory: str | Path, extra: dict | Non
     (directory / "posterior.json").write_text(json.dumps(manifest, indent=1))
 
 
+def _json_value(name: str, value, *types: type):
+    """``value`` if ``json`` read it as one of ``types``, which no bool is: where a
+    cast would take 3.7 or "3" for an int, or "1e-6" for a float, this raises."""
+    if type(value) not in types:
+        what = " or ".join(t.__name__ for t in types)
+        raise ValueError(f"{name} must be {what}, got {type(value).__name__} {value!r}")
+    return value
+
+
 def load_posterior(directory: str | Path) -> FittedPosterior:
     """Read a posterior written by :func:`save_posterior`.
 
     Any other format version (version 1 included: re-fit to convert), a
-    ``posterior.json`` that is not a JSON object, a missing or ill-typed key
-    (``sample_count`` must be a JSON integer), a missing ``params.npy``, or
-    a phi that is not a ``.npy`` array, pickled, not float64, not finite or
-    of the wrong shape for the kind and spec raises a one-line
-    ``ValueError`` naming the file.
+    ``posterior.json`` that is not a JSON object, a missing or ill-typed key (JSON
+    integers for ``sample_count``, ``spec.input_dim`` and each hidden width, a
+    list of them, numbers for ``drop_rate`` and ``spec.variance_floor``), a
+    missing ``params.npy``, or a phi that is not a ``.npy`` array, pickled, not
+    float64, not finite or of the wrong shape for the kind and spec raises a
+    one-line ``ValueError`` naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "posterior.json"
@@ -407,11 +406,20 @@ def load_posterior(directory: str | Path) -> FittedPosterior:
     for key in ("kind", "spec", "sample_count", "drop_rate"):
         if key not in manifest:
             raise ValueError(f"{manifest_path}: missing key {key!r}")
-    sample_count = manifest["sample_count"]
-    if type(sample_count) is not int:  # not bool, float or str
-        raise ValueError(f"{manifest_path}: sample_count must be an integer, got {sample_count!r}")
     try:
-        spec = ArchitectureSpec.from_dict(manifest["spec"])
+        sample_count = _json_value("sample_count", manifest["sample_count"], int)
+        drop_rate = float(_json_value("drop_rate", manifest["drop_rate"], int, float))
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
+    try:
+        fields = manifest["spec"]
+        input_dim = _json_value("input_dim", fields["input_dim"], int)
+        widths = _json_value("hidden_widths", fields["hidden_widths"], list)
+        spec = ArchitectureSpec(
+            input_dim, tuple(_json_value("a hidden width", w, int) for w in widths),
+            fields["hidden_activation"],
+            float(_json_value("variance_floor", fields["variance_floor"], int, float)),
+        )
     except KeyError as exc:
         raise ValueError(f"{manifest_path}: missing key 'spec.{exc.args[0]}'") from None
     except (TypeError, ValueError) as exc:
@@ -426,8 +434,6 @@ def load_posterior(directory: str | Path) -> FittedPosterior:
     except (OSError, EOFError, ValueError) as exc:
         raise ValueError(f"{params_path}: {exc}") from None
     try:
-        return FittedPosterior(
-            manifest["kind"], spec, phi, sample_count, float(manifest["drop_rate"])
-        )
+        return FittedPosterior(manifest["kind"], spec, phi, sample_count, drop_rate)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path} and {_PARAMS_FILE}: {exc}") from None

@@ -2,8 +2,8 @@
 
 Preprocessing and windowing are pinned with tiny tables whose repaired,
 normalized and lagged values can be written out by hand.  The sine benchmark
-is checked against its closed-form conditional moments by collapsing the
-input range to a point.
+is checked against its closed-form conditional moments through residuals
+standardised by the conditional standard deviation.
 """
 
 import math
@@ -46,15 +46,14 @@ class TestSineBenchmark:
         other, _ = make_sine_dataset(seed=13)
         assert not np.array_equal(train.targets, other.targets)
 
-    def test_conditional_moments_at_a_point(self):
-        # collapse the input range to x = 5: Var[y|5] = 0.09 * 26 = 2.34
-        fixed, _ = make_sine_dataset(
-            seed=3, n_train=200_000, n_test=0, train_range=(5.0, 5.0)
-        )
-        assert np.all(fixed.inputs == 5.0)
-        y = fixed.targets
-        assert float(y.mean()) == pytest.approx(5.0 * math.sin(5.0), abs=0.05)
-        assert float(y.var()) == pytest.approx(2.34, rel=0.03)
+    def test_standardised_residuals_have_the_conditional_moments(self):
+        # y = x sin x + e1 x + e2 has Var[y|x] = 0.09 (x^2 + 1), so the residuals
+        # standardised by sqrt(x^2 + 1) have mean 0 and variance 0.09 at every x
+        train, _ = make_sine_dataset(seed=3, n_train=200_000, n_test=0)
+        x = train.inputs[:, 0]
+        z = (train.targets - x * np.sin(x)) / np.sqrt(x**2 + 1.0)
+        assert float(z.mean()) == pytest.approx(0.0, abs=0.003)
+        assert float(z.var()) == pytest.approx(0.09, rel=0.03)
         assert sine_conditional_variance(np.array([5.0]))[0] == pytest.approx(2.34, rel=1e-12)
 
     def test_mean_and_variance_functions(self):
@@ -187,8 +186,6 @@ class TestWindowing:
             window_power_table(table, stats, lags=0)
         with pytest.raises(ValueError):
             window_power_table(table, stats, lags=12)
-        with pytest.raises(ValueError):
-            window_power_table(table, stats, lags=5, split=(0.5, 0.2, 0.2))
 
 
 class TestUnivariateWindows:

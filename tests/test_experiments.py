@@ -445,6 +445,11 @@ class TestCsvWriting:
         with pytest.raises(ValueError, match="width"):
             write_csv(tmp_path / "t.csv", ["a", "b"], [[1.0]])
 
+    def test_a_string_array_writes_the_cells_of_a_list(self, tmp_path):
+        write_csv(tmp_path / "a.csv", ["v", "w"], np.array([["x", "y z"]]))
+        write_csv(tmp_path / "l.csv", ["v", "w"], [["x", "y z"]])
+        assert (tmp_path / "a.csv").read_text() == (tmp_path / "l.csv").read_text() == "v,w\nx,y z\n"
+
     def test_float_matrix_writes_the_bytes_of_format_cell(self, tmp_path):
         rng = np.random.default_rng(5)
         matrix = np.vstack([
@@ -1033,6 +1038,14 @@ class TestCli:
         assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed" and manifest["error"] == error
+
+    @pytest.mark.parametrize("seed", ["1_000", "x"])
+    def test_seed_flag_takes_the_config_integer_grammar(self, tmp_path, capsys, seed):
+        # both used to reach argparse: 1_000 ran seed 1000, x exited 2 with its usage text
+        out = tmp_path / "out"
+        assert main(["synthetic", "--seed", seed, "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: key 'seeds': expected an integer, got {seed!r}\n"
 
     def test_config_error_exits_nonzero(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path / "bad.cfg", {"not_a_key": "1"})

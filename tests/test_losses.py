@@ -20,7 +20,6 @@ from winduq.losses import (
     beta_nll_grads,
     beta_nll_terms,
     learning_rate_at,
-    nll_terms,
     train,
 )
 from winduq.network import (
@@ -41,7 +40,7 @@ def output_grads(mu, sigma2, y, beta):
 class TestNllValues:
     def test_hand_computed_value(self):
         # log(4)/2 + (1-3)^2 / (2*4)
-        assert float(nll_terms(1.0, 4.0, 3.0)) == pytest.approx(
+        assert float(beta_nll_terms(1.0, 4.0, 3.0, beta=0.0)[0]) == pytest.approx(
             math.log(4.0) / 2.0 + 0.5, rel=1e-15
         )
 
@@ -56,13 +55,13 @@ class TestNllValues:
         sigma2 = rng.uniform(0.01, 5.0, size=10_000)
         y = rng.normal(size=10_000)
         values, weights = beta_nll_terms(mu, sigma2, y, beta=0.0)
-        plain = nll_terms(mu, sigma2, y)
+        plain = 0.5 * np.log(sigma2) + (y - mu) ** 2 / (2 * sigma2)
         assert np.array_equal(values, plain)
         assert np.all(weights == 1.0)
 
     def test_nonpositive_variance_rejected(self):
         with pytest.raises(ValueError):
-            nll_terms(0.0, 0.0, 1.0)
+            beta_nll_terms(0.0, 0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             beta_nll_terms(0.0, -1.0, 1.0, 0.5)
 

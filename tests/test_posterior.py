@@ -31,12 +31,11 @@ from winduq.posterior import (
     FittedPosterior,
     PosteriorSampler,
     _dropconnect_draw,
+    _kl_terms,
     _variational_draw,
     draw_parameter_matrix,
     draw_prediction_arrays,
     fit,
-    kl_to_unit_gaussian,
-    kl_to_unit_gaussian_grads,
     load_posterior,
     sample_weight_mask,
     save_posterior,
@@ -49,21 +48,27 @@ def _rho_for_std(std):
     return np.array([softplus_inverse(s) for s in np.atleast_1d(std)])
 
 
+def _kl(mean, rho):
+    """(KL to the unit Gaussian, its rho-gradient), from the call the
+    Bayes-by-backprop training loop makes; the mean-gradient is ``mean``."""
+    return _kl_terms(mean, softplus(rho), sigmoid(rho))
+
+
 class TestKlClosedForm:
     def test_hand_computed_single_coordinate(self):
         # KL(N(1, 2^2) || N(0, 1)) = -log 2 + (4 + 1 - 1)/2
-        kl = kl_to_unit_gaussian(np.array([1.0]), _rho_for_std(2.0))
+        kl = _kl(np.array([1.0]), _rho_for_std(2.0))[0]
         assert kl == pytest.approx(2.0 - math.log(2.0), rel=1e-12)
 
     def test_unit_gaussian_gives_zero(self):
         rho = _rho_for_std(np.ones(7))
-        assert kl_to_unit_gaussian(np.zeros(7), rho) == pytest.approx(0.0, abs=1e-12)
+        assert _kl(np.zeros(7), rho)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_away_from_unit_gaussian(self):
         rho_unit = _rho_for_std(1.0)
-        assert kl_to_unit_gaussian(np.array([0.3]), rho_unit) > 1e-3
-        assert kl_to_unit_gaussian(np.array([0.0]), _rho_for_std(1.3)) > 1e-3
-        assert kl_to_unit_gaussian(np.array([0.0]), _rho_for_std(0.7)) > 1e-3
+        assert _kl(np.array([0.3]), rho_unit)[0] > 1e-3
+        assert _kl(np.array([0.0]), _rho_for_std(1.3))[0] > 1e-3
+        assert _kl(np.array([0.0]), _rho_for_std(0.7))[0] > 1e-3
 
     def test_monte_carlo_oracle(self):
         mean = np.array([0.3, -1.2, 0.4, 2.0])
@@ -75,13 +80,13 @@ class TestKlClosedForm:
         # log q - log p with the shared 2*pi constant cancelled
         log_ratio = (-np.log(std) - z**2 / 2.0) - (-(x**2) / 2.0)
         estimate = float(log_ratio.sum(axis=1).mean())
-        assert kl_to_unit_gaussian(mean, rho) == pytest.approx(estimate, rel=0.01)
+        assert _kl(mean, rho)[0] == pytest.approx(estimate, rel=0.01)
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         mean = rng.normal(size=6)
         rho = rng.normal(size=6)
-        d_mean, d_rho = kl_to_unit_gaussian_grads(mean, rho)
+        d_mean, d_rho = mean, _kl(mean, rho)[1]
         h = 1e-6
         for i in range(6):
             for vec, grad in ((mean, d_mean), (rho, d_rho)):
@@ -89,9 +94,9 @@ class TestKlClosedForm:
                 bumped_up[i] += h
                 bumped_dn[i] -= h
                 if vec is mean:
-                    fd = kl_to_unit_gaussian(bumped_up, rho) - kl_to_unit_gaussian(bumped_dn, rho)
+                    fd = _kl(bumped_up, rho)[0] - _kl(bumped_dn, rho)[0]
                 else:
-                    fd = kl_to_unit_gaussian(mean, bumped_up) - kl_to_unit_gaussian(mean, bumped_dn)
+                    fd = _kl(mean, bumped_up)[0] - _kl(mean, bumped_dn)[0]
                 assert grad[i] == pytest.approx(fd / (2 * h), rel=1e-6, abs=1e-9)
 
     def test_softplus_inverse_round_trip(self):
@@ -263,7 +268,7 @@ class TestVariationalFit:
         mean, rho = fp.phi
         assert np.max(np.abs(mean)) < 0.05
         assert_allclose(softplus(rho), 1.0, atol=0.05)
-        assert kl_to_unit_gaussian(mean, rho) < 0.01
+        assert _kl(mean, rho)[0] < 0.01
 
     def test_fit_is_deterministic_and_trace_is_finite(self):
         data = _tiny_sine()
@@ -276,7 +281,7 @@ class TestVariationalFit:
         assert np.array_equal(fp1.phi[1], fp2.phi[1])
         assert len(traces) == 1 and len(traces[0]) == 3
         assert np.all(np.isfinite(traces[0].mean_loss))
-        assert kl_to_unit_gaussian(*fp1.phi) >= 0.0
+        assert _kl(*fp1.phi)[0] >= 0.0
 
     def test_initial_std_matches_init_sigma(self):
         data = _tiny_sine(n=16)
@@ -317,7 +322,7 @@ class TestVariationalFit:
         mu, sigma2 = forward_batch(spec, theta, data.inputs)
         values, _ = beta_nll_terms(mu, sigma2, data.targets, cfg.beta)
         assert trace.mean_loss[0] == pytest.approx(values.sum() / 20, rel=1e-12)
-        assert trace.kl[0] == pytest.approx(0.25 * kl_to_unit_gaussian(mean, rho) / 20, rel=1e-12)
+        assert trace.kl[0] == pytest.approx(0.25 * _kl(mean, rho)[0] / 20, rel=1e-12)
         assert trace.kl[0] > 0.0
 
     def test_pullback_matches_finite_differences(self):
@@ -339,7 +344,7 @@ class TestVariationalFit:
             return float(c1 @ mu + c2 @ sigma2) + prior
 
         theta, pullback, prior = draw(phi, 1, 2)
-        assert prior == pytest.approx(0.3 * kl_to_unit_gaussian(phi[:p], phi[p:]), rel=1e-15)
+        assert prior == pytest.approx(0.3 * _kl(phi[:p], phi[p:])[0], rel=1e-15)
         analytic = pullback(backward_batch(spec, theta, X, c1, c2))
         h = 1e-6
         numeric = np.zeros_like(phi)
@@ -364,14 +369,14 @@ class TestVariationalFit:
         theta, pullback, prior = draw(np.concatenate([mean, rho], axis=-1), 2, 5)
         eps = spawn_rng(6, 103, 2, 5).standard_normal(p)
         assert np.array_equal(theta, mean + softplus(rho) * eps)
-        assert prior == 0.3 * kl_to_unit_gaussian(mean, rho)
-        kl_d_mean, kl_d_rho = kl_to_unit_gaussian_grads(mean, rho)
-        sigma = softplus(rho)  # the public KL pair is the plain formula
+        kl, kl_d_rho = _kl(mean, rho)
+        assert prior == 0.3 * kl
+        sigma = softplus(rho)  # the KL pair is the plain formula
         plain_kl = np.sum(-np.log(sigma) + (sigma**2 + mean**2 - 1.0) / 2.0)
-        assert kl_to_unit_gaussian(mean, rho) == float(plain_kl)
+        assert kl == float(plain_kl)
         assert np.array_equal(kl_d_rho, (sigma - 1.0 / sigma) * sigmoid(rho))
         expected = np.concatenate(
-            [g + 0.3 * kl_d_mean, g * eps * sigmoid(rho) + 0.3 * kl_d_rho], axis=-1
+            [g + 0.3 * mean, g * eps * sigmoid(rho) + 0.3 * kl_d_rho], axis=-1
         )
         assert np.array_equal(pullback(g), expected)
 
@@ -516,6 +521,33 @@ _MALFORMED = {
     "count-bool": (_set_field("sample_count", True), "sample_count .*True", "posterior.json"),
     "drop-rate-null": (_set_field("drop_rate", None), "NoneType", "posterior.json"),
     "widths-not-a-list": (_set_field("spec.hidden_widths", 5), "spec: .*int", "posterior.json"),
+    # each below loaded at a cast's value, so that the record matched the saved phi
+    "input-dim-float": (
+        _set_field("spec.input_dim", 2.7), "spec: input_dim must be int, got float 2.7",
+        "posterior.json",
+    ),
+    "input-dim-string": (
+        _set_field("spec.input_dim", "2"), "spec: input_dim must be int, got str '2'",
+        "posterior.json",
+    ),
+    "width-float": (
+        _set_field("spec.hidden_widths", [5.9, 3]), "spec: a hidden width must be int, got float",
+        "posterior.json",
+    ),
+    "widths-string": (  # whose characters are the widths 5 and 3
+        _set_field("spec.hidden_widths", "53"), "spec: hidden_widths must be list, got str",
+        "posterior.json",
+    ),
+    "floor-string": (
+        _set_field("spec.variance_floor", "1e-05"), "spec: variance_floor must be int or float",
+        "posterior.json",
+    ),
+    "floor-bool": (
+        _set_field("spec.variance_floor", False), "variance_floor .*got bool", "posterior.json"
+    ),
+    "drop-rate-string": (
+        _set_field("drop_rate", "0.0"), "drop_rate must be int or float, got str", "posterior.json"
+    ),
 }
 
 
