@@ -9,9 +9,10 @@ Subcommands map to the canned experiments::
 
 Config files are flat 'key = value' text; unknown keys are rejected.  The
 output directory resolves as: WINDUQ_OUT_DIR environment variable, then
---out-dir, then the config file, then a per-experiment default.  A
-manifest.json is written into the output directory for every invocation that
-gets as far as resolving its configuration, including failed ones; a config
+--out-dir, then the config file, then a per-experiment default.  Every
+invocation that gets past argument parsing leaves a manifest.json there.  One
+that fails prints a one-line error, and its manifest says ``status: failed``
+and echoes the raw config entries (and the resolved config, if any); a config
 that fails validation fails before the first fit, leaving only that manifest.
 """
 
@@ -27,12 +28,9 @@ from pathlib import Path
 from .experiments import (
     OUT_DIR_ENV_VAR,
     RUNNERS,
-    ConfigError,
-    ExperimentConfig,
-    _resolve_entries,
-    _validate_config,
-    _write_run_manifest,
+    build_config,
     read_config_file,
+    write_failed_manifest,
 )
 
 _COMMANDS = {  # subcommand: (experiment, help line)
@@ -59,64 +57,35 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    # build_config minus its validation, so a config that fails it gets a manifest
-    experiment = _COMMANDS[args.command][0]
-    entries: dict[str, str] = {}
-    if args.config is not None:
-        if not args.config.is_file():
-            raise ConfigError(f"config file not found: {args.config}")
-        entries = read_config_file(args.config)
-    # command line flags override the file; the env var overrides everything,
-    # but only for the output directory
-    if args.seed is not None:  # parsed like the config key, so 1_000 is no integer
-        entries["seeds"] = args.seed
-    if args.dataset is not None:
-        entries["dataset"] = str(args.dataset)
-    if args.out_dir is not None:
-        entries["out_dir"] = str(args.out_dir)
-    env_dir = os.environ.get(OUT_DIR_ENV_VAR)
-    if env_dir:
-        entries["out_dir"] = env_dir
-    return _resolve_entries(experiment, entries)
-
-
-def _write_failure_manifest(
-    cfg: ExperimentConfig | None, error: str, trace: str | None = None
-) -> None:
-    if cfg is None:
-        return
-    fields = {"error": error} if trace is None else {"error": error, "traceback": trace}
-    try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        _write_run_manifest(cfg, "failed", [], [], 0.0, **fields)
-    except OSError:
-        pass  # the diagnostic on stderr is the best we can do
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg: ExperimentConfig | None = None
+    experiment = _COMMANDS[args.command][0]
+    # flags override the file, and the env var the output directory; --seed stays
+    # a string, parsed like the config key, so 1_000 is no integer
+    flags = {"seeds": args.seed, "dataset": args.dataset,
+             "out_dir": os.environ.get(OUT_DIR_ENV_VAR) or args.out_dir}
+    entries = {key: str(value) for key, value in flags.items() if value is not None}
+    cfg = None
     try:
-        cfg = _resolve_config(args)
-        _validate_config(cfg)
+        if args.config is not None:
+            entries = {**read_config_file(args.config), **entries}
+        cfg = build_config(experiment, entries)
         t0 = time.monotonic()
-        manifest = RUNNERS[cfg.experiment](cfg)
-        n_cells = len(manifest.get("cells", []))
-        print(
-            f"{cfg.experiment}: wrote {len(manifest['artifacts'])} artifact(s) "
-            f"({n_cells} cell(s)) to {cfg.out_dir} in {time.monotonic() - t0:.1f}s"
-        )
+        manifest = RUNNERS[experiment](cfg)
+        n_files, n_cells = len(manifest["artifacts"]), len(manifest.get("cells", []))
+        print(f"{experiment}: wrote {n_files} artifact(s) ({n_cells} cell(s)) to {cfg.out_dir} "
+              f"in {time.monotonic() - t0:.1f}s")
         return 0
-    except (ConfigError, FileNotFoundError, ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        _write_failure_manifest(cfg, str(exc))
-        return 1
+    except (FileNotFoundError, ValueError, RuntimeError) as exc:  # ConfigError is a ValueError
+        error, trace = str(exc), None
     except Exception as exc:  # unexpected: still one line, the traceback goes to the manifest
-        message = f"{type(exc).__name__}: {exc}"
-        print(f"error: {message}", file=sys.stderr)
-        _write_failure_manifest(cfg, message, traceback.format_exc())
-        return 1
+        error, trace = f"{type(exc).__name__}: {exc}", traceback.format_exc()
+    print(f"error: {error}", file=sys.stderr)
+    try:
+        write_failed_manifest(experiment, entries, cfg, error, trace)
+    except OSError:
+        pass  # the diagnostic on stderr is the best we can do
+    return 1
 
 
 if __name__ == "__main__":

@@ -19,11 +19,12 @@ tables it builds from the cell records.  Every run writes deterministic CSV
 tables (floats via repr, so reruns are byte-identical) plus a
 ``manifest.json``, built by ``_write_run_manifest``: the config keys the
 experiment reads, environment, data fingerprint, artifacts and any saved
-posterior directories.  A config key the experiment does not read
-(``_EXPERIMENT_DEFAULTS`` lists them) is rejected, and so is a config that
-repeats a seed, sampler, ratio or one sampler's beta, since each entry
-names its own cells' files; betas and ratios count as repeats when their
-six-significant-digit file tags agree.
+posterior directories; a failed run gets one from ``write_failed_manifest``.
+``build_config`` rejects a config key the experiment does not read
+(``_EXPERIMENT_DEFAULTS`` lists them), and a config that repeats a seed,
+sampler, ratio or one sampler's beta, since each entry names its own cells'
+files; betas and ratios count as repeats when their six-significant-digit
+file tags agree.
 """
 
 from __future__ import annotations
@@ -279,9 +280,15 @@ _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} | {
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
-    """Parse a flat 'key = value' file; '#' lines are comments."""
+    """Parse a flat 'key = value' UTF-8 file; '#' lines are comments."""
+    if not Path(path).is_file():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     entries: dict[str, str] = {}
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -305,13 +312,6 @@ def build_config(experiment: str, entries: dict[str, str]) -> ExperimentConfig:
     Unknown keys, and keys the experiment does not read, are rejected outright;
     ``experiment`` inside the file must agree with the subcommand invoked.
     """
-    cfg = _resolve_entries(experiment, entries)
-    _validate_config(cfg)
-    return cfg
-
-
-def _resolve_entries(experiment: str, entries: dict[str, str]) -> ExperimentConfig:
-    """The config ``build_config`` returns, before ``_validate_config``."""
     if experiment not in _EXPERIMENT_DEFAULTS:
         raise ConfigError(f"unknown experiment {experiment!r}; valid: {list(_EXPERIMENT_DEFAULTS)}")
     unknown = sorted(set(entries) - _CONFIG_KEYS)
@@ -341,13 +341,9 @@ def _resolve_entries(experiment: str, entries: dict[str, str]) -> ExperimentConf
             setattr(cfg, name, {k: value for k in SAMPLER_KINDS})
         else:
             setattr(cfg, name, value)
-    return cfg
-
-
-def _validate_config(cfg: ExperimentConfig) -> None:
-    # a key the experiment does not read keeps its default, which passes;
-    # every entry names its own cells' files, betas and ratios by _token,
-    # which keeps six significant digits
+    # validate: a key the experiment does not read keeps its default, which passes;
+    # every entry names its own cells' files, betas and ratios by _token, which
+    # keeps six significant digits
     cell_keys = {"seeds": cfg.seeds, "samplers": cfg.samplers, "ratios": cfg.ratios}
     cell_keys.update((f"{kind}.betas", betas) for kind, betas in cfg.betas.items())
     for key, values in cell_keys.items():
@@ -387,6 +383,7 @@ def _validate_config(cfg: ExperimentConfig) -> None:
                 _training_config(cfg, kind, beta, 0, 1)
         except ValueError as exc:
             raise ConfigError(f"{kind}: {exc}") from exc
+    return cfg
 
 
 def auto_kl_weight(n_train: int, batch_size: int) -> float:
@@ -454,21 +451,21 @@ def _environment() -> dict:
             "threads": {v: os.environ.get(v) for v in threads}}
 
 
-def _write_run_manifest(
-    cfg: ExperimentConfig,
-    status: str,
-    artifacts: list[str],
-    posteriors: list[str],
-    wall_time_s: float,
-    **fields,
-) -> dict:
-    """Write the manifest of a finished or failed run; ``fields`` are its own keys.
+def _write_manifest(out_dir: Path, cfg: ExperimentConfig | None, **manifest) -> dict:
+    if cfg is not None:
+        echo = {k: getattr(cfg, k) for k in _EXPERIMENT_DEFAULTS[cfg.experiment][0]}
+        manifest["config"] = json.loads(json.dumps(echo, default=str))
+    manifest["environment"] = _environment()
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    return manifest
 
-    With ``save_posteriors`` set, a finished run lists the posterior
-    directories it saved, ``posteriors``, under the key of that name.  Every
-    listed artifact must exist non-empty and every listed posterior directory
-    must hold a posterior.json, or no manifest is written.
-    """
+
+def _write_run_manifest(cfg: ExperimentConfig, artifacts: list[str], posteriors: list[str],
+                        wall_time_s: float, **fields) -> dict:
+    """Write the manifest of a finished run; ``fields`` are its own keys, and with
+    ``save_posteriors`` set it lists the saved ``posteriors`` under that key.  Every
+    listed artifact must exist non-empty and every listed posterior directory must
+    hold a posterior.json, or no manifest is written."""
     for name in artifacts:
         target = cfg.out_dir / name
         if not target.is_file() or target.stat().st_size == 0:
@@ -476,20 +473,22 @@ def _write_run_manifest(
     for name in posteriors:
         if not (cfg.out_dir / name / "posterior.json").is_file():
             raise RuntimeError(f"manifest lists missing posterior {cfg.out_dir / name}")
-    echo = {k: getattr(cfg, k) for k in _EXPERIMENT_DEFAULTS[cfg.experiment][0]}
-    manifest = {
-        "experiment": cfg.experiment,
-        "status": status,
-        "config": json.loads(json.dumps(echo, default=str)),
-        "artifacts": artifacts,
-        "wall_time_s": wall_time_s,
-        "environment": _environment(),
-        **fields,
-    }
-    if cfg.save_posteriors and status == "ok":
-        manifest["posteriors"] = posteriors
-    (cfg.out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    return manifest
+    if cfg.save_posteriors:
+        fields["posteriors"] = posteriors
+    return _write_manifest(cfg.out_dir, cfg, experiment=cfg.experiment, status="ok",
+                           artifacts=artifacts, wall_time_s=wall_time_s, **fields)
+
+
+def write_failed_manifest(experiment: str, entries: dict[str, str], cfg: ExperimentConfig | None,
+                          error: str, trace: str | None) -> dict:
+    """Write the manifest of a failed run into the output directory ``entries``
+    name: ``error``, any traceback ``trace``, the raw ``entries`` and, given the
+    ``cfg`` they resolved to, its config echo."""
+    out_dir = Path(entries.get("out_dir", f"runs/{experiment}"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    fields = {} if trace is None else {"traceback": trace}
+    return _write_manifest(out_dir, cfg, experiment=experiment, status="failed", error=error,
+                           entries=entries, artifacts=[], **fields)
 
 
 def _network_spec(cfg: ExperimentConfig, input_dim: int) -> ArchitectureSpec:
@@ -649,7 +648,7 @@ def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
               "eu_ood_ratio", "spearman_au_x", "au_iqr_id"]
     write_csv(cfg.out_dir / "summary.csv", header, _rows(cells, header))
     return _write_run_manifest(
-        cfg, "ok", artifacts + ["summary.csv"], posteriors, time.monotonic() - t0,
+        cfg, artifacts + ["summary.csv"], posteriors, time.monotonic() - t0,
         datasets=[_dataset_fingerprint(sine[s][0]) for s in cfg.seeds],
         cells=cells,
     )
@@ -716,7 +715,7 @@ def run_data_property(cfg: ExperimentConfig) -> dict:
         [row + band_counts for row in _rows(cells, header)],
     )
     return _write_run_manifest(
-        cfg, "ok", artifacts + ["summary.csv"], posteriors, time.monotonic() - t0,
+        cfg, artifacts + ["summary.csv"], posteriors, time.monotonic() - t0,
         source=source,
         load_diagnostics=diagnostics[:20],
         datasets=[_dataset_fingerprint(train), _dataset_fingerprint(test)],
@@ -777,7 +776,7 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
         summary_rows,
     )
     return _write_run_manifest(
-        cfg, "ok", ["scaling.csv", "summary.csv"], posteriors, time.monotonic() - t0,
+        cfg, ["scaling.csv", "summary.csv"], posteriors, time.monotonic() - t0,
         source=source,
         datasets=[_dataset_fingerprint(pool), _dataset_fingerprint(test)],
         cells=cells,
@@ -817,7 +816,7 @@ def run_decompose(cfg: ExperimentConfig) -> dict:
     )
     stamps.append(time.monotonic())
     return _write_run_manifest(
-        cfg, "ok", [name], [], time.monotonic() - t0,
+        cfg, [name], [], time.monotonic() - t0,
         posterior_kind=fp.kind,
         rows=int(X.shape[0]),
         phase_s=dict(zip(["load", "read", "decompose", "write"], np.diff(stamps).tolist())),

@@ -26,6 +26,7 @@ from .network import (
     ArchitectureSpec,
     _backward_cached,
     _Blocks,
+    _check_int,
     _check_params,
     _forward_cached,
     forward_batch,  # noqa: F401  kept importable here; perfbench/test_smoke.py looks it up
@@ -106,12 +107,14 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", _check_beta(self.beta))
+        for name in ("epochs", "batch_size"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         initial, step, factor = self.lr_schedule
-        if initial <= 0 or step < 1 or factor <= 0:
+        if initial <= 0 or _check_int("the lr_schedule decay step", step) < 1 or factor <= 0:
             raise ValueError(f"invalid lr_schedule {self.lr_schedule}")
         object.__setattr__(self, "lr_schedule", (float(initial), int(step), float(factor)))
         if self.kl_weight is not None and self.kl_weight <= 0:

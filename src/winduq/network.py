@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -35,6 +36,13 @@ import numpy as np
 from .seeding import spawn_rng
 
 _ACTIVATIONS = ("relu", "sigmoid")
+
+
+def _check_int(name: str, value) -> int:
+    """A Python or numpy integer as an int; a bool, float or str raises a ValueError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be int, got {type(value).__name__} {value!r}")
+    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -52,7 +60,9 @@ class ArchitectureSpec:
     variance_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+        object.__setattr__(self, "input_dim", _check_int("input_dim", self.input_dim))
+        widths = tuple(_check_int("a hidden width", w) for w in self.hidden_widths)
+        object.__setattr__(self, "hidden_widths", widths)
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if not self.hidden_widths:

@@ -43,6 +43,7 @@ from .network import (
     ArchitectureSpec,
     _Blocks,
     _check_inputs,
+    _check_int,
     _forward_cached,
     init_parameters,
     parameter_layout,
@@ -82,6 +83,8 @@ class PosteriorSampler:
     def __post_init__(self) -> None:
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
+        for name in ("sample_count", "ensemble_size"):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if self.kind == "deep_ensemble":
@@ -158,6 +161,7 @@ class FittedPosterior:
     def __post_init__(self) -> None:
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "sample_count", _check_int("sample_count", self.sample_count))
         if self.sample_count < 1:
             raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
         if self.kind == "mc_dropconnect":
@@ -371,13 +375,11 @@ def save_posterior(fp: FittedPosterior, directory: str | Path, extra: dict | Non
     (directory / "posterior.json").write_text(json.dumps(manifest, indent=1))
 
 
-def _json_value(name: str, value, *types: type):
-    """``value`` if ``json`` read it as one of ``types``, which no bool is: where a
-    cast would take 3.7 or "3" for an int, or "1e-6" for a float, this raises."""
-    if type(value) not in types:
-        what = " or ".join(t.__name__ for t in types)
-        raise ValueError(f"{name} must be {what}, got {type(value).__name__} {value!r}")
-    return value
+def _json_number(name: str, value) -> float:
+    # what json read as a number, which no bool is; a cast would also take "1e-6"
+    if type(value) not in (int, float):
+        raise ValueError(f"{name} must be int or float, got {type(value).__name__} {value!r}")
+    return float(value)
 
 
 def load_posterior(directory: str | Path) -> FittedPosterior:
@@ -407,18 +409,14 @@ def load_posterior(directory: str | Path) -> FittedPosterior:
         if key not in manifest:
             raise ValueError(f"{manifest_path}: missing key {key!r}")
     try:
-        sample_count = _json_value("sample_count", manifest["sample_count"], int)
-        drop_rate = float(_json_value("drop_rate", manifest["drop_rate"], int, float))
+        drop_rate = _json_number("drop_rate", manifest["drop_rate"])
     except ValueError as exc:
         raise ValueError(f"{manifest_path}: {exc}") from None
     try:
         fields = manifest["spec"]
-        input_dim = _json_value("input_dim", fields["input_dim"], int)
-        widths = _json_value("hidden_widths", fields["hidden_widths"], list)
         spec = ArchitectureSpec(
-            input_dim, tuple(_json_value("a hidden width", w, int) for w in widths),
-            fields["hidden_activation"],
-            float(_json_value("variance_floor", fields["variance_floor"], int, float)),
+            fields["input_dim"], fields["hidden_widths"], fields["hidden_activation"],
+            _json_number("variance_floor", fields["variance_floor"]),
         )
     except KeyError as exc:
         raise ValueError(f"{manifest_path}: missing key 'spec.{exc.args[0]}'") from None
@@ -434,6 +432,6 @@ def load_posterior(directory: str | Path) -> FittedPosterior:
     except (OSError, EOFError, ValueError) as exc:
         raise ValueError(f"{params_path}: {exc}") from None
     try:
-        return FittedPosterior(manifest["kind"], spec, phi, sample_count, drop_rate)
+        return FittedPosterior(manifest["kind"], spec, phi, manifest["sample_count"], drop_rate)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path} and {_PARAMS_FILE}: {exc}") from None

@@ -999,6 +999,8 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed" and manifest["error"] == "KeyError: 'lost'"
         assert "broken_runner" in manifest["traceback"]
+        assert manifest["entries"] == {"out_dir": str(out)}
+        assert manifest["config"]["out_dir"] == str(out)
 
     def test_invalid_value_fails_before_the_first_fit(self, tmp_path, capsys):
         entries = _synthetic_entries(tmp_path / "x")
@@ -1046,17 +1048,99 @@ class TestCli:
         assert main(["synthetic", "--seed", seed, "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: key 'seeds': expected an integer, got {seed!r}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"] == err[7:-1]
+        assert manifest["entries"] == {"seeds": seed, "out_dir": str(out)}
 
     def test_config_error_exits_nonzero(self, tmp_path, capsys):
         cfg_path = self._write_config(tmp_path / "bad.cfg", {"not_a_key": "1"})
-        code = main(["synthetic", "--config", str(cfg_path)])
+        code = main(["synthetic", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert "unknown config keys" in capsys.readouterr().err
 
     def test_missing_config_file(self, tmp_path, capsys):
-        code = main(["synthetic", "--config", str(tmp_path / "nope.cfg")])
+        out = str(tmp_path / "out")
+        code = main(["synthetic", "--config", str(tmp_path / "nope.cfg"), "--out-dir", out])
         assert code == 1
         assert "not found" in capsys.readouterr().err
+
+    # One case per kind of failure after argument parsing: (command, config file
+    # text, or None for no file, extra arguments, whether the file's entries reach
+    # the manifest, a fragment of the error, where the output directory comes
+    # from).  {cfg} and {tmp} stand for the config path and the test's directory.
+    _FAILURES = {
+        "missing-config-file": (
+            "synthetic", None, [], False, "config file not found: {cfg}", "flag"),
+        "malformed-line": (
+            "synthetic", "seeds = 1\nepochs 3\n", [], False,
+            "{cfg}:2: expected 'key = value', got 'epochs 3'", "env"),
+        "duplicate-key": (
+            "synthetic", "seeds = 1\nseeds = 2\n", [], False, "{cfg}:2: duplicate key 'seeds'",
+            "flag"),
+        "unknown-key": (
+            "synthetic", "not_a_key = 1\n", [], True, "unknown config keys ['not_a_key']", "file"),
+        "unread-key": (
+            "synthetic", "posterior_dir = p\n", [], True,
+            "posterior_dir is not read by synthetic_ood", "env"),
+        "bad-value-in-file": (
+            "synthetic", "epochs = 2.5\n", [], True, "key 'epochs': expected an integer, got '2.5'",
+            "file"),
+        "seed-flag": (
+            "synthetic", "seeds = 1\n", ["--seed", "x"], True,
+            "key 'seeds': expected an integer, got 'x'", "flag"),
+        "experiment-mismatch": (
+            "synthetic", "experiment = data_property\n", [], True,
+            "config declares experiment 'data_property' but the 'synthetic_ood' command", "file"),
+        "not-utf-8": (  # written as latin-1, so the é is the lone byte 0xe9
+            "synthetic", "seeds = 1\n# café\n", [], False,
+            "{cfg}: 'utf-8' codec can't decode byte 0xe9", "env"),
+        "validation": (
+            "synthetic", "sine_n_test = 0\n", [], True, "sine_n_test must be >= 1, got 0", "file"),
+        "runner": (
+            "decompose", "posterior_dir = {tmp}/missing\n", ["--dataset", "{tmp}/inputs.csv"], True,
+            "No such file or directory: '{tmp}/missing/posterior.json'", "file"),
+    }
+
+    @pytest.mark.parametrize("case", list(_FAILURES))
+    def test_every_failure_leaves_a_failed_manifest(self, tmp_path, capsys, monkeypatch, case):
+        command, text, extra, file_read, fragment, out_from = self._FAILURES[case]
+        cfg_path, out = tmp_path / "run.cfg", tmp_path / "out"
+        fill = {"cfg": cfg_path, "tmp": tmp_path}
+        argv = [command, "--config", str(cfg_path)] + [a.format(**fill) for a in extra]
+        keys = {"--seed": "seeds", "--dataset": "dataset"}
+        flags = {keys[k]: v for k, v in zip(argv[3::2], argv[4::2])}
+        if out_from == "flag":
+            argv += ["--out-dir", str(out)]
+        elif out_from == "env":
+            monkeypatch.setenv(OUT_DIR_ENV_VAR, str(out))
+        else:
+            text = f"out_dir = {out}\n" + text
+        if out_from != "file":
+            flags["out_dir"] = str(out)
+        if text is not None:
+            cfg_path.write_bytes(text.format(**fill).encode("latin-1"))
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert fragment.format(**fill) in err
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["error"] == err[7:-1]
+        assert manifest["experiment"] == cli._COMMANDS[command][0]
+        assert manifest["artifacts"] == [] and "traceback" not in manifest
+        file_entries = read_config_file(cfg_path) if file_read else {}
+        assert manifest["entries"] == {**file_entries, **flags}
+        # only a config that resolved is echoed: here, the one whose runner failed
+        assert ("config" in manifest) == (case == "runner")
+
+    def test_failed_manifest_defaults_to_the_experiment_directory(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["scaling", "--config", str(tmp_path / "nope.cfg")]) == 1
+        assert capsys.readouterr().err == f"error: config file not found: {tmp_path / 'nope.cfg'}\n"
+        manifest = json.loads((tmp_path / "runs/dataset_scaling/manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["entries"] == {}
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):

@@ -5,6 +5,7 @@ because the weight is excluded from differentiation by construction.
 """
 
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -202,6 +203,26 @@ class TestTrainingConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TrainingConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"epochs": 2.5}, "epochs must be int, got float 2.5"),
+            ({"epochs": "3"}, "epochs must be int, got str '3'"),
+            ({"batch_size": True}, "batch_size must be int, got bool True"),
+            ({"lr_schedule": (1e-3, 2.5, 0.1)}, "decay step must be int, got float 2.5"),
+        ],
+    )
+    def test_non_integer_counts_rejected_not_cast(self, kwargs, message):
+        # the 2.5 decay step used to decay the rate every 2 epochs
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainingConfig(**kwargs)
+
+    def test_numpy_integer_counts_become_ints(self):
+        tc = TrainingConfig(epochs=np.int64(3), batch_size=np.int32(8),
+                            lr_schedule=(1e-3, np.int16(5), 0.1))
+        assert (tc.epochs, tc.batch_size, tc.lr_schedule[1]) == (3, 8, 5)
+        assert {type(tc.epochs), type(tc.batch_size), type(tc.lr_schedule[1])} == {int}
 
 
 class TestAdam:

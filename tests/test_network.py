@@ -99,6 +99,27 @@ class TestArchitectureSpec:
         with pytest.raises(ValueError):
             ArchitectureSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "input_dim, widths, message",
+        [
+            (True, (4,), "input_dim must be int, got bool True"),
+            (2.5, (4,), "input_dim must be int, got float 2.5"),
+            ("2", (4,), "input_dim must be int, got str '2'"),
+            (1, (4.9, 3), "a hidden width must be int, got float 4.9"),
+            (1, (4, "3"), "a hidden width must be int, got str '3'"),
+            (1, (np.bool_(True),), "a hidden width must be int, got bool"),
+        ],
+    )
+    def test_non_integer_sizes_rejected_not_cast(self, input_dim, widths, message):
+        # each used to build: width 4 from 4.9, input width 1 from True, 24.0 parameters
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ArchitectureSpec(input_dim, widths)
+
+    def test_numpy_integer_sizes_become_ints(self):
+        spec = ArchitectureSpec(np.int64(2), (np.int32(4), np.uint8(3)))
+        assert spec == ArchitectureSpec(2, (4, 3))
+        assert type(spec.input_dim) is int and {type(w) for w in spec.hidden_widths} == {int}
+
 
 class TestForward:
     def test_hand_computed_tiny_network(self):

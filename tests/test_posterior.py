@@ -10,6 +10,7 @@ overwhelming prior weight) where the right answer is known exactly.
 
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -535,7 +536,7 @@ _MALFORMED = {
         "posterior.json",
     ),
     "widths-string": (  # whose characters are the widths 5 and 3
-        _set_field("spec.hidden_widths", "53"), "spec: hidden_widths must be list, got str",
+        _set_field("spec.hidden_widths", "53"), "spec: a hidden width must be int, got str '5'",
         "posterior.json",
     ),
     "floor-string": (
@@ -633,8 +634,10 @@ class TestRecordValidation:
             ("mc_dropconnect", 1, 5, 1.0, "drop_rate"),
             ("bayes_by_backprop", 2, 5, 0.1, "no drop rate"),
             ("deep_ensemble", 3, 2, 0.0, r"shape \(2, 10\), got \(3, 10\)"),
+            ("bayes_by_backprop", 2, 2.5, 0.0, "sample_count must be int, got float 2.5"),
         ],
-        ids=["kind", "sample-count", "drop-rate", "rate-without-dropconnect", "members"],
+        ids=["kind", "sample-count", "drop-rate", "rate-without-dropconnect", "members",
+             "fractional-count"],
     )
     def test_invalid_record_rejected(self, kind, rows, sample_count, drop_rate, message):
         spec = ArchitectureSpec(1, (2,))
@@ -663,3 +666,22 @@ class TestSamplerValidation:
     def test_sample_count_positive(self):
         with pytest.raises(ValueError, match="sample_count"):
             PosteriorSampler("mc_dropconnect", sample_count=0)
+
+    @pytest.mark.parametrize(
+        "kind, sample_count, ensemble_size, message",
+        [
+            ("mc_dropconnect", 2.5, 5, "sample_count must be int, got float 2.5"),
+            ("bayes_by_backprop", "3", 5, "sample_count must be int, got str '3'"),
+            ("deep_ensemble", True, True, "sample_count must be int, got bool True"),
+            ("deep_ensemble", 2, 2.0, "ensemble_size must be int, got float 2.0"),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, kind, sample_count, ensemble_size, message):
+        # each used to construct; the 2.5 draws of DropConnect are not a count
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PosteriorSampler(kind, sample_count, ensemble_size=ensemble_size)
+
+    def test_numpy_integer_counts_become_ints(self):
+        sampler = PosteriorSampler("deep_ensemble", np.int64(3), ensemble_size=np.int32(3))
+        assert sampler == PosteriorSampler("deep_ensemble", 3, ensemble_size=3)
+        assert type(sampler.sample_count) is int and type(sampler.ensemble_size) is int
