@@ -171,7 +171,7 @@ def _csv_rows(path: Path, quoting: int) -> Iterator[tuple[int, list[str]]]:
     """(file line, fields) of a CSV file's header, which may quote its names and is
     checked to be there with distinct ones, then of every non-blank line below it,
     read with ``quoting`` (blank lines still count)."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         head, body = csv.reader(fh), csv.reader(fh, quoting=quoting)
         try:
             header = next(head, [])
@@ -266,7 +266,8 @@ def _read_numeric_csv(path: Path) -> tuple[np.ndarray, list[str]]:
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # an empty body is reported below
-                X = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None)
+                X = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                               encoding="utf-8")
         except ValueError:
             X = None
         if X is not None and X.shape[0] == 0:

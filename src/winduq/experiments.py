@@ -423,7 +423,7 @@ def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> N
         if len(row) != len(header):
             raise ValueError(f"row width {len(row)} != header width {len(header)}")
         lines.append(",".join(row if cell is None else map(cell, row)))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _dataset_fingerprint(ds: RegressionDataset) -> dict:
@@ -456,7 +456,8 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig | None, **manifest) -> 
         echo = {k: getattr(cfg, k) for k in _EXPERIMENT_DEFAULTS[cfg.experiment][0]}
         manifest["config"] = json.loads(json.dumps(echo, default=str))
     manifest["environment"] = _environment()
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    text = json.dumps(manifest, indent=1, sort_keys=True, allow_nan=False)  # strict JSON
+    (out_dir / "manifest.json").write_text(text, encoding="utf-8")
     return manifest
 
 
@@ -638,7 +639,7 @@ def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
             "mse_test": mse(dec_test.mean, test.targets),
             "mean_eu_id": mean_eu_id,
             "mean_eu_ood": mean_eu_ood,
-            "eu_ood_ratio": mean_eu_ood / mean_eu_id if mean_eu_id > 0 else float("inf"),
+            "eu_ood_ratio": mean_eu_ood / mean_eu_id if mean_eu_id > 0 else "",  # undefined
             "spearman_au_x": _spearman_or_blank(au_id, grid[in_domain]),
             "au_iqr_id": float(np.percentile(au_id, 75) - np.percentile(au_id, 25)),
         }, name

@@ -24,11 +24,9 @@ import numpy as np
 
 from .network import (
     ArchitectureSpec,
-    _backward_cached,
-    _Blocks,
     _check_int,
     _check_params,
-    _forward_cached,
+    _Pass,
     forward_batch,  # noqa: F401  kept importable here; perfbench/test_smoke.py looks it up
 )
 from .seeding import spawn_rng
@@ -211,8 +209,9 @@ def _minibatch_loop(
 
     Row k is one network, shuffled each epoch by
     ``spawn_rng(shuffle_seeds[k], 101, epoch)``; its batches are gathered
-    into one (K, B, d) block, one of the blocks made once per fit that the
-    passes write into.  Per batch, ``draw(phi, epoch, b)`` returns
+    into the (K, B, d) ``x`` of one :class:`~winduq.network._Pass` made per
+    fit, and a short last batch into a second pass over the front of the same
+    buffers.  Per batch, ``draw(phi, epoch, b)`` returns
     theta, the (K, P) parameters to run the networks with; a pullback from
     the theta-gradient of the data term to the phi-gradient of the whole
     batch objective; and the value of the prior term, a scalar or one per
@@ -234,7 +233,9 @@ def _minibatch_loop(
     opt = Adam(phi.shape)
     traces = [TrainingTrace() for _ in shuffle_seeds]
     batches = [slice(i, min(i + cfg.batch_size, n)) for i in range(0, n, cfg.batch_size)]
-    blocks = _Blocks(spec, len(traces), min(cfg.batch_size, n), True)
+    whole, tail = divmod(n, cfg.batch_size)
+    full = _Pass(spec, len(traces), min(cfg.batch_size, n), True)
+    passes = [full] * whole + ([full.shorter(tail)] if tail else [])
 
     for epoch in range(cfg.epochs):
         lr = learning_rate_at(cfg.lr_schedule, epoch)
@@ -244,21 +245,19 @@ def _minibatch_loop(
         loss_sum = np.zeros(len(traces))
         prior_sum = np.zeros(len(traces))
         se_sum = np.zeros(len(traces))
-        for b, sl in enumerate(batches):
+        for b, (sl, net) in enumerate(zip(batches, passes)):
             idx = perms[:, sl]
-            rows = blocks.at(idx.shape[1])
             # X[idx] and y[idx]; "clip" never clips a permutation, and spares "raise" its copy
-            Xb = np.take(X, idx, axis=0, out=rows.x, mode="clip")
-            yb = np.take(y, idx, out=rows.y, mode="clip")
+            Xb = np.take(X, idx, axis=0, out=net.x, mode="clip")
+            yb = np.take(y, idx, out=net.y, mode="clip")
             theta, pullback, prior = draw(phi, epoch, b)
-            act = _forward_cached(spec, blocks, theta, Xb)
-            mu, sigma2 = act.mu, act.sigma2
+            mu, sigma2 = net.forward(theta, Xb)
             if not (np.isfinite(mu).all() and np.isfinite(sigma2).all()):
                 raise _diverged("non-finite prediction", epoch, b, mu, sigma2)
             values, _, d_mean, d_variance, r2 = _beta_nll(mu, sigma2, yb, cfg.beta)
             batch_loss = values.sum(axis=-1)
             scale = 1.0 / idx.shape[1] if batch_mean else 1.0
-            grad = pullback(_backward_cached(spec, act, d_mean * scale, d_variance * scale))
+            grad = pullback(net.backward(d_mean * scale, d_variance * scale))
             objective = batch_loss + prior
             if not (np.isfinite(objective).all() and np.isfinite(grad).all()):
                 raise _diverged("non-finite loss or gradient", epoch, b, objective, grad)

@@ -8,28 +8,25 @@ flat (P,) float64 parameter vector, with no object around the pair; the
 optimizer and the posterior samplers all see the same layout.
 
 ``forward_batch`` and ``backward_batch`` validate one parameter vector and a
-batch of row inputs, then run ``_forward_cached``; ``_backward_cached`` reads
-the activations it kept.  That private pair works on a block of K networks
-at once: parameters (K, P), inputs (K, B, d), one batch per network, with
-every matmul stacked on the leading axis.  The training loop calls the pair
-directly, once per batch, on all K deep-ensemble members together (K = 1 for
-the other samplers); ``forward_batch``, ``backward_batch`` and posterior
-prediction, one draw at a time, are the K = 1 case.  numpy runs a stacked
-matmul slice by slice with the kernel a single matmul would use, and every
-other step is elementwise or a per-row reduction, so each row of a block
-computes exactly what a single network would.  The pair writes every
-activation and gradient into :class:`_Blocks` made once per fit or prediction
-call.
+batch of row inputs, then run one :class:`_Pass`.  A pass runs a block of K
+networks at once: parameters (K, P), inputs (K, B, d), one batch per
+network, with every matmul stacked on the leading axis; its ``backward``
+reads the activations its ``forward`` kept.  The training loop runs all K
+deep-ensemble members together through one pass per fit (K = 1 for the other
+samplers); ``forward_batch``, ``backward_batch`` and posterior prediction,
+one draw at a time, are the K = 1 case.  numpy runs a stacked matmul slice
+by slice with the kernel a single matmul would use, and every other step is
+elementwise or a per-row reduction, so each row of a block computes exactly
+what a single network would.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -180,130 +177,103 @@ def _check_inputs(spec: ArchitectureSpec, X: np.ndarray) -> np.ndarray:
     return X
 
 
-class _Blocks:
-    """Flat buffers the stacked pass of K networks over at most ``rows`` rows writes
-    into, made once per fit or prediction call: a step allocates no (K, B,
-    width) block and faults no fresh pages.  Each view is C-contiguous, with the
-    strides of the fresh array it replaces, so no kernel and no bit changes.
+class _Pass:
+    """A stacked pass of K networks over B rows each.  It owns the flat buffers
+    that every activation, and with ``backward`` the gathered batch ``x``, ``y``
+    and every gradient, is written into, so a step allocates no (K, B, width)
+    block and faults no fresh pages.  Each array is the C-contiguous front of a
+    buffer, with the strides of the fresh array it replaces, so no kernel and no
+    bit changes.  ``backward`` reads what the last ``forward`` kept.
     """
 
-    def __init__(self, spec: ArchitectureSpec, k: int, rows: int, backward: bool):
+    def __init__(self, spec: ArchitectureSpec, k: int, b: int, backward: bool):
         self.spec, self.k, self.slots = spec, k, parameter_layout(spec)
         widths = spec.hidden_widths
-        self._hs = [np.empty(k * rows * w) for w in widths]
-        self._heads = np.empty(4 * k * rows)
-        self._views: dict[int, SimpleNamespace] = {}
+        self._flat = [np.empty(k * b * size) for size in (*widths, 4)]  # hidden outputs, heads
         self.grad = np.empty((k, spec.n_parameters)) if backward else None
-        if backward:
-            self._x, self._y = np.empty(k * rows * spec.input_dim), np.empty(k * rows)
-            # layer i's pre-activation gradient in buffer i % 2, the next one down in the other
-            self._gh = [np.empty(k * rows * max(widths)) for _ in range(2)]
+        if backward:  # then the batch x and y and two pre-activation gradient buffers
+            m = max(widths)
+            self._flat += [np.empty(k * b * size) for size in (spec.input_dim, 1, m, m)]
             self.grads = [  # weights in their (K, *block) shape, biases flat
                 self.grad[:, s.start : s.stop].reshape((k, *s.block) if s.is_weight else (k, -1))
                 for s in self.slots
             ]
+        self._carve(b)
 
-    def at(self, b: int) -> SimpleNamespace:
-        """Views of each buffer's front for B = b rows, made once per b: hidden
-        outputs ``hs`` and ``heads``, (4, K, B, 1): mean, variance
-        pre-activation, variance and its gradient.  With ``backward``, also the
-        gathered batch ``x`` and ``y`` and the pre-activation gradients ``gh``
-        and ``scratch``; the (K, P) ``grad`` and its slot views ``grads`` do
-        not depend on B."""
-        if b not in self._views:
-            k, widths = self.k, self.spec.hidden_widths
+    def _carve(self, b: int) -> None:
+        # views of each buffer's front for B = b rows; ``heads`` is (4, K, B, 1):
+        # mean, variance pre-activation, variance and its gradient
+        k, d, widths = self.k, self.spec.input_dim, self.spec.hidden_widths
 
-            def front(buf: np.ndarray, *shape: int) -> np.ndarray:
-                return buf[: k * b * math.prod(shape)].reshape(k, b, *shape)
+        def front(buf: np.ndarray, *shape: int) -> np.ndarray:
+            return buf[: k * b * math.prod(shape)].reshape(k, b, *shape)
 
-            v = SimpleNamespace(
-                hs=[front(h, w) for h, w in zip(self._hs, widths)],
-                heads=self._heads[: 4 * k * b].reshape(4, k, b, 1),
-            )
-            if self.grad is not None:
-                v.x, v.y = front(self._x, self.spec.input_dim), front(self._y)
-                v.gh = [front(self._gh[i % 2], w) for i, w in enumerate(widths)]
-                v.scratch = front(self._gh[len(widths) % 2], widths[-1])
-            self._views[b] = v
-        return self._views[b]
+        self.hs = [front(h, w) for h, w in zip(self._flat, widths)]
+        self.heads = self._flat[len(widths)][: 4 * k * b].reshape(4, k, b, 1)
+        if self.grad is not None:
+            x, y, *gh = self._flat[len(widths) + 1 :]
+            self.x, self.y = front(x, d), front(y)
+            # layer i's pre-activation gradient in buffer i % 2, the next one down in the other
+            self.gh = [front(gh[i % 2], w) for i, w in enumerate(widths)]
+            self.scratch = front(gh[len(widths) % 2], widths[-1])
 
+    def shorter(self, b: int) -> _Pass:
+        """A pass over the first b rows of this pass's buffers, sharing its (K, P) gradient."""
+        short = copy.copy(self)
+        short._carve(b)
+        return short
 
-class _Activations(NamedTuple):
-    views: list[np.ndarray]  # (K, *slot.block) parameter views, in layout order
-    hs: list[np.ndarray]  # hidden layer inputs, then the last hidden output
-    s: np.ndarray  # (K, B) variance-head pre-activation
-    mu: np.ndarray  # (K, B)
-    sigma2: np.ndarray  # (K, B)
-    blocks: _Blocks  # what the pass wrote into; the backward pass writes there too
+    def forward(self, params: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(K, B) means and variances of validated inputs X (K, B, d) under parameters
+        (K, P), keeping the activations ``backward`` needs.  Each matmul writes into
+        this pass's buffers, with bias and relu in place."""
+        k, spec = params.shape[0], self.spec
+        self.views = views = [params[:, s.start : s.stop].reshape(k, *s.block) for s in self.slots]
+        self.inputs = h = X
+        for i, out in enumerate(self.hs):
+            h = np.matmul(h, views[2 * i], out=out)
+            h += views[2 * i + 1]
+            if spec.hidden_activation == "relu":
+                np.maximum(h, 0.0, out=h)
+            else:
+                h[...] = sigmoid(h)
+        mu, s, sigma2, _ = self.heads
+        np.matmul(h, views[-4], out=mu)
+        mu += views[-3]
+        np.matmul(h, views[-2], out=s)
+        s += views[-1]
+        np.add(softplus(s), spec.variance_floor, out=sigma2)
+        return mu[..., 0], sigma2[..., 0]
 
+    def backward(self, d_mean: np.ndarray, d_variance: np.ndarray) -> np.ndarray:
+        """(K, P) gradients of sum_i [d_mean_i * mu_i + d_variance_i * sigma2_i], one row
+        per network, for (K, B) upstream derivatives: this pass's ``grad``, written
+        slot by slot and valid until the next backward pass that shares it."""
+        views, hs, grads = self.views, [self.inputs, *self.hs], self.grads
+        # d sigma2 / d s = sigmoid(s); the floor is additive and drops out.
+        gs = np.multiply(d_variance, sigmoid(self.heads[1, ..., 0]), out=self.heads[3, ..., 0])
+        h_last_t = hs[-1].transpose(0, 2, 1)
+        np.matmul(h_last_t, d_mean[..., None], out=grads[-4])
+        np.sum(d_mean, axis=-1, keepdims=True, out=grads[-3])
+        np.matmul(h_last_t, gs[..., None], out=grads[-2])
+        np.sum(gs, axis=-1, keepdims=True, out=grads[-1])
 
-def _forward_cached(
-    spec: ArchitectureSpec, blocks: _Blocks, params: np.ndarray, X: np.ndarray
-) -> _Activations:
-    """Forward pass of validated inputs X (K, B, d) under parameters (K, P),
-    keeping the activations backprop needs.
-
-    Every layer's matmul writes into ``blocks``, with bias and relu in place,
-    so the activations are views that the next pass on the same blocks
-    overwrites.
-    """
-    k, rows = params.shape[0], blocks.at(X.shape[1])
-    views = [params[:, s.start : s.stop].reshape((k, *s.block)) for s in blocks.slots]
-    h = X
-    hs = [h]  # layer inputs
-    for i, out in enumerate(rows.hs):
-        h = np.matmul(h, views[2 * i], out=out)
-        h += views[2 * i + 1]
-        if spec.hidden_activation == "relu":
-            np.maximum(h, 0.0, out=h)
-        else:
-            h[...] = sigmoid(h)
-        hs.append(h)
-    mu, s, sigma2, _ = rows.heads
-    np.matmul(h, views[-4], out=mu)
-    mu += views[-3]
-    np.matmul(h, views[-2], out=s)
-    s += views[-1]
-    np.add(softplus(s), spec.variance_floor, out=sigma2)
-    return _Activations(views, hs, s[..., 0], mu[..., 0], sigma2[..., 0], blocks)
-
-
-def _backward_cached(
-    spec: ArchitectureSpec, act: _Activations, d_mean: np.ndarray, d_variance: np.ndarray
-) -> np.ndarray:
-    """(K, P) gradients of sum_i [d_mean_i * mu_i + d_variance_i * sigma2_i], one row
-    per network, from one forward pass; the upstream derivatives are (K, B).
-
-    The result is the forward pass's ``blocks.grad``, written slot by slot and
-    valid until the next backward pass on the same blocks.
-    """
-    views, hs, blocks, grads = act.views, act.hs, act.blocks, act.blocks.grads
-    rows = blocks.at(d_mean.shape[1])
-
-    # d sigma2 / d s = sigmoid(s); the floor is additive and drops out.
-    gs = np.multiply(d_variance, sigmoid(act.s), out=rows.heads[3, ..., 0])
-    h_last_t = hs[-1].transpose(0, 2, 1)
-    np.matmul(h_last_t, d_mean[..., None], out=grads[-4])
-    np.sum(d_mean, axis=-1, keepdims=True, out=grads[-3])
-    np.matmul(h_last_t, gs[..., None], out=grads[-2])
-    np.sum(gs, axis=-1, keepdims=True, out=grads[-1])
-
-    gh = np.multiply(d_mean[..., None], views[-4].transpose(0, 2, 1), out=rows.gh[-1])
-    gh += np.multiply(gs[..., None], views[-2].transpose(0, 2, 1), out=rows.scratch)
-    for i in reversed(range(len(spec.hidden_widths))):
-        # gh becomes this layer's pre-activation gradient, in place; a relu
-        # output is positive exactly where its pre-activation is
-        a = hs[i + 1]
-        if spec.hidden_activation == "relu":
-            gh *= a > 0.0
-        else:
-            gh *= a
-            gh *= 1.0 - a
-        np.matmul(hs[i].transpose(0, 2, 1), gh, out=grads[2 * i])
-        np.sum(gh, axis=1, out=grads[2 * i + 1])
-        if i > 0:
-            gh = np.matmul(gh, views[2 * i].transpose(0, 2, 1), out=rows.gh[i - 1])
-    return blocks.grad
+        gh = np.multiply(d_mean[..., None], views[-4].transpose(0, 2, 1), out=self.gh[-1])
+        gh += np.multiply(gs[..., None], views[-2].transpose(0, 2, 1), out=self.scratch)
+        for i in reversed(range(len(self.hs))):
+            # gh becomes this layer's pre-activation gradient, in place; a relu
+            # output is positive exactly where its pre-activation is
+            a = hs[i + 1]
+            if self.spec.hidden_activation == "relu":
+                gh *= a > 0.0
+            else:
+                gh *= a
+                gh *= 1.0 - a
+            np.matmul(hs[i].transpose(0, 2, 1), gh, out=grads[2 * i])
+            np.sum(gh, axis=1, out=grads[2 * i + 1])
+            if i > 0:
+                gh = np.matmul(gh, views[2 * i].transpose(0, 2, 1), out=self.gh[i - 1])
+        return self.grad
 
 
 def _check_params(spec: ArchitectureSpec, params: np.ndarray) -> np.ndarray:
@@ -321,8 +291,8 @@ def forward_batch(
     """Predict (means, variances) for a batch of row-vector inputs. Never mutates ``params``."""
     params = _check_params(spec, params)
     X = _check_inputs(spec, X)
-    act = _forward_cached(spec, _Blocks(spec, 1, len(X), False), params[None], X[None])
-    return act.mu[0], act.sigma2[0]
+    mu, sigma2 = _Pass(spec, 1, len(X), False).forward(params[None], X[None])
+    return mu[0], sigma2[0]
 
 
 def backward_batch(
@@ -346,5 +316,6 @@ def backward_batch(
         raise ValueError("upstream gradients must be 1-D arrays matching the batch size")
     if not (np.all(np.isfinite(d_mean)) and np.all(np.isfinite(d_variance))):
         raise ValueError("upstream gradients contain non-finite values")
-    act = _forward_cached(spec, _Blocks(spec, 1, n, True), params[None], X[None])
-    return _backward_cached(spec, act, d_mean[None], d_variance[None])[0]
+    net = _Pass(spec, 1, n, True)
+    net.forward(params[None], X[None])
+    return net.backward(d_mean[None], d_variance[None])[0]

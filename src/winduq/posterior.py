@@ -41,10 +41,9 @@ from .losses import (
 )
 from .network import (
     ArchitectureSpec,
-    _Blocks,
     _check_inputs,
     _check_int,
-    _forward_cached,
+    _Pass,
     init_parameters,
     parameter_layout,
     sigmoid,
@@ -320,20 +319,19 @@ def _predict_draws(
     spawn_rng(seed, 301))``, with S defaulting to the posterior's ``sample_count``.
 
     X is validated once, not per draw.  No (S, P) matrix is built: each draw
-    is written into one (P,) vector and run through blocks made once per
-    call, and only its n means and variances are kept."""
+    is written into one (P,) vector and run through one forward-only pass
+    made per call, and only its n means and variances are kept."""
     X = _check_inputs(fp.spec, X)
     s = fp.sample_count if n_draws is None else int(n_draws)
     if s < 1:
         raise ValueError(f"n_draws must be >= 1, got {s}")
     row, rng = _ROWS[fp.kind](fp, s), spawn_rng(seed, _STREAM_PREDICT)
     theta = np.empty((1, fp.spec.n_parameters))
-    blocks = _Blocks(fp.spec, 1, X.shape[0], False)
+    net = _Pass(fp.spec, 1, X.shape[0], False)
     means, variances = np.empty((2, s, X.shape[0]))
     for k in range(s):
         row(k, rng, theta[0])
-        act = _forward_cached(fp.spec, blocks, theta, X[None])
-        means[k], variances[k] = act.mu[0], act.sigma2[0]
+        means[k], variances[k] = net.forward(theta, X[None])
     return means, variances
 
 
@@ -372,7 +370,7 @@ def save_posterior(fp: FittedPosterior, directory: str | Path, extra: dict | Non
     if extra:
         manifest["training"] = extra
     np.save(directory / _PARAMS_FILE, fp.phi, allow_pickle=False)
-    (directory / "posterior.json").write_text(json.dumps(manifest, indent=1))
+    (directory / "posterior.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
 
 
 def _json_number(name: str, value) -> float:
@@ -396,7 +394,7 @@ def load_posterior(directory: str | Path) -> FittedPosterior:
     directory = Path(directory)
     manifest_path = directory / "posterior.json"
     try:
-        manifest = json.loads(manifest_path.read_text())
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         version = manifest.get("format_version")
     except (ValueError, AttributeError) as exc:
         raise ValueError(f"{manifest_path}: not a JSON object: {exc}") from None

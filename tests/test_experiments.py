@@ -10,6 +10,8 @@ import dataclasses
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -556,6 +558,23 @@ class TestSyntheticRunner:
         assert csv_bytes(first) == csv_bytes(second)
         assert len(csv_bytes(first)) == 3
 
+    def test_a_one_draw_posterior_leaves_the_ratio_blank_and_the_manifest_strict(self, tmp_path):
+        # one draw has no epistemic spread anywhere, so the ratio is 0/0
+        entries = {"samplers": "deep_ensemble, mc_dropconnect", "ensemble_size": "1",
+                   "mc_samples": "1", "epochs": "2", "betas": "0.5", "sine_n_train": "64",
+                   "sine_n_test": "8", "grid_points": "31", "out_dir": str(tmp_path)}
+        run_synthetic_ood(build_config("synthetic_ood", entries))
+        for row in read_table(tmp_path / "summary.csv"):
+            assert float(row["mean_eu_id"]) == float(row["mean_eu_ood"]) == 0.0
+            assert row["eu_ood_ratio"] == ""
+
+        def reject(constant):
+            raise ValueError(f"not strict JSON: {constant}")
+
+        text = (tmp_path / "manifest.json").read_text()
+        cells = json.loads(text, parse_constant=reject)["cells"]
+        assert [c["eu_ood_ratio"] for c in cells] == ["", ""]
+
 
 class TestDataPropertyRunner:
     def test_artifacts_and_band_split(self, tmp_path):
@@ -894,6 +913,28 @@ class TestCli:
         assert sorted(phases) == ["decompose", "load", "read", "write"]
         assert all(v >= 0.0 for v in phases.values())
         assert sum(phases.values()) <= manifest["wall_time_s"]
+
+    def test_decompose_reads_and_writes_utf8_whatever_the_locale(self, tmp_path):
+        spec = ArchitectureSpec(2, (4,))
+        save_posterior(FittedPosterior("deep_ensemble", spec, init_parameters(spec, 5)[None], 1,
+                                       0.0), tmp_path / "posterior")
+        features = tmp_path / "inputs.csv"
+        features.write_text("sp\u00b0,b\n0.5,1.0\n-2.0,3.0\n", encoding="utf-8")
+        cfg_path = self._write_config(
+            tmp_path / "dec.cfg", {"posterior_dir": str(tmp_path / "posterior"), "mc_samples": "1"}
+        )
+        src = str(Path(winduq.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "winduq.cli", "decompose", "--config", str(cfg_path),
+             "--dataset", str(features), "--out-dir", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        header = (out / "decomposition.csv").read_bytes().split(b"\n")[0]
+        assert header.decode("utf-8") == "sp\u00b0,b,mean,aleatoric,epistemic,total"
 
     @pytest.mark.parametrize("column", ["mean", "aleatoric", "epistemic", "total"])
     def test_decompose_rejects_an_input_column_named_like_an_output(

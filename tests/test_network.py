@@ -15,9 +15,7 @@ import pytest
 
 from winduq.network import (
     ArchitectureSpec,
-    _backward_cached,
-    _Blocks,
-    _forward_cached,
+    _Pass,
     backward_batch,
     forward_batch,
     init_parameters,
@@ -274,7 +272,7 @@ class TestBackward:
 
 
 class TestStackedBlock:
-    """The private forward/backward pair runs K networks as one (K, P) block."""
+    """The private pass runs K networks as one (K, P) block."""
 
     def _block(self, activation, k=3, batch=7):
         rng = np.random.default_rng(61)
@@ -289,12 +287,13 @@ class TestStackedBlock:
     @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
     def test_rows_equal_single_networks_exactly(self, activation):
         spec, params, X, dm, dv = self._block(activation)
-        act = _forward_cached(spec, _Blocks(spec, *X.shape[:2], True), params, X)
-        grads = _backward_cached(spec, act, dm, dv)
+        net = _Pass(spec, *X.shape[:2], True)
+        block_mu, block_sigma2 = net.forward(params, X)
+        grads = net.backward(dm, dv)
         assert grads.shape == params.shape
         for k in range(len(params)):
             mu, sigma2 = forward_batch(spec, params[k], X[k])
-            assert np.array_equal(act.mu[k], mu) and np.array_equal(act.sigma2[k], sigma2)
+            assert np.array_equal(block_mu[k], mu) and np.array_equal(block_sigma2[k], sigma2)
             assert np.array_equal(grads[k], backward_batch(spec, params[k], X[k], dm[k], dv[k]))
 
     @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
@@ -302,14 +301,14 @@ class TestStackedBlock:
         # one scalar over the whole block: a row that read another row's
         # weights or activations would show up off the diagonal
         spec, params, X, dm, dv = self._block(activation, batch=4)
-        blocks = _Blocks(spec, *X.shape[:2], True)
+        net = _Pass(spec, *X.shape[:2], True)
 
         def objective(flat):
-            act = _forward_cached(spec, blocks, flat.reshape(params.shape), X)
-            return float(np.sum(dm * act.mu + dv * act.sigma2))
+            mu, sigma2 = net.forward(flat.reshape(params.shape), X)
+            return float(np.sum(dm * mu + dv * sigma2))
 
-        act = _forward_cached(spec, blocks, params, X)
-        analytic = _backward_cached(spec, act, dm, dv)
+        net.forward(params, X)
+        analytic = net.backward(dm, dv)
         numeric = fd_gradient(objective, params.ravel().copy()).reshape(params.shape)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
 

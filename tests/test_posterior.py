@@ -18,9 +18,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from winduq.data import make_sine_dataset
-from winduq.losses import TrainingConfig, TrainingDivergedError, beta_nll_terms, train
+from winduq.losses import (
+    Adam,
+    TrainingConfig,
+    TrainingDivergedError,
+    _beta_nll,
+    _point_draw,
+    beta_nll_terms,
+    learning_rate_at,
+    train,
+)
 from winduq.network import (
     ArchitectureSpec,
+    _Pass,
     backward_batch,
     forward_batch,
     init_parameters,
@@ -253,6 +263,52 @@ class TestDropConnectFit:
         rng = np.random.default_rng(21)
         masks = np.stack([sample_weight_mask(spec, 0.3, rng) for _ in range(9)])
         assert np.array_equal(thetas, params[None, :] * masks)
+
+
+def _reference_fit(spec, data, cfg, phi, shuffle_seeds, draw):
+    """The batch-mean training loop written plainly: every batch gathered by
+    fancy indexing into a fresh pass, so no buffer outlives its batch."""
+    X, y = data.inputs, data.targets
+    opt = Adam(phi.shape)
+    for epoch in range(cfg.epochs):
+        lr = learning_rate_at(cfg.lr_schedule, epoch)
+        perms = np.stack([spawn_rng(s, 101, epoch).permutation(len(y)) for s in shuffle_seeds])
+        for b, start in enumerate(range(0, len(y), cfg.batch_size)):
+            idx = perms[:, start : start + cfg.batch_size]
+            theta, pullback, _ = draw(phi, epoch, b)
+            net = _Pass(spec, *idx.shape, True)
+            mu, sigma2 = net.forward(theta, X[idx])
+            _, _, d_mean, d_variance, _ = _beta_nll(mu, sigma2, y[idx], cfg.beta)
+            scale = 1.0 / idx.shape[1]
+            opt.step(phi, pullback(net.backward(d_mean * scale, d_variance * scale)), lr)
+    return phi
+
+
+class TestFitAgainstAReferenceLoop:
+    """``fit`` reuses one pass's buffers for every batch and a second pass over
+    their front for the short last batch; a fresh pass per batch gives the same bits."""
+
+    # 50 rows in batches of 16 leave a last batch of 2
+    DATA = _tiny_sine(n=50)
+    SPEC = ArchitectureSpec(1, (6, 5))
+    CFG = TrainingConfig(beta=0.5, epochs=3, batch_size=16, lr_schedule=(1e-2, 2, 0.5), seed=7)
+
+    def test_deep_ensemble(self):
+        sampler = PosteriorSampler("deep_ensemble", 3, ensemble_size=3)
+        fp, _ = fit(sampler, self.SPEC, self.DATA, self.CFG)
+        seeds = [derive_seed(self.CFG.seed, 201, k) for k in range(3)]
+        phi = np.stack([init_parameters(self.SPEC, derive_seed(s, 1)) for s in seeds])
+        shuffles = [derive_seed(s, 2) for s in seeds]
+        expected = _reference_fit(self.SPEC, self.DATA, self.CFG, phi, shuffles, _point_draw)
+        assert fp.phi.tobytes() == expected.tobytes()
+
+    def test_mc_dropconnect(self):
+        sampler = PosteriorSampler("mc_dropconnect", 8, drop_rate=0.2)
+        fp, _ = fit(sampler, self.SPEC, self.DATA, self.CFG)
+        phi = init_parameters(self.SPEC, derive_seed(self.CFG.seed, 202))[None]
+        draw = _dropconnect_draw(self.SPEC, 0.2, self.CFG.seed)
+        expected = _reference_fit(self.SPEC, self.DATA, self.CFG, phi, [self.CFG.seed], draw)
+        assert fp.phi.tobytes() == expected.tobytes()
 
 
 class TestVariationalFit:
