@@ -160,7 +160,7 @@ class ExperimentConfig:
     ensemble_size: int = 5
     drop_rate: float = 0.01
     init_sigma: float = 0.05
-    kl_weight: float | None = None  # None = 1 / (nearest-integer batch count)
+    kl_weight: float | None = None  # None = auto_kl_weight(n_train, batch_size)
     save_posteriors: bool = False
     # synthetic_ood
     grid_points: int = 301
@@ -387,7 +387,7 @@ def build_config(experiment: str, entries: dict[str, str]) -> ExperimentConfig:
 
 
 def auto_kl_weight(n_train: int, batch_size: int) -> float:
-    """1 / (number of batches), with the batch count taken to the nearest integer."""
+    """1 / round(n_train / batch_size), halves to even: 900 rows at 128 run 8 batches, get 1/7."""
     if n_train < 1 or batch_size < 1:
         raise ValueError("need positive n_train and batch_size")
     return 1.0 / max(1, round(n_train / batch_size))
@@ -424,6 +424,16 @@ def write_csv(path: Path, header: list[str], rows: list[list] | np.ndarray) -> N
             raise ValueError(f"row width {len(row)} != header width {len(header)}")
         lines.append(",".join(row if cell is None else map(cell, row)))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+_DECOMPOSED = ("mean", "aleatoric", "epistemic", "total")
+
+
+def _write_decomposed(path: Path, dec, head, tail=()) -> None:
+    """Write the (name, column) pairs ``head``, the ``_DECOMPOSED`` fields of
+    ``dec``, then the pairs ``tail``, as the columns of one CSV."""
+    pairs = [*head, *((f, getattr(dec, f)) for f in _DECOMPOSED), *tail]
+    write_csv(path, [n for n, _ in pairs], np.column_stack([c for _, c in pairs]))
 
 
 def _dataset_fingerprint(ds: RegressionDataset) -> dict:
@@ -626,12 +636,7 @@ def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
         dec_grid = decompose_batch(fp, grid_inputs, seed=cell.decompose_seed(0))
         dec_test = decompose_batch(fp, test.inputs, seed=cell.decompose_seed(1))
         name = f"synthetic_{cell.kind}_{cell.tag}_seed{cell.seed}.csv"
-        write_csv(
-            cfg.out_dir / name,
-            ["x", "mean", "aleatoric", "epistemic", "total"],
-            np.column_stack([grid, dec_grid.mean, dec_grid.aleatoric, dec_grid.epistemic,
-                             dec_grid.total]),
-        )
+        _write_decomposed(cfg.out_dir / name, dec_grid, [("x", grid)])
         mean_eu_id = float(dec_grid.epistemic[in_domain].mean())
         mean_eu_ood = float(dec_grid.epistemic[beyond].mean())
         au_id = dec_grid.aleatoric[in_domain]
@@ -692,13 +697,8 @@ def run_data_property(cfg: ExperimentConfig) -> dict:
     def evaluate(cell: _Cell, fp: FittedPosterior) -> tuple[dict, str]:
         dec = decompose_batch(fp, test.inputs, seed=cell.decompose_seed())
         name = f"property_{cell.kind}_{cell.tag}_seed{cell.seed}.csv"
-        write_csv(
-            cfg.out_dir / name,
-            ["wind_speed", "power", "mean", "aleatoric", "epistemic", "total",
-             "density_rank"],
-            np.column_stack([speed_phys, test.targets, dec.mean, dec.aleatoric, dec.epistemic,
-                             dec.total, density_rank]),
-        )
+        head = [("wind_speed", speed_phys), ("power", test.targets)]
+        _write_decomposed(cfg.out_dir / name, dec, head, [("density_rank", density_rank)])
         return {
             "mse_test": mse(dec.mean, test.targets),
             "mean_eu_in_band": float(dec.epistemic[in_band].mean()),
@@ -801,8 +801,7 @@ def run_decompose(cfg: ExperimentConfig) -> dict:
         raise ConfigError(
             f"{cfg.dataset}: {X.shape[1]} columns, the posterior expects {fp.spec.input_dim}"
         )
-    outputs = ["mean", "aleatoric", "epistemic", "total"]
-    clash = [n for n in names if n in outputs]
+    clash = [n for n in names if n in _DECOMPOSED]
     if clash:
         raise ConfigError(f"{cfg.dataset}: input column {clash[0]!r} is also an output column")
     stamps.append(time.monotonic())
@@ -810,11 +809,7 @@ def run_decompose(cfg: ExperimentConfig) -> dict:
     dec = decompose_batch(fp, X, n_draws, seed=cfg.seeds[0])
     stamps.append(time.monotonic())
     name = "decomposition.csv"
-    write_csv(
-        cfg.out_dir / name,
-        names + outputs,
-        np.column_stack([X, dec.mean, dec.aleatoric, dec.epistemic, dec.total]),
-    )
+    _write_decomposed(cfg.out_dir / name, dec, zip(names, X.T))
     stamps.append(time.monotonic())
     return _write_run_manifest(
         cfg, [name], [], time.monotonic() - t0,

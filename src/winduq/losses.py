@@ -24,12 +24,11 @@ import numpy as np
 
 from .network import (
     ArchitectureSpec,
-    _check_int,
     _check_params,
     _Pass,
     forward_batch,  # noqa: F401  kept importable here; perfbench/test_smoke.py looks it up
 )
-from .seeding import spawn_rng
+from .seeding import _check_int, spawn_rng
 
 # spawn_key tag of the per-epoch shuffle stream
 _STREAM_SHUFFLE = 101
@@ -105,7 +104,7 @@ class TrainingConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "beta", _check_beta(self.beta))
-        for name in ("epochs", "batch_size"):
+        for name in ("epochs", "batch_size", "seed"):
             object.__setattr__(self, name, _check_int(name, getattr(self, name)))
         if self.epochs < 0:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")

@@ -25,21 +25,13 @@ from __future__ import annotations
 import copy
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import spawn_rng
+from .seeding import _check_int, spawn_rng
 
 _ACTIVATIONS = ("relu", "sigmoid")
-
-
-def _check_int(name: str, value) -> int:
-    """A Python or numpy integer as an int; a bool, float or str raises a ValueError."""
-    if isinstance(value, bool) or not hasattr(value, "__index__"):
-        raise ValueError(f"{name} must be int, got {type(value).__name__} {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)

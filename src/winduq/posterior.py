@@ -17,10 +17,10 @@ vector plus a forward pass":
   Gaussian with std = softplus(rho), trained against a unit Gaussian prior by
   one reparameterized weight draw per batch, from one softplus and one sigmoid.
 
-Each kind's draw is one row rule, which writes draw k into a (P,) vector.
-``draw_parameter_matrix`` stacks S rows into the (S, P) matrix; prediction
-streams them instead, one reused vector and one forward pass per draw, so
-it holds no (S, P) block and gives the matrix's bits.
+Each kind's draws come from one draw generator, which writes draw k into one
+reused (P,) vector.  ``draw_parameter_matrix`` stacks S draws into the (S, P)
+matrix; prediction streams them instead, one forward pass per draw, so it
+holds no (S, P) block and gives the matrix's bits.
 
 A saved posterior is ``posterior.json`` plus phi as one ``params.npy``.
 """
@@ -42,14 +42,13 @@ from .losses import (
 from .network import (
     ArchitectureSpec,
     _check_inputs,
-    _check_int,
     _Pass,
     init_parameters,
     parameter_layout,
     sigmoid,
     softplus,
 )
-from .seeding import derive_seed, spawn_rng
+from .seeding import _check_int, derive_seed, spawn_rng
 
 SAMPLER_KINDS = ("deep_ensemble", "mc_dropconnect", "bayes_by_backprop")
 
@@ -239,63 +238,64 @@ def fit(
             raise ValueError("bayes_by_backprop requires cfg.kl_weight")
     elif cfg.kl_weight is not None:
         raise ValueError(f"kl_weight is only meaningful for bayes_by_backprop, not {sampler.kind}")
+    p, rate, shuffle_seeds = spec.n_parameters, 0.0, (cfg.seed,)
     if sampler.kind == "deep_ensemble":
         seeds = [derive_seed(cfg.seed, _STREAM_MEMBER, k) for k in range(sampler.ensemble_size)]
         phi = np.stack([init_parameters(spec, derive_seed(s, 1)) for s in seeds])
-        shuffle_seeds = [derive_seed(s, 2) for s in seeds]
-        traces = _minibatch_loop(phi, spec, data, cfg, shuffle_seeds, _point_draw, batch_mean=True)
-        return FittedPosterior(sampler.kind, spec, phi, sampler.sample_count, 0.0), traces
-    start = init_parameters(spec, derive_seed(cfg.seed, _STREAM_INIT))
-    if sampler.kind == "mc_dropconnect":
-        phi = start[None]
-        draw = _dropconnect_draw(spec, sampler.drop_rate, cfg.seed)
-        traces = _minibatch_loop(phi, spec, data, cfg, (cfg.seed,), draw, batch_mean=True)
-        fp = FittedPosterior(sampler.kind, spec, phi, sampler.sample_count, sampler.drop_rate)
-        return fp, traces
-    p = spec.n_parameters
-    phi = np.concatenate([start, np.full(p, softplus_inverse(sampler.init_sigma))])[None]
-    # the data term is the batch sum: with kl_weight = 1 / (batches per
-    # epoch), one epoch's objectives add up to the full-data negative ELBO,
-    # the minibatch weighting of Blundell et al. (2015)
-    draw = _variational_draw(p, cfg.kl_weight, cfg.seed)
-    traces = _minibatch_loop(phi, spec, data, cfg, (cfg.seed,), draw, batch_mean=False)
-    # phi trained as one [mean | rho] row; the record keeps them as two
-    return FittedPosterior(sampler.kind, spec, phi.reshape(2, p), sampler.sample_count, 0.0), traces
+        shuffle_seeds, draw, batch_mean = [derive_seed(s, 2) for s in seeds], _point_draw, True
+    else:
+        start = init_parameters(spec, derive_seed(cfg.seed, _STREAM_INIT))
+        if sampler.kind == "mc_dropconnect":
+            phi, rate, batch_mean = start[None], sampler.drop_rate, True
+            draw = _dropconnect_draw(spec, rate, cfg.seed)
+        else:
+            # one [mean | rho] row, kept as (2, P) by the record.  Its data term is the batch
+            # sum: with kl_weight = 1 / ceil(n / batch), an epoch adds up to the full-data
+            # negative ELBO (Blundell et al., 2015); auto_kl_weight uses round(n / batch)
+            phi = np.concatenate([start, np.full(p, softplus_inverse(sampler.init_sigma))])[None]
+            draw, batch_mean = _variational_draw(p, cfg.kl_weight, cfg.seed), False
+    traces = _minibatch_loop(phi, spec, data, cfg, shuffle_seeds, draw, batch_mean=batch_mean)
+    fp = FittedPosterior(sampler.kind, spec, phi.reshape(-1, p), sampler.sample_count, rate)
+    return fp, traces
 
 
-# A row rule turns (fp, S) into row(k, rng, out), which writes draw k of S into
-# the (P,) vector ``out``.  Draws k = 0, 1, ... read ``rng`` in turn, and numpy
-# fills a block row by row, so S rows draw the bits of one (S, P) draw.
+def _draws(fp: FittedPosterior, n_draws: int, rng: np.random.Generator):
+    """Iterator over ``n_draws`` parameter draws from ``fp``, each written into one
+    reused (P,) vector, which it yields.  Draws read ``rng`` in turn, and numpy fills
+    a block row by row, so S draws have the bits of one (S, P) draw.  The count is
+    checked, and the vector allocated, on the call, not on the first draw."""
+    n_draws = _check_int("n_draws", n_draws)
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    if fp.kind == "deep_ensemble":
+        if n_draws != fp.sample_count:
+            raise ValueError(
+                f"deep_ensemble yields exactly {fp.sample_count} draws, requested {n_draws}"
+            )
 
+        def fill(k: int) -> None:
+            np.copyto(theta, fp.phi[k])
+    elif fp.kind == "mc_dropconnect":
+        slots, keeps = parameter_layout(fp.spec), np.ones(fp.spec.n_parameters)
 
-def _ensemble_rows(fp: FittedPosterior, n_draws: int):
-    if n_draws != fp.sample_count:
-        raise ValueError(
-            f"deep_ensemble yields exactly {fp.sample_count} draws, requested {n_draws}"
-        )
-    return lambda k, rng, out: np.copyto(out, fp.phi[k])
+        def fill(k: int) -> None:
+            np.multiply(fp.phi[0], _fill_keeps(slots, fp.drop_rate, rng, keeps), out=theta)
+    else:
+        mean, sigma = fp.phi[0], softplus(fp.phi[1])
 
+        def fill(k: int) -> None:
+            rng.standard_normal(out=theta)
+            # mean + sigma * eps, bit for bit: IEEE + and * commute exactly
+            np.add(np.multiply(theta, sigma, out=theta), mean, out=theta)
 
-def _dropconnect_rows(fp: FittedPosterior, n_draws: int):
-    slots, keeps = parameter_layout(fp.spec), np.ones(fp.spec.n_parameters)
-    return lambda k, rng, out: np.multiply(
-        fp.phi[0], _fill_keeps(slots, fp.drop_rate, rng, keeps), out=out
-    )
+    theta = np.empty(fp.spec.n_parameters)
 
+    def draws():
+        for k in range(n_draws):
+            fill(k)
+            yield theta
 
-def _variational_rows(fp: FittedPosterior, n_draws: int):
-    mean, rho = fp.phi
-    sigma = softplus(rho)
-
-    def row(k: int, rng: np.random.Generator, out: np.ndarray) -> None:
-        rng.standard_normal(out=out)
-        out *= sigma  # mean + sigma * eps, bit for bit: IEEE + and * commute exactly
-        out += mean
-
-    return row
-
-
-_ROWS = dict(zip(SAMPLER_KINDS, (_ensemble_rows, _dropconnect_rows, _variational_rows)))
+    return draws()
 
 
 def draw_parameter_matrix(
@@ -305,11 +305,7 @@ def draw_parameter_matrix(
 
     A deep ensemble's draws are its K members, so it takes exactly
     n_draws = K and leaves ``rng`` untouched."""
-    row = _ROWS[fp.kind](fp, n_draws)
-    thetas = np.empty((n_draws, fp.spec.n_parameters))
-    for k, theta in enumerate(thetas):
-        row(k, rng, theta)
-    return thetas
+    return np.stack([theta.copy() for theta in _draws(fp, n_draws, rng)])
 
 
 def _predict_draws(
@@ -322,16 +318,12 @@ def _predict_draws(
     is written into one (P,) vector and run through one forward-only pass
     made per call, and only its n means and variances are kept."""
     X = _check_inputs(fp.spec, X)
-    s = fp.sample_count if n_draws is None else int(n_draws)
-    if s < 1:
-        raise ValueError(f"n_draws must be >= 1, got {s}")
-    row, rng = _ROWS[fp.kind](fp, s), spawn_rng(seed, _STREAM_PREDICT)
-    theta = np.empty((1, fp.spec.n_parameters))
+    s = fp.sample_count if n_draws is None else n_draws
+    draws = _draws(fp, s, spawn_rng(seed, _STREAM_PREDICT))  # allocates before the pass does
     net = _Pass(fp.spec, 1, X.shape[0], False)
     means, variances = np.empty((2, s, X.shape[0]))
-    for k in range(s):
-        row(k, rng, theta[0])
-        means[k], variances[k] = net.forward(theta, X[None])
+    for k, theta in enumerate(draws):
+        means[k], variances[k] = net.forward(theta[None], X[None])
     return means, variances
 
 

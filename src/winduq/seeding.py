@@ -7,14 +7,23 @@ same (seed, key) pair always yields the same stream regardless of call order.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _ENTROPY_MOD = 2**63
 
 
+def _check_int(name: str, value) -> int:
+    """A Python or numpy integer as an int; a bool, float or str raises a ValueError."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValueError(f"{name} must be int, got {type(value).__name__} {value!r}")
+    return operator.index(value)
+
+
 def _normalize(seed: int) -> int:
     # SeedSequence requires nonnegative entropy; map negatives deterministically.
-    return int(seed) % _ENTROPY_MOD
+    return _check_int("seed", seed) % _ENTROPY_MOD
 
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:

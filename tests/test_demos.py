@@ -21,7 +21,9 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_demo_exits_cleanly(script, tmp_path):
-    env = dict(os.environ, TMPDIR=str(tmp_path))  # demos 04 and 05 write temp dirs
+    # demos 04 and 05 write temp dirs; pyproject's error::RuntimeWarning rule does not
+    # reach a subprocess, so the environment carries it
+    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONWARNINGS="error::RuntimeWarning")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env.setdefault(var, "1")  # threaded BLAS on tiny matmuls is slower and contends

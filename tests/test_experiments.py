@@ -417,6 +417,11 @@ class TestAutoKlWeight:
         # 23652/128 = 184.8 and 2365/128 = 18.5 round to 185 and 18 batches
         assert auto_kl_weight(23652, 128) == pytest.approx(1.0 / 185.0, rel=1e-15)
         assert auto_kl_weight(2365, 128) == pytest.approx(1.0 / 18.0, rel=1e-15)
+        # n / batch rounds, halves to even, so the weight need not be 1 / (batches per
+        # epoch): 900 rows run 8 batches and 900/128 = 7.03 gives 1/7; 320 rows run 3
+        # batches and 2.5 gives 1/2
+        assert auto_kl_weight(900, 128) == 1.0 / 7.0
+        assert auto_kl_weight(320, 128) == 1.0 / 2.0
 
     def test_small_datasets_floor_at_one_batch(self):
         assert auto_kl_weight(10, 128) == 1.0
@@ -924,7 +929,8 @@ class TestCli:
             tmp_path / "dec.cfg", {"posterior_dir": str(tmp_path / "posterior"), "mc_samples": "1"}
         )
         src = str(Path(winduq.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C",
+        # pyproject's error::RuntimeWarning rule does not reach a subprocess
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONWARNINGS="error::RuntimeWarning",
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "out"
         result = subprocess.run(

@@ -265,9 +265,10 @@ class TestDropConnectFit:
         assert np.array_equal(thetas, params[None, :] * masks)
 
 
-def _reference_fit(spec, data, cfg, phi, shuffle_seeds, draw):
-    """The batch-mean training loop written plainly: every batch gathered by
-    fancy indexing into a fresh pass, so no buffer outlives its batch."""
+def _reference_fit(spec, data, cfg, phi, shuffle_seeds, draw, batch_mean=True):
+    """The training loop written plainly: every batch gathered by fancy indexing
+    into a fresh pass, so no buffer outlives its batch, and the data term the
+    batch mean of the weighted NLL or, for ``batch_mean=False``, its sum."""
     X, y = data.inputs, data.targets
     opt = Adam(phi.shape)
     for epoch in range(cfg.epochs):
@@ -279,7 +280,7 @@ def _reference_fit(spec, data, cfg, phi, shuffle_seeds, draw):
             net = _Pass(spec, *idx.shape, True)
             mu, sigma2 = net.forward(theta, X[idx])
             _, _, d_mean, d_variance, _ = _beta_nll(mu, sigma2, y[idx], cfg.beta)
-            scale = 1.0 / idx.shape[1]
+            scale = 1.0 / idx.shape[1] if batch_mean else 1.0
             opt.step(phi, pullback(net.backward(d_mean * scale, d_variance * scale)), lr)
     return phi
 
@@ -309,6 +310,19 @@ class TestFitAgainstAReferenceLoop:
         draw = _dropconnect_draw(self.SPEC, 0.2, self.CFG.seed)
         expected = _reference_fit(self.SPEC, self.DATA, self.CFG, phi, [self.CFG.seed], draw)
         assert fp.phi.tobytes() == expected.tobytes()
+
+    def test_bayes_by_backprop(self):
+        # batch-sum data term plus the weighted KL, one [mean | rho] row kept as (2, P)
+        cfg = replace(self.CFG, kl_weight=0.3)
+        fp, _ = fit(PosteriorSampler("bayes_by_backprop", 8, init_sigma=0.1), self.SPEC,
+                    self.DATA, cfg)
+        p = self.SPEC.n_parameters
+        start = init_parameters(self.SPEC, derive_seed(cfg.seed, 202))
+        phi = np.concatenate([start, np.full(p, softplus_inverse(0.1))])[None]
+        draw = _variational_draw(p, 0.3, cfg.seed)
+        expected = _reference_fit(self.SPEC, self.DATA, cfg, phi, [cfg.seed], draw, False)
+        assert fp.phi.shape == (2, p)
+        assert fp.phi.tobytes() == expected.reshape(2, p).tobytes()
 
 
 class TestVariationalFit:
