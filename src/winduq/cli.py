@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 import traceback
 from pathlib import Path
 
@@ -52,29 +51,28 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_line)
         p.add_argument("--config", type=Path, default=None, help="flat key = value config file")
         p.add_argument("--seed", default=None, help="override the seed list with one seed")
-        p.add_argument("--out-dir", type=Path, default=None, help="output directory")
-        p.add_argument("--dataset", type=Path, default=None, help="input CSV (experiment-specific)")
+        p.add_argument("--out-dir", default=None, help="output directory")
+        p.add_argument("--dataset", default=None, help="input CSV (experiment-specific)")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     experiment = _COMMANDS[args.command][0]
-    # flags override the file, and the env var the output directory; --seed stays
-    # a string, parsed like the config key, so 1_000 is no integer
+    # flags override the file, and the env var the output directory; each flag stays
+    # a string, parsed like its config key, so 1_000 is no seed and "" no directory
     flags = {"seeds": args.seed, "dataset": args.dataset,
              "out_dir": os.environ.get(OUT_DIR_ENV_VAR) or args.out_dir}
-    entries = {key: str(value) for key, value in flags.items() if value is not None}
+    entries = {key: value for key, value in flags.items() if value is not None}
     cfg = None
     try:
         if args.config is not None:
             entries = {**read_config_file(args.config), **entries}
         cfg = build_config(experiment, entries)
-        t0 = time.monotonic()
         manifest = RUNNERS[experiment](cfg)
         n_files, n_cells = len(manifest["artifacts"]), len(manifest.get("cells", []))
         print(f"{experiment}: wrote {n_files} artifact(s) ({n_cells} cell(s)) to {cfg.out_dir} "
-              f"in {time.monotonic() - t0:.1f}s")
+              f"in {manifest['wall_time_s']:.1f}s")
         return 0
     except (FileNotFoundError, ValueError, RuntimeError) as exc:  # ConfigError is a ValueError
         error, trace = str(exc), None

@@ -192,7 +192,7 @@ def load_scada_csv(
     """Read a raw SCADA CSV into a table, collecting per-row diagnostics.
 
     ``column_map`` maps the canonical names (timestamp, wind_speed,
-    wind_direction, active_power) to the file's header names.  Rows whose
+    wind_direction, active_power) to distinct file header names.  Rows whose
     field count differs from the header's, or whose numeric fields do not
     parse, are dropped and reported by file line; more than 50% bad rows
     aborts.  Empty numeric fields become NaN, for preprocessing to drop.
@@ -205,6 +205,10 @@ def load_scada_csv(
     if unknown:
         raise ValueError(f"column_map refers to unknown canonical names: {sorted(unknown)}")
     names = [column_map.get(c, c) for c in SCADA_COLUMNS]  # the file's, in canonical order
+    for i, name in enumerate(names):
+        if name in names[:i]:  # one file column would be read as two quantities
+            raise ValueError(f"column_map reads {SCADA_COLUMNS[names.index(name)]!r} and "
+                             f"{SCADA_COLUMNS[i]!r} from one column {name!r}")
     try:
         rows = _csv_rows(path, csv.QUOTE_MINIMAL)
         _, header = next(rows)

@@ -10,21 +10,22 @@ Three canned experiments cover the capabilities end to end:
 * ``dataset_scaling``: train on growing subsets of an autoregressive hourly
   power series and track how epistemic uncertainty shrinks with data volume.
 
-The three share one cell runner, ``_run_cells``: it loops over seeds,
-samplers and the experiment's axis (betas, or subset ratios for
-``dataset_scaling``, which fits one beta per sampler), derives the fit and
-decomposition seeds, fits, and saves the posterior when ``save_posteriors``
-is set.  An experiment supplies its data, a per-cell ``evaluate`` and the
-tables it builds from the cell records.  Every run writes deterministic CSV
-tables (floats via repr, so reruns are byte-identical) plus a
-``manifest.json``, built by ``_write_run_manifest``: the config keys the
-experiment reads, environment, data fingerprint, artifacts and any saved
-posterior directories; a failed run gets one from ``write_failed_manifest``.
-``build_config`` rejects a config key the experiment does not read
-(``_EXPERIMENT_DEFAULTS`` lists them), and a config that repeats a seed,
-sampler, ratio or one sampler's beta, since each entry names its own cells'
-files; betas and ratios count as repeats when their six-significant-digit
-file tags agree.
+The three share one runner, ``_run_cells``, which owns a run from its output
+directory to its manifest.  It makes ``out_dir``, loops over seeds, samplers
+and the experiment's axis (betas, or subset ratios for ``dataset_scaling``),
+derives the fit and decomposition seeds, fits, saves the posterior when
+``save_posteriors`` is set, names each cell's CSV and posterior directory by
+one stem, then writes the experiment's tables and the manifest.  An experiment
+supplies only its data, a per-cell ``evaluate`` and the tables it builds from
+the cell records.  Every run writes deterministic CSV tables (floats via repr,
+so reruns are byte-identical) plus a ``manifest.json``, built by
+``_write_run_manifest``: the config keys the experiment reads, environment,
+data fingerprint, artifacts and any saved posterior directories; a failed run
+gets one from ``write_failed_manifest``.  ``build_config`` rejects a config key
+the experiment does not read (``_EXPERIMENT_DEFAULTS`` lists them), a blank
+path, and a config that repeats a seed, sampler, ratio or one sampler's beta,
+since each entry names its own cells' files; betas and ratios count as repeats
+when their six-significant-digit file tags agree.
 """
 
 from __future__ import annotations
@@ -245,6 +246,12 @@ def _parse_kl_weight(raw: str) -> float | None:
     return weight
 
 
+def _parse_path(raw: str) -> Path:
+    if not raw.strip():  # Path("") is the working directory
+        raise ConfigError(f"expected a path, got {raw!r}")
+    return Path(raw)
+
+
 def _parse_samplers(raw: str) -> tuple[str, ...]:
     kinds = tuple(_parse_list(raw))
     bad = [k for k in kinds if k not in SAMPLER_KINDS]
@@ -263,8 +270,8 @@ def _parse_band(raw: str) -> tuple[float, float]:
 # Every ExperimentConfig field but the per-sampler dicts is the config key
 # of the same name, parsed by its annotated type unless it has its own parser.
 _TYPE_PARSERS: dict[object, Callable[[str], object]] = {
-    int: _parse_int, float: _parse_float, bool: _parse_bool, str: str, Path: Path,
-    Path | None: Path, tuple[int, ...]: _parse_ints, tuple[float, ...]: _parse_floats,
+    int: _parse_int, float: _parse_float, bool: _parse_bool, str: str, Path: _parse_path,
+    Path | None: _parse_path, tuple[int, ...]: _parse_ints, tuple[float, ...]: _parse_floats,
 }
 _OWN_PARSERS = {"samplers": _parse_samplers, "kl_weight": _parse_kl_weight, "band": _parse_band}
 # ``betas = ...`` sets every sampler, ``<kind>.betas = ...`` one of them
@@ -494,8 +501,8 @@ def write_failed_manifest(experiment: str, entries: dict[str, str], cfg: Experim
                           error: str, trace: str | None) -> dict:
     """Write the manifest of a failed run into the output directory ``entries``
     name: ``error``, any traceback ``trace``, the raw ``entries`` and, given the
-    ``cfg`` they resolved to, its config echo."""
-    out_dir = Path(entries.get("out_dir", f"runs/{experiment}"))
+    ``cfg`` they resolved to, its config echo.  A blank ``out_dir`` counts as none."""
+    out_dir = Path(entries.get("out_dir", "").strip() or f"runs/{experiment}")
     out_dir.mkdir(parents=True, exist_ok=True)
     fields = {} if trace is None else {"traceback": trace}
     return _write_manifest(out_dir, cfg, experiment=experiment, status="failed", error=error,
@@ -559,7 +566,7 @@ class _Cell(NamedTuple):
 
     seed: int
     kind: str
-    tag: str  # "beta<token>" or "ratio<token>"; names the cell's files
+    stem: str  # "<kind>_<axis><token>_seed<seed>"; names the cell's files
     train: RegressionDataset
     tc: TrainingConfig
     decompose_seed: Callable[..., int]  # *extra -> derive_seed(seed, 403, k, j, *extra)
@@ -567,11 +574,15 @@ class _Cell(NamedTuple):
 
 def _run_cells(
     cfg: ExperimentConfig,
+    t0: float,
     train_for: Callable[[int, int], RegressionDataset],
     evaluate: Callable[[_Cell, FittedPosterior], tuple[dict, str | None]],
-) -> tuple[list[dict], list[str], list[str]]:
-    """Fit, evaluate and optionally save every seed x sampler x axis cell.
+    tables: Callable[[list[dict]], dict[str, tuple[list[str], list[list]]]],
+    **fields,
+) -> dict:
+    """Run a training experiment from its output directory to its manifest.
 
+    Fits, evaluates and optionally saves every seed x sampler x axis cell.
     The axis is the sampler's beta list; dataset_scaling sweeps the subset
     ratios instead, at the sampler's one beta.  Cell (k, j) is sampler k at
     axis index j.  A beta sweep fits all betas of sampler k from
@@ -579,9 +590,11 @@ def _run_cells(
     shuffles; a ratio cell fits from ``derive_seed(seed, 402, k, j)``.
     ``train_for(seed, j)`` gives the training set, and the network's input
     width; ``evaluate(cell, fp)`` gives the cell's stats and the name of the
-    CSV it wrote, or None.  Returns the cell records, those CSV names and the
-    names of the saved posterior directories.
+    CSV it wrote, or None.  Then writes each table of ``tables(records)``,
+    ``{file name: (header, rows)}``, and the manifest: the cell records,
+    ``fields`` and the wall time since ``t0``.
     """
+    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     by_ratio = cfg.experiment == "dataset_scaling"
     axis_key = "ratio" if by_ratio else "beta"
     records: list[dict] = []
@@ -596,27 +609,27 @@ def _run_cells(
                 tc = _training_config(cfg, kind, beta, fit_seed, len(train))
                 spec = _network_spec(cfg, train.inputs.shape[1])
                 fp, _ = fit(_sampler_for(cfg, kind), spec, train, tc)
-                tag = f"{axis_key}{_token(value)}"
+                stem = f"{kind}_{axis_key}{_token(value)}_seed{seed}"
                 decompose_seed = functools.partial(derive_seed, seed, _TAG_DECOMP, k, j)
-                stats, name = evaluate(_Cell(seed, kind, tag, train, tc, decompose_seed), fp)
+                stats, name = evaluate(_Cell(seed, kind, stem, train, tc, decompose_seed), fp)
                 if cfg.save_posteriors:
-                    posteriors.append(f"posterior_{kind}_{tag}_seed{seed}")
-                    save_posterior(
-                        fp,
-                        cfg.out_dir / posteriors[-1],
-                        extra={"seed": seed, "beta": beta, axis_key: value},
-                    )
+                    posteriors.append(f"posterior_{stem}")
+                    save_posterior(fp, cfg.out_dir / posteriors[-1],
+                                   extra={"seed": seed, "beta": beta, axis_key: value})
                 if name is not None:
                     artifacts.append(name)
                     stats = {"file": name, **stats}
                 records.append({"sampler": kind, "seed": seed, axis_key: value, **stats})
-    return records, artifacts, posteriors
+    for name, (header, rows) in tables(records).items():
+        write_csv(cfg.out_dir / name, header, rows)
+        artifacts.append(name)
+    return _write_run_manifest(cfg, artifacts, posteriors, time.monotonic() - t0, cells=records,
+                               **fields)
 
 
 def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
     """Sine benchmark: decompose over both input ranges after training on the first."""
     t0 = time.monotonic()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
     grid = np.linspace(SINE_TRAIN_RANGE[0], SINE_TEST_RANGE[1], cfg.grid_points)
     grid_inputs = grid[:, None]
     in_domain = grid <= SINE_TRAIN_RANGE[1]
@@ -635,7 +648,7 @@ def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
         test = sine[cell.seed][1]
         dec_grid = decompose_batch(fp, grid_inputs, seed=cell.decompose_seed(0))
         dec_test = decompose_batch(fp, test.inputs, seed=cell.decompose_seed(1))
-        name = f"synthetic_{cell.kind}_{cell.tag}_seed{cell.seed}.csv"
+        name = f"synthetic_{cell.stem}.csv"
         _write_decomposed(cfg.out_dir / name, dec_grid, [("x", grid)])
         mean_eu_id = float(dec_grid.epistemic[in_domain].mean())
         mean_eu_ood = float(dec_grid.epistemic[beyond].mean())
@@ -649,37 +662,25 @@ def run_synthetic_ood(cfg: ExperimentConfig) -> dict:
             "au_iqr_id": float(np.percentile(au_id, 75) - np.percentile(au_id, 25)),
         }, name
 
-    cells, artifacts, posteriors = _run_cells(cfg, lambda seed, j: sine[seed][0], evaluate)
     header = ["sampler", "beta", "seed", "mse_test", "mean_eu_id", "mean_eu_ood",
               "eu_ood_ratio", "spearman_au_x", "au_iqr_id"]
-    write_csv(cfg.out_dir / "summary.csv", header, _rows(cells, header))
-    return _write_run_manifest(
-        cfg, artifacts + ["summary.csv"], posteriors, time.monotonic() - t0,
+    return _run_cells(
+        cfg, t0, lambda seed, j: sine[seed][0], evaluate,
+        lambda cells: {"summary.csv": (header, _rows(cells, header))},
         datasets=[_dataset_fingerprint(sine[s][0]) for s in cfg.seeds],
-        cells=cells,
     )
-
-
-def _load_property_table(cfg: ExperimentConfig):
-    if cfg.dataset is not None:
-        table, diagnostics = load_scada_csv(cfg.dataset)
-        source = f"csv:{cfg.dataset}"
-    else:
-        table = make_power_curve_table(
-            seed=cfg.surrogate_seed,
-            n=cfg.surrogate_n,
-            spec=PowerCurveSpec(outlier_fraction=cfg.outlier_fraction),
-        )
-        diagnostics = []
-        source = f"surrogate(seed={cfg.surrogate_seed}, n={cfg.surrogate_n})"
-    return table, diagnostics, source
 
 
 def run_data_property(cfg: ExperimentConfig) -> dict:
     """Wind table: relate decomposed uncertainty to density and speed band."""
     t0 = time.monotonic()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    table, diagnostics, source = _load_property_table(cfg)
+    if cfg.dataset is not None:
+        table, diagnostics = load_scada_csv(cfg.dataset)
+        source = f"csv:{cfg.dataset}"
+    else:
+        spec = PowerCurveSpec(outlier_fraction=cfg.outlier_fraction)
+        table = make_power_curve_table(seed=cfg.surrogate_seed, n=cfg.surrogate_n, spec=spec)
+        diagnostics, source = [], f"surrogate(seed={cfg.surrogate_seed}, n={cfg.surrogate_n})"
     clean, stats = preprocess_power_table(table)
     train, _val, test = window_power_table(clean, stats, lags=cfg.lags)
     speed_phys = current_speed_column(test)
@@ -696,7 +697,7 @@ def run_data_property(cfg: ExperimentConfig) -> dict:
 
     def evaluate(cell: _Cell, fp: FittedPosterior) -> tuple[dict, str]:
         dec = decompose_batch(fp, test.inputs, seed=cell.decompose_seed())
-        name = f"property_{cell.kind}_{cell.tag}_seed{cell.seed}.csv"
+        name = f"property_{cell.stem}.csv"
         head = [("wind_speed", speed_phys), ("power", test.targets)]
         _write_decomposed(cfg.out_dir / name, dec, head, [("density_rank", density_rank)])
         return {
@@ -706,41 +707,32 @@ def run_data_property(cfg: ExperimentConfig) -> dict:
             "spearman_au_density": _spearman_or_blank(dec.aleatoric, density_rank),
         }, name
 
-    cells, artifacts, posteriors = _run_cells(cfg, lambda seed, j: train, evaluate)
     header = ["sampler", "beta", "seed", "mse_test", "mean_eu_in_band", "mean_eu_out_band",
               "spearman_au_density"]
     band_counts = [int(in_band.sum()), int((~in_band).sum())]
-    write_csv(
-        cfg.out_dir / "summary.csv",
-        header + ["n_in_band", "n_out_band"],
-        [row + band_counts for row in _rows(cells, header)],
-    )
-    return _write_run_manifest(
-        cfg, artifacts + ["summary.csv"], posteriors, time.monotonic() - t0,
+    return _run_cells(
+        cfg, t0, lambda seed, j: train, evaluate,
+        lambda cells: {"summary.csv": (header + ["n_in_band", "n_out_band"],
+                                       [row + band_counts for row in _rows(cells, header)])},
         source=source,
         load_diagnostics=diagnostics[:20],
         datasets=[_dataset_fingerprint(train), _dataset_fingerprint(test)],
-        cells=cells,
     )
 
 
-def _load_series(cfg: ExperimentConfig) -> tuple[np.ndarray, str]:
+def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
+    """Grow the training subset and track mean epistemic uncertainty."""
+    t0 = time.monotonic()
     if cfg.dataset is not None:
         X, names = _read_numeric_csv(cfg.dataset)
         if "power" not in names and len(names) != 1:
             raise ConfigError(
                 f"{cfg.dataset}: expected a single-column CSV or a 'power' column, got {names}"
             )
-        return X[:, names.index("power") if "power" in names else 0], f"csv:{cfg.dataset}"
-    series = make_hourly_power_series(seed=cfg.series_seed, n=cfg.series_n)
-    return series, f"surrogate(seed={cfg.series_seed}, n={cfg.series_n})"
-
-
-def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
-    """Grow the training subset and track mean epistemic uncertainty."""
-    t0 = time.monotonic()
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    series, source = _load_series(cfg)
+        series, source = X[:, names.index("power") if "power" in names else 0], f"csv:{cfg.dataset}"
+    else:
+        series = make_hourly_power_series(seed=cfg.series_seed, n=cfg.series_n)
+        source = f"surrogate(seed={cfg.series_seed}, n={cfg.series_n})"
     pool, test = window_univariate_series(series, lags=cfg.lags, test_fraction=cfg.test_fraction)
 
     # all before the first fit, so a ratio selecting no rows fails before any file
@@ -760,27 +752,27 @@ def run_dataset_scaling(cfg: ExperimentConfig) -> dict:
             "mean_epistemic": float(dec.epistemic.mean()),
         }, None
 
-    cells, _, posteriors = _run_cells(cfg, lambda seed, j: subsets[seed, j], evaluate)
-    header = ["sampler", "seed", "ratio", "n_train", "kl_weight", "mse_test",
-              "mean_aleatoric", "mean_epistemic"]
-    write_csv(cfg.out_dir / "scaling.csv", header, _rows(cells, header))
-    # one trend per (seed, sampler): its cells are consecutive, in ratio order
-    n = len(cfg.ratios)
-    summary_rows = []
-    for first in range(0, len(cells), n):
-        eus = [c["mean_epistemic"] for c in cells[first : first + n]]
-        trend = _spearman_or_blank(np.asarray(cfg.ratios), np.asarray(eus))
-        summary_rows.append([cells[first]["sampler"], cells[first]["seed"], trend, eus[0], eus[-1]])
-    write_csv(
-        cfg.out_dir / "summary.csv",
-        ["sampler", "seed", "spearman_ratio_eu", "eu_first_ratio", "eu_last_ratio"],
-        summary_rows,
-    )
-    return _write_run_manifest(
-        cfg, ["scaling.csv", "summary.csv"], posteriors, time.monotonic() - t0,
+    def tables(cells: list[dict]) -> dict:
+        header = ["sampler", "seed", "ratio", "n_train", "kl_weight", "mse_test",
+                  "mean_aleatoric", "mean_epistemic"]
+        # one trend per (seed, sampler): its cells are consecutive, in ratio order
+        n = len(cfg.ratios)
+        summary_rows = []
+        for first in range(0, len(cells), n):
+            eus = [c["mean_epistemic"] for c in cells[first : first + n]]
+            trend = _spearman_or_blank(np.asarray(cfg.ratios), np.asarray(eus))
+            summary_rows.append([cells[first]["sampler"], cells[first]["seed"], trend, eus[0],
+                                 eus[-1]])
+        return {
+            "scaling.csv": (header, _rows(cells, header)),
+            "summary.csv": (["sampler", "seed", "spearman_ratio_eu", "eu_first_ratio",
+                             "eu_last_ratio"], summary_rows),
+        }
+
+    return _run_cells(
+        cfg, t0, lambda seed, j: subsets[seed, j], evaluate, tables,
         source=source,
         datasets=[_dataset_fingerprint(pool), _dataset_fingerprint(test)],
-        cells=cells,
     )
 
 

@@ -338,6 +338,21 @@ class TestCsvLoading:
         with pytest.raises(ValueError, match="unknown canonical names"):
             load_scada_csv(path, column_map={"speed": "WS"})
 
+    @pytest.mark.parametrize("column_map, first, second, column", [
+        ({"wind_speed": "ws", "wind_direction": "ws"}, "wind_speed", "wind_direction", "ws"),
+        ({"wind_speed": "active_power"}, "wind_speed", "active_power", "active_power"),
+        ({"timestamp": "t", "active_power": "t"}, "timestamp", "active_power", "t"),
+    ])
+    def test_two_names_from_one_column_rejected(self, tmp_path, column_map, first, second,
+                                                column):
+        # the file has every column either map needs, so only the clash can fail it
+        path = tmp_path / "x.csv"
+        path.write_text("t,ws," + self.HEADER + "a,1,2,3,4,5\n")
+        with pytest.raises(ValueError) as exc:
+            load_scada_csv(path, column_map=column_map)
+        assert str(exc.value) == (
+            f"column_map reads {first!r} and {second!r} from one column {column!r}")
+
 
 class TestPowerCurve:
     def test_anchor_points(self):

@@ -288,6 +288,17 @@ class TestBuildConfig:
         cfg = build_config("synthetic_ood", {"sine_n_train": " +12 ", "seeds": "3, 007, -0"})
         assert cfg.sine_n_train == 12 and cfg.seeds == (3, 7, 0)
 
+    @pytest.mark.parametrize("experiment, key", [
+        ("synthetic_ood", "out_dir"), ("data_property", "dataset"), ("dataset_scaling", "dataset"),
+        ("decompose", "posterior_dir"), ("decompose", "out_dir"),
+    ])
+    @pytest.mark.parametrize("raw", ["", "  "])
+    def test_a_blank_path_is_rejected(self, experiment, key, raw):
+        # Path("") would be the working directory
+        with pytest.raises(ConfigError) as exc:
+            build_config(experiment, {key: raw})
+        assert str(exc.value) == f"key {key!r}: expected a path, got {raw!r}"
+
     @pytest.mark.parametrize("raw", ["1/0", "0", "-1", "0/5", "1/-4"])
     def test_kl_weight_must_be_positive(self, raw):
         with pytest.raises(ConfigError, match="^key 'kl_weight': expected a positive number"):
@@ -1188,6 +1199,26 @@ class TestCli:
         assert capsys.readouterr().err == f"error: config file not found: {tmp_path / 'nope.cfg'}\n"
         manifest = json.loads((tmp_path / "runs/dataset_scaling/manifest.json").read_text())
         assert manifest["status"] == "failed" and manifest["entries"] == {}
+
+    @pytest.mark.parametrize("command, text, extra, key", [
+        ("synthetic", "seeds = 1\nout_dir =\n", [], "out_dir"),
+        ("synthetic", "seeds = 1\n", ["--out-dir", ""], "out_dir"),
+        ("data-property", "dataset =\n", [], "dataset"),
+    ])
+    def test_a_blank_path_fails_into_the_experiment_directory(
+        self, tmp_path, capsys, monkeypatch, command, text, extra, key
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(OUT_DIR_ENV_VAR, raising=False)
+        (tmp_path / "run.cfg").write_text(text)
+        assert main([command, "--config", "run.cfg", *extra]) == 1
+        assert capsys.readouterr().err == f"error: key {key!r}: expected a path, got ''\n"
+        # nothing lands in the working directory, and the manifest goes where no
+        # out_dir entry would put it
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "runs"]
+        experiment = cli._COMMANDS[command][0]
+        manifest = json.loads((tmp_path / "runs" / experiment / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["entries"][key] == ""
 
     def test_subcommand_required(self):
         with pytest.raises(SystemExit):
