@@ -3,8 +3,10 @@
 The SCADA path mirrors a fixed pipeline: load a raw table, repair negative
 power readings, drop rows with missing values, min-max normalize every
 variable to [0, 1], then slice lagged windows and split chronologically.
-The per-column min/max of that normalization (``ColumnStats``) is recorded
-once and travels with every windowed split.
+The hourly series of ``scaling`` shares the last three steps, and both paths
+share one min-max rule (``_min_max``) and one window builder (``_lag_windows``).
+The table's per-column min/max (``ColumnStats``) is recorded once and travels
+with every windowed split.
 A bundled power-curve surrogate generator produces tables with the same
 qualitative shape (long-tailed speeds, saturating curve, heteroscedastic
 scatter, off-curve outliers) for self-contained runs.
@@ -295,6 +297,15 @@ def _read_numeric_csv(path: Path) -> tuple[np.ndarray, list[str]]:
     return X, header
 
 
+def _min_max(name: str, col: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``col`` min-max normalized to [0, 1], and the min and max it was scaled by; an
+    empty column gets through, for ``_lag_windows`` to report as too short."""
+    lo, hi = float(col.min(initial=np.inf)), float(col.max(initial=-np.inf))
+    if hi == lo:
+        raise ValueError(f"column {name} is constant; min-max normalization undefined")
+    return (col - lo) / (hi - lo), lo, hi
+
+
 def preprocess_power_table(table: ScadaTable) -> tuple[ScadaTable, ColumnStats]:
     """Repair, filter and normalize a raw table.
 
@@ -313,46 +324,37 @@ def preprocess_power_table(table: ScadaTable) -> tuple[ScadaTable, ColumnStats]:
             raise ValueError("cannot repair negative power: no nonnegative entries")
         power[negative] = nonneg.mean()
 
-    keep = (
-        np.isfinite(table.wind_speed)
-        & np.isfinite(table.wind_direction)
-        & np.isfinite(power)
-    )
+    keep = np.isfinite(table.wind_speed) & np.isfinite(table.wind_direction) & np.isfinite(power)
     if not keep.any():
         raise ValueError("no rows left after dropping missing values")
 
-    columns = {
-        "wind_speed": table.wind_speed[keep],
-        "wind_direction": table.wind_direction[keep],
-        "active_power": power[keep],
-    }
-    minima: dict[str, float] = {}
-    maxima: dict[str, float] = {}
-    normalized: dict[str, np.ndarray] = {}
-    for name, col in columns.items():
-        lo, hi = float(col.min()), float(col.max())
-        if hi == lo:
-            raise ValueError(f"column {name} is constant; min-max normalization undefined")
-        minima[name] = lo
-        maxima[name] = hi
-        normalized[name] = (col - lo) / (hi - lo)
-
-    clean = ScadaTable(
-        timestamp=table.timestamp[keep],
-        wind_speed=normalized["wind_speed"],
-        wind_direction=normalized["wind_direction"],
-        active_power=normalized["active_power"],
-    )
-    return clean, ColumnStats(minima, maxima)
+    scaled = {name: _min_max(name, col[keep]) for name, col in (
+        ("wind_speed", table.wind_speed), ("wind_direction", table.wind_direction),
+        ("active_power", power))}
+    clean = ScadaTable(table.timestamp[keep], *(col for col, _, _ in scaled.values()))
+    return clean, ColumnStats({k: lo for k, (_, lo, _) in scaled.items()},
+                              {k: hi for k, (_, _, hi) in scaled.items()})
 
 
 # ---------------------------------------------------------------------------
 # windowing
 
 
-def _lagged(col: np.ndarray, lags: int) -> np.ndarray:
-    # rows t = lags .. n-1; columns are col[t-lags] .. col[t-1]
-    return np.lib.stride_tricks.sliding_window_view(col, lags)[:-1]
+def _lag_windows(
+    lags: int, columns: dict[str, np.ndarray], now: tuple[str, ...] = ()
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The features of rows t = lags .. n-1 of the equal-length ``columns``, and their
+    names: each column, keyed by its name prefix p, adds its values at t - lags .. t - 1
+    as ``{p}lag{lags}`` .. ``{p}lag1``, then each prefix in ``now`` its value at t as ``{p}now``."""
+    n = len(next(iter(columns.values())))
+    if lags < 1:
+        raise ValueError(f"lags must be >= 1, got {lags}")
+    if n <= lags:
+        raise ValueError(f"need more than {lags} rows to build windows, got {n}")
+    blocks = [np.lib.stride_tricks.sliding_window_view(c, lags)[:-1] for c in columns.values()]
+    X = np.hstack([*blocks, *(columns[p][lags:, None] for p in now)])
+    names = [f"{p}lag{k}" for p in columns for k in range(lags, 0, -1)]
+    return X, (*names, *(f"{p}now" for p in now))
 
 
 def _chronological_split(
@@ -381,28 +383,10 @@ def window_power_table(
     are floored, the remainder is the test set.  Every split carries
     ``stats`` unchanged as its ``scaling`` record.
     """
-    n = len(clean)
-    if lags < 1:
-        raise ValueError(f"lags must be >= 1, got {lags}")
-    if n <= lags:
-        raise ValueError(f"need more than {lags} rows to build windows, got {n}")
-
-    speed_lags = _lagged(clean.wind_speed, lags)
-    direction_lags = _lagged(clean.wind_direction, lags)
-    power_lags = _lagged(clean.active_power, lags)
-    current_speed = clean.wind_speed[lags:]
-    current_direction = clean.wind_direction[lags:]
-    X = np.hstack(
-        [speed_lags, direction_lags, power_lags, current_speed[:, None], current_direction[:, None]]
-    )
+    columns = {"speed_": clean.wind_speed, "direction_": clean.wind_direction,
+               "power_": clean.active_power}
+    X, names = _lag_windows(lags, columns, now=("speed_", "direction_"))
     y = clean.active_power[lags:]
-
-    names = (
-        tuple(f"speed_lag{k}" for k in range(lags, 0, -1))
-        + tuple(f"direction_lag{k}" for k in range(lags, 0, -1))
-        + tuple(f"power_lag{k}" for k in range(lags, 0, -1))
-        + ("speed_now", "direction_now")
-    )
     n_windows = X.shape[0]
     n_train = int(n_windows * (9 / 11))
     n_val = int(n_windows * (1 / 11))
@@ -434,25 +418,15 @@ def window_univariate_series(
     """
     series = np.asarray(series, dtype=np.float64).ravel()
     series = series[np.isfinite(series)]
-    n = series.size
-    if lags < 1:
-        raise ValueError(f"lags must be >= 1, got {lags}")
-    if n <= lags:
-        raise ValueError(f"need more than {lags} points, got {n}")
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
-    lo, hi = float(series.min()), float(series.max())
-    if hi == lo:
-        raise ValueError("constant series; min-max normalization undefined")
-    norm = (series - lo) / (hi - lo)
-
-    X = _lagged(norm, lags)
+    norm, _, _ = _min_max("series", series)
+    X, names = _lag_windows(lags, {"": norm})
     y = norm[lags:]
     n_windows = X.shape[0]
     n_test = int(math.ceil(test_fraction * n_windows))
     if n_test >= n_windows:
         raise ValueError("test fraction leaves no training rows")
-    names = tuple(f"lag{k}" for k in range(lags, 0, -1))
     return _chronological_split(
         X, y, names, f"univariate windows, lags={lags}", (n_windows - n_test,),
         ("train", "test"), None,

@@ -445,8 +445,8 @@ def _write_decomposed(path: Path, dec, head, tail=()) -> None:
 
 def _dataset_fingerprint(ds: RegressionDataset) -> dict:
     digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(ds.inputs).tobytes())
-    digest.update(np.ascontiguousarray(ds.targets).tobytes())
+    digest.update(np.ascontiguousarray(ds.inputs))  # hashed in place, with no bytes copy
+    digest.update(np.ascontiguousarray(ds.targets))
     return {
         "tag": ds.tag,
         "rows": len(ds),
@@ -457,15 +457,21 @@ def _dataset_fingerprint(ds: RegressionDataset) -> dict:
 
 
 def _environment() -> dict:
-    """The interpreter, numpy, BLAS, BLAS threads and package version of a run."""
+    """The interpreter, numpy, BLAS, BLAS threads and package version of a run, and
+    what picks its kernels: the CPU architecture, ``OPENBLAS_CORETYPE`` and the
+    CPU features numpy's loops dispatch on (``NPY_DISABLE_CPU_FEATURES`` removes some)."""
     try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        config = np.show_config(mode="dicts")
+        blas, simd = config["Build Dependencies"]["blas"], config["SIMD Extensions"]
     except (KeyError, TypeError):  # numpy before 1.26 only prints its config
-        blas = {}
+        blas, simd = {}, {}
     threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     return {"python": platform.python_version(), "numpy": np.__version__, "winduq": __version__,
             "blas": {"name": blas.get("name"), "version": blas.get("version")},
-            "threads": {v: os.environ.get(v) for v in threads}}
+            "threads": {v: os.environ.get(v) for v in threads},
+            "machine": platform.machine(),
+            "openblas_coretype": os.environ.get("OPENBLAS_CORETYPE") or None,
+            "cpu_dispatch": simd.get("found")}
 
 
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig | None, **manifest) -> dict:

@@ -35,15 +35,13 @@ _STREAM_SHUFFLE = 101
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when a non-finite prediction, loss or gradient appears during training."""
+    """Raised when a non-finite prediction, loss or gradient, or a variance that is not
+    positive, appears during training."""
 
 
 def _beta_nll(mu, sigma2, y, beta: float) -> tuple[np.ndarray, ...]:
     """(values, weights, d/d mean, d/d variance, squared residuals) of the
-    weighted NLL, with the variances validated once and one residual feeding all."""
-    mu, sigma2, y = (np.asarray(a, dtype=np.float64) for a in (mu, sigma2, y))
-    if not np.all(sigma2 > 0.0):  # written so that NaN variances fail too
-        raise ValueError("predicted variance must be strictly positive")
+    weighted NLL of float64 arrays with positive variances, one residual feeding all."""
     r = mu - y
     r2 = r**2  # (y - mu)**2 bit for bit
     weight = sigma2**beta
@@ -59,6 +57,15 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _checked_beta_nll(mu, sigma2, y, beta: float) -> tuple[np.ndarray, ...]:
+    """``_beta_nll`` of array-likes, with beta and then the variances validated."""
+    beta = _check_beta(beta)
+    mu, sigma2, y = (np.asarray(a, dtype=np.float64) for a in (mu, sigma2, y))
+    if not np.all(sigma2 > 0.0):  # written so that NaN variances fail too
+        raise ValueError("predicted variance must be strictly positive")
+    return _beta_nll(mu, sigma2, y, beta)
+
+
 def beta_nll_terms(
     mu: np.ndarray, sigma2: np.ndarray, y: np.ndarray, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -68,7 +75,7 @@ def beta_nll_terms(
     differentiation.  At beta = 0 the weight is exactly 1 and the values are
     bit-for-bit the plain NLL, 0.5 * log(sigma2) + (y - mean)**2 / (2 * sigma2).
     """
-    return _beta_nll(mu, sigma2, y, _check_beta(beta))[:2]
+    return _checked_beta_nll(mu, sigma2, y, beta)[:2]
 
 
 def beta_nll_grads(
@@ -82,7 +89,7 @@ def beta_nll_grads(
         d/d mean     = (mean - y) / sigma2**(1 - beta)
         d/d variance = (sigma2 - (y - mean)**2) / (2 * sigma2**(2 - beta))
     """
-    return _beta_nll(mu, sigma2, y, _check_beta(beta))[2:4]
+    return _checked_beta_nll(mu, sigma2, y, beta)[2:4]
 
 
 @dataclass(frozen=True)
@@ -186,11 +193,11 @@ def _point_draw(phi: np.ndarray, epoch: int, b: int):
     return phi, lambda g: g, 0.0
 
 
-def _diverged(what: str, epoch: int, b: int, *blocks: np.ndarray) -> TrainingDivergedError:
-    # names the first member with a non-finite entry in its row of any block
-    bad = np.zeros(len(blocks[0]), dtype=bool)
-    for block in blocks:
-        bad |= ~np.isfinite(block.reshape(len(bad), -1)).all(axis=1)
+def _diverged(what: str, epoch: int, b: int, *good: np.ndarray) -> TrainingDivergedError:
+    # names the first member with a False entry in its row of any mask in good
+    bad = np.zeros(len(good[0]), dtype=bool)
+    for mask in good:
+        bad |= ~mask.reshape(len(bad), -1).all(axis=1)
     member = int(np.argmax(bad))
     return TrainingDivergedError(f"{what} in member {member} at epoch {epoch}, batch {b}")
 
@@ -217,8 +224,8 @@ def _minibatch_loop(
     row.  One forward pass is kept for the backward pass, and one Adam step
     updates the whole block.  Each sampler fixes ``batch_mean``: the
     data term is the batch mean of the weighted NLL, or the batch sum.  A
-    non-finite prediction, objective or gradient raises
-    ``TrainingDivergedError`` naming the member, epoch and batch.
+    non-finite prediction, objective or gradient, or a variance that is not
+    positive, raises ``TrainingDivergedError`` naming the member, epoch and batch.
     """
     X = np.asarray(data.inputs, dtype=np.float64)
     y = np.asarray(data.targets, dtype=np.float64)
@@ -251,15 +258,17 @@ def _minibatch_loop(
             yb = np.take(y, idx, out=net.y, mode="clip")
             theta, pullback, prior = draw(phi, epoch, b)
             mu, sigma2 = net.forward(theta, Xb)
-            if not (np.isfinite(mu).all() and np.isfinite(sigma2).all()):
-                raise _diverged("non-finite prediction", epoch, b, mu, sigma2)
+            if not (np.isfinite(mu).all() and np.isfinite(sigma2).all() and (sigma2 > 0).all()):
+                raise _diverged("non-finite prediction or non-positive variance", epoch, b,
+                                np.isfinite(mu), np.isfinite(sigma2) & (sigma2 > 0))
             values, _, d_mean, d_variance, r2 = _beta_nll(mu, sigma2, yb, cfg.beta)
             batch_loss = values.sum(axis=-1)
             scale = 1.0 / idx.shape[1] if batch_mean else 1.0
             grad = pullback(net.backward(d_mean * scale, d_variance * scale))
             objective = batch_loss + prior
             if not (np.isfinite(objective).all() and np.isfinite(grad).all()):
-                raise _diverged("non-finite loss or gradient", epoch, b, objective, grad)
+                raise _diverged("non-finite loss or gradient", epoch, b,
+                                np.isfinite(objective), np.isfinite(grad))
             opt.step(phi, grad, lr)
             loss_sum += batch_loss
             prior_sum += prior

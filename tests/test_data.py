@@ -108,7 +108,8 @@ class TestPreprocessing:
             assert stats.minima[name] < stats.maxima[name]
 
     def test_constant_column_rejected(self):
-        with pytest.raises(ValueError, match="constant"):
+        message = "column active_power is constant; min-max normalization undefined"
+        with pytest.raises(ValueError, match=f"^{message}$"):
             preprocess_power_table(self._table([5.0, 5.0, 5.0]))
 
     def test_unrepairable_negatives_rejected(self):
@@ -180,12 +181,23 @@ class TestWindowing:
         speeds = current_speed_column(train)
         assert speeds[0] == pytest.approx(10.0, rel=1e-12)  # 10/11 of span 11
 
-    def test_validation(self):
+    @pytest.mark.parametrize("lags, message", [
+        (0, "lags must be >= 1, got 0"),
+        (-2, "lags must be >= 1, got -2"),
+        (12, "need more than 12 rows to build windows, got 12"),
+        (40, "need more than 40 rows to build windows, got 12"),
+    ])
+    def test_validation(self, lags, message):
         table, stats = self._normalized_table(12)
-        with pytest.raises(ValueError):
-            window_power_table(table, stats, lags=0)
-        with pytest.raises(ValueError):
-            window_power_table(table, stats, lags=12)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            window_power_table(table, stats, lags=lags)
+
+    def test_feature_names_at_two_lags(self):
+        table, stats = self._normalized_table(12)
+        splits = window_power_table(table, stats, lags=2)
+        expected = ("speed_lag2", "speed_lag1", "direction_lag2", "direction_lag1",
+                    "power_lag2", "power_lag1", "speed_now", "direction_now")
+        assert [ds.feature_names for ds in splits] == [expected] * 3
 
 
 class TestUnivariateWindows:
@@ -208,13 +220,21 @@ class TestUnivariateWindows:
         train, test = window_univariate_series(series, lags=4, test_fraction=0.25)
         assert len(train) + len(test) == 39 - 4
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            window_univariate_series(np.arange(10.0), lags=10)
-        with pytest.raises(ValueError):
-            window_univariate_series(np.ones(50), lags=5)
-        with pytest.raises(ValueError):
-            window_univariate_series(np.arange(50.0), lags=5, test_fraction=1.5)
+    @pytest.mark.parametrize("series, lags, fraction, message", [
+        (np.arange(10.0), 0, 0.1, "lags must be >= 1, got 0"),
+        (np.arange(10.0), 10, 0.1, "need more than 10 rows to build windows, got 10"),
+        (np.r_[0.0, np.nan, 1.0, 2.0], 3, 0.1, "need more than 3 rows to build windows, got 3"),
+        (np.full(5, np.nan), 3, 0.1, "need more than 3 rows to build windows, got 0"),
+        (np.ones(50), 5, 0.1, "column series is constant; min-max normalization undefined"),
+        (np.arange(50.0), 5, 1.5, r"test_fraction must lie in \(0, 1\), got 1.5"),
+    ])
+    def test_validation(self, series, lags, fraction, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            window_univariate_series(series, lags=lags, test_fraction=fraction)
+
+    def test_feature_names_at_three_lags(self):
+        train, test = window_univariate_series(np.arange(40.0), lags=3)
+        assert train.feature_names == test.feature_names == ("lag3", "lag2", "lag1")
 
 
 class TestSubsampling:

@@ -7,8 +7,10 @@ layout and byte-level reproducibility, not estimation quality.
 import ast
 import csv
 import dataclasses
+import hashlib
 import json
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -22,6 +24,7 @@ from winduq import cli
 from winduq.cli import main
 from winduq.data import (
     PowerCurveSpec,
+    RegressionDataset,
     _read_numeric_csv,
     make_hourly_power_series,
     make_power_curve_table,
@@ -33,6 +36,7 @@ from winduq.data import (
 )
 from winduq.experiments import (
     _EXPERIMENT_DEFAULTS,
+    _dataset_fingerprint,
     ConfigError,
     ExperimentConfig,
     OUT_DIR_ENV_VAR,
@@ -67,6 +71,10 @@ def read_table(path: Path) -> list[dict[str, str]]:
 
 def csv_bytes(directory: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(directory.glob("*.csv"))}
+
+
+ENVIRONMENT_KEYS = ["blas", "cpu_dispatch", "machine", "numpy", "openblas_coretype", "python",
+                    "threads", "winduq"]
 
 
 class TestConfigFileParsing:
@@ -514,6 +522,21 @@ def _synthetic_entries(out_dir: Path) -> dict[str, str]:
     }
 
 
+class TestDatasetFingerprint:
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "fortran"])
+    def test_digest_is_that_of_the_c_ordered_bytes(self, layout):
+        block = np.arange(60.0).reshape(10, 6) / 7.0
+        inputs = {"contiguous": block[:, :3].copy(), "strided": block[:, ::2],
+                  "fortran": np.asfortranarray(block[:, :3])}[layout]
+        targets = block[::-1, 4]  # a negative stride
+        ds = RegressionDataset(inputs, targets, ("a", "b", "c"), "train")
+        assert inputs.flags.c_contiguous == (layout == "contiguous")
+        expected = hashlib.sha256(inputs.tobytes() + targets.tobytes()).hexdigest()
+        got = _dataset_fingerprint(ds)
+        assert got["sha256"] == expected
+        assert (got["rows"], got["features"], got["tag"]) == (10, 3, "train")
+
+
 class TestSyntheticRunner:
     def test_artifacts_and_manifest(self, tmp_path):
         out = tmp_path / "run"
@@ -550,10 +573,13 @@ class TestSyntheticRunner:
     def test_manifests_stamp_the_environment_and_csvs_do_not(self, tmp_path, monkeypatch):
         first, second = tmp_path / "a", tmp_path / "b"
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OPENBLAS_CORETYPE", "Haswell")  # read by OpenBLAS at load only
         manifest = run_synthetic_ood(build_config("synthetic_ood", _synthetic_entries(first)))
         env = manifest["environment"]
-        assert sorted(env) == ["blas", "numpy", "python", "threads", "winduq"]
+        assert sorted(env) == ENVIRONMENT_KEYS
         assert sorted(env["blas"]) == ["name", "version"]
+        assert env["machine"] == platform.machine() and env["openblas_coretype"] == "Haswell"
+        assert env["cpu_dispatch"] == np.show_config(mode="dicts")["SIMD Extensions"]["found"]
         assert env["threads"] == {
             "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
             "OPENBLAS_NUM_THREADS": "1",
@@ -1022,7 +1048,7 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"]
-        assert sorted(manifest["environment"]) == ["blas", "numpy", "python", "threads", "winduq"]
+        assert sorted(manifest["environment"]) == ENVIRONMENT_KEYS
 
     def test_malformed_posterior_fails_with_manifest(self, tmp_path, capsys):
         spec = ArchitectureSpec(1, (3,))

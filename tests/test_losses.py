@@ -28,6 +28,7 @@ from winduq.network import (
     backward_batch,
     forward_batch,
     init_parameters,
+    parameter_layout,
 )
 from winduq.seeding import spawn_rng
 
@@ -346,6 +347,24 @@ class TestTrain:
                     phi, spec, SimpleNamespace(inputs=X, targets=data.targets), cfg, seeds,
                     _point_draw, batch_mean=True,
                 )
+
+    def test_a_zero_variance_member_is_named(self):
+        # with no floor, member 2's variance head bias of -1000 underflows its
+        # softplus to exactly 0; members 0 and 1 predict positive variances
+        data = self._sine()
+        spec = ArchitectureSpec(1, (8,), variance_floor=0.0)
+        phi = np.stack([init_parameters(spec, seed=s) for s in (3, 4, 5)])
+        bias = parameter_layout(spec)[-1]
+        assert bias.name == "variance.b"
+        phi[2, bias.start] = -1000.0
+        with pytest.raises(
+            TrainingDivergedError,
+            match=r"non-positive variance in member 2 at epoch 0, batch 0$",
+        ):
+            _minibatch_loop(
+                phi, spec, data, TrainingConfig(epochs=1, batch_size=64), (11, 12, 13),
+                _point_draw, batch_mean=True,
+            )
 
     @pytest.mark.parametrize("where", ["inputs", "targets"])
     def test_non_finite_data_rejected_before_training(self, where):

@@ -21,7 +21,6 @@ import hashlib
 import json
 import math
 import os
-import platform
 import sys
 import tempfile
 from pathlib import Path
@@ -45,19 +44,12 @@ TOLERANCE = 1e-12
 
 
 def environment() -> dict:
-    """What the bytes can depend on: Python, numpy, its BLAS, and the CPU
-    features numpy dispatches on.  OpenBLAS picks its kernel by CPU too, or
-    by ``OPENBLAS_CORETYPE``.  The thread counts are left out: the bytes agree
-    at 1 and 2 OpenBLAS threads."""
-    try:
-        from numpy._core import _multiarray_umath as umath
-    except ImportError:  # numpy 1.x
-        from numpy.core import _multiarray_umath as umath
-    env = {k: v for k, v in _environment().items() if k != "threads"}
-    env["machine"] = platform.machine()
-    env["openblas_coretype"] = os.environ.get("OPENBLAS_CORETYPE") or None
-    env["cpu_dispatch"] = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
-    return env
+    """What the bytes can depend on: the manifest's environment stamp, which
+    names Python, numpy, its BLAS, the CPU architecture, ``OPENBLAS_CORETYPE``
+    (OpenBLAS picks its kernel by CPU, or by that variable) and the CPU
+    features numpy dispatches on.  The thread counts are left out: the bytes
+    agree at 1 and 2 OpenBLAS threads."""
+    return {k: v for k, v in _environment().items() if k != "threads"}
 
 
 def run_all(root: Path) -> None:
