@@ -505,10 +505,11 @@ def _write_run_manifest(cfg: ExperimentConfig, artifacts: list[str], posteriors:
 
 def write_failed_manifest(experiment: str, entries: dict[str, str], cfg: ExperimentConfig | None,
                           error: str, trace: str | None) -> dict:
-    """Write the manifest of a failed run into the output directory ``entries``
-    name: ``error``, any traceback ``trace``, the raw ``entries`` and, given the
-    ``cfg`` they resolved to, its config echo.  A blank ``out_dir`` counts as none."""
-    out_dir = Path(entries.get("out_dir", "").strip() or f"runs/{experiment}")
+    """Write the manifest of a failed run into the output directory of ``cfg``, or
+    without one, that ``entries`` name: ``error``, any traceback ``trace``, the raw
+    ``entries`` and, given ``cfg``, its config echo.  A blank ``out_dir`` counts as none."""
+    named = Path(entries.get("out_dir", "").strip() or f"runs/{experiment}")
+    out_dir = named if cfg is None else cfg.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     fields = {} if trace is None else {"traceback": trace}
     return _write_manifest(out_dir, cfg, experiment=experiment, status="failed", error=error,

@@ -24,11 +24,12 @@ import numpy as np
 
 from .network import (
     ArchitectureSpec,
+    _check_inputs,
     _check_params,
     _Pass,
     forward_batch,  # noqa: F401  kept importable here; perfbench/test_smoke.py looks it up
 )
-from .seeding import _check_int, spawn_rng
+from .seeding import _check_int, _check_real, spawn_rng
 
 # spawn_key tag of the per-epoch shuffle stream
 _STREAM_SHUFFLE = 101
@@ -51,7 +52,7 @@ def _beta_nll(mu, sigma2, y, beta: float) -> tuple[np.ndarray, ...]:
 
 
 def _check_beta(beta: float) -> float:
-    beta = float(beta)
+    beta = _check_real("beta", beta)
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     return beta
@@ -117,12 +118,15 @@ class TrainingConfig:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        initial, step, factor = self.lr_schedule
-        if initial <= 0 or _check_int("the lr_schedule decay step", step) < 1 or factor <= 0:
+        rate, step, factor = self.lr_schedule
+        rate, factor = (_check_real("an lr_schedule rate or factor", v) for v in (rate, factor))
+        if rate <= 0 or _check_int("the lr_schedule decay step", step) < 1 or factor <= 0:
             raise ValueError(f"invalid lr_schedule {self.lr_schedule}")
-        object.__setattr__(self, "lr_schedule", (float(initial), int(step), float(factor)))
-        if self.kl_weight is not None and self.kl_weight <= 0:
-            raise ValueError(f"kl_weight must be positive when given, got {self.kl_weight}")
+        object.__setattr__(self, "lr_schedule", (rate, int(step), factor))
+        if self.kl_weight is not None:
+            object.__setattr__(self, "kl_weight", _check_real("kl_weight", self.kl_weight))
+            if self.kl_weight <= 0:
+                raise ValueError(f"kl_weight must be positive when given, got {self.kl_weight}")
 
 
 def learning_rate_at(schedule: tuple[float, int, float], epoch: int) -> float:
@@ -226,16 +230,14 @@ def _minibatch_loop(
     data term is the batch mean of the weighted NLL, or the batch sum.  A
     non-finite prediction, objective or gradient, or a variance that is not
     positive, raises ``TrainingDivergedError`` naming the member, epoch and batch.
+    Before the first epoch, ``data.inputs`` must pass the check prediction makes,
+    ``network._check_inputs``, and ``data.targets`` hold one finite value per row.
     """
-    X = np.asarray(data.inputs, dtype=np.float64)
-    y = np.asarray(data.targets, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != spec.input_dim or y.shape != (X.shape[0],):
-        raise ValueError(f"bad training data shapes: inputs {X.shape}, targets {y.shape}")
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("training data is empty")
-    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-        raise ValueError("training data contains non-finite values")
+    X = _check_inputs(spec, data.inputs)
+    y, n = np.asarray(data.targets, dtype=np.float64), X.shape[0]
+    if n == 0 or y.shape != (n,) or not np.all(np.isfinite(y)):
+        raise ValueError(f"training needs one finite target per input row, and at least one "
+                         f"row: got targets of shape {y.shape} for {n} rows")
     opt = Adam(phi.shape)
     traces = [TrainingTrace() for _ in shuffle_seeds]
     batches = [slice(i, min(i + cfg.batch_size, n)) for i in range(0, n, cfg.batch_size)]

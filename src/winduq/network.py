@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import _check_int, spawn_rng
+from .seeding import _check_int, _check_real, spawn_rng
 
 _ACTIVATIONS = ("relu", "sigmoid")
 
@@ -49,7 +49,8 @@ class ArchitectureSpec:
     variance_floor: float = 1e-6
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "input_dim", _check_int("input_dim", self.input_dim))
+        for name, check in (("input_dim", _check_int), ("variance_floor", _check_real)):
+            object.__setattr__(self, name, check(name, getattr(self, name)))
         widths = tuple(_check_int("a hidden width", w) for w in self.hidden_widths)
         object.__setattr__(self, "hidden_widths", widths)
         if self.input_dim < 1:
@@ -66,57 +67,43 @@ class ArchitectureSpec:
             raise ValueError(f"variance_floor must be finite and >= 0, got {self.variance_floor}")
 
     @property
-    def layer_dims(self) -> list[tuple[int, int]]:
-        """(fan_in, fan_out) for each hidden layer, in order."""
-        dims = []
-        fan_in = self.input_dim
-        for width in self.hidden_widths:
-            dims.append((fan_in, width))
-            fan_in = width
-        return dims
-
-    @property
     def n_parameters(self) -> int:
-        n = sum((fi + 1) * fo for fi, fo in self.layer_dims)
-        n += 2 * (self.hidden_widths[-1] + 1)  # mean head + variance head
-        return n
+        fans = zip((self.input_dim, *self.hidden_widths), self.hidden_widths)
+        return sum((fi + 1) * fo for fi, fo in fans) + 2 * (self.hidden_widths[-1] + 1)  # + heads
 
 
 @dataclass(frozen=True)
 class _Slot:
+    """Entries ``start:stop`` of the flat vector, one array of per-network shape
+    ``block``: (fan_in, fan_out) for a weight, a head's a column, and one row for a bias."""
+
     name: str
-    shape: tuple[int, ...]
     start: int
     stop: int
     is_weight: bool  # False for bias vectors
-    block: tuple[int, ...]  # per-network shape in a stacked (K, ...) view
+    block: tuple[int, int]
 
 
 @functools.lru_cache(maxsize=None)
 def parameter_layout(spec: ArchitectureSpec) -> tuple[_Slot, ...]:
     """Flat-vector layout: hidden W/b pairs in order, then mean head, then variance head.
 
+    Hidden layer i maps the i-th (fan_in, fan_out) of ``zip((input_dim, *widths), widths)``.
     Cached per spec, so the same tuple of frozen slots comes back every time.
     """
     slots: list[_Slot] = []
-    pos = 0
 
-    def add(name: str, shape: tuple[int, ...], is_weight: bool, block: tuple[int, ...]) -> None:
-        nonlocal pos
-        size = int(np.prod(shape))
-        slots.append(_Slot(name, shape, pos, pos + size, is_weight, block))
-        pos += size
+    def add(name: str, is_weight: bool, *block: int) -> None:
+        start = slots[-1].stop if slots else 0
+        slots.append(_Slot(name, start, start + block[0] * block[1], is_weight, block))
 
-    # blocks broadcast against (B, width) activations: biases as one row,
-    # head weights as one column
-    for i, (fan_in, fan_out) in enumerate(spec.layer_dims):
-        add(f"hidden{i}.W", (fan_in, fan_out), True, (fan_in, fan_out))
-        add(f"hidden{i}.b", (fan_out,), False, (1, fan_out))
-    width = spec.hidden_widths[-1]
-    add("mean.W", (width,), True, (width, 1))
-    add("mean.b", (), False, (1, 1))
-    add("variance.W", (width,), True, (width, 1))
-    add("variance.b", (), False, (1, 1))
+    widths = spec.hidden_widths
+    for i, (fan_in, fan_out) in enumerate(zip((spec.input_dim, *widths), widths)):
+        add(f"hidden{i}.W", True, fan_in, fan_out)
+        add(f"hidden{i}.b", False, 1, fan_out)
+    for head in ("mean", "variance"):
+        add(f"{head}.W", True, widths[-1], 1)
+        add(f"{head}.b", False, 1, 1)
     return tuple(slots)
 
 
@@ -145,8 +132,8 @@ def init_parameters(spec: ArchitectureSpec, seed: int) -> np.ndarray:
     flat = np.zeros(spec.n_parameters, dtype=np.float64)
     for slot in parameter_layout(spec):
         if slot.is_weight:
-            bound = np.sqrt(6.0 / slot.shape[0])
-            flat[slot.start : slot.stop] = rng.uniform(-bound, bound, size=slot.shape).ravel()
+            bound = np.sqrt(6.0 / slot.block[0])
+            flat[slot.start : slot.stop] = rng.uniform(-bound, bound, size=slot.stop - slot.start)
     return flat
 
 

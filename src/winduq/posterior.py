@@ -48,7 +48,7 @@ from .network import (
     sigmoid,
     softplus,
 )
-from .seeding import _check_int, derive_seed, spawn_rng
+from .seeding import _check_int, _check_real, derive_seed, spawn_rng
 
 SAMPLER_KINDS = ("deep_ensemble", "mc_dropconnect", "bayes_by_backprop")
 
@@ -61,6 +61,19 @@ _STREAM_WEIGHT_DRAW = 103
 _STREAM_MEMBER = 201
 _STREAM_INIT = 202
 _STREAM_PREDICT = 301
+
+
+def _check_knobs(record) -> None:
+    """Check the kind, sample count and drop rate of a sampler or fitted record, storing
+    the count as an int and the rate as a float; only DropConnect reads the rate."""
+    if record.kind not in SAMPLER_KINDS:
+        raise ValueError(f"kind must be one of {SAMPLER_KINDS}, got {record.kind!r}")
+    object.__setattr__(record, "sample_count", _check_int("sample_count", record.sample_count))
+    if record.sample_count < 1:
+        raise ValueError(f"sample_count must be >= 1, got {record.sample_count}")
+    object.__setattr__(record, "drop_rate", _check_real("drop_rate", record.drop_rate))
+    if record.kind == "mc_dropconnect" and not 0.0 <= record.drop_rate < 1.0:
+        raise ValueError(f"drop_rate must lie in [0, 1), got {record.drop_rate}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +92,9 @@ class PosteriorSampler:
     init_sigma: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.kind not in SAMPLER_KINDS:
-            raise ValueError(f"kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
-        for name in ("sample_count", "ensemble_size"):
-            object.__setattr__(self, name, _check_int(name, getattr(self, name)))
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
+        _check_knobs(self)
+        object.__setattr__(self, "ensemble_size", _check_int("ensemble_size", self.ensemble_size))
+        object.__setattr__(self, "init_sigma", _check_real("init_sigma", self.init_sigma))
         if self.kind == "deep_ensemble":
             if self.ensemble_size < 1:
                 raise ValueError(f"ensemble_size must be >= 1, got {self.ensemble_size}")
@@ -93,8 +103,6 @@ class PosteriorSampler:
                     f"deep_ensemble draws one prediction per member: sample_count "
                     f"{self.sample_count} != ensemble_size {self.ensemble_size}"
                 )
-        if self.kind == "mc_dropconnect" and not 0.0 <= self.drop_rate < 1.0:
-            raise ValueError(f"drop_rate must lie in [0, 1), got {self.drop_rate}")
         if self.kind == "bayes_by_backprop" and self.init_sigma <= 0:
             raise ValueError(f"init_sigma must be positive, got {self.init_sigma}")
 
@@ -157,15 +165,8 @@ class FittedPosterior:
     drop_rate: float
 
     def __post_init__(self) -> None:
-        if self.kind not in SAMPLER_KINDS:
-            raise ValueError(f"kind must be one of {SAMPLER_KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "sample_count", _check_int("sample_count", self.sample_count))
-        if self.sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {self.sample_count}")
-        if self.kind == "mc_dropconnect":
-            if not 0.0 <= self.drop_rate < 1.0:
-                raise ValueError(f"drop_rate must lie in [0, 1), got {self.drop_rate}")
-        elif self.drop_rate != 0.0:
+        _check_knobs(self)
+        if self.kind != "mc_dropconnect" and self.drop_rate != 0.0:
             raise ValueError(f"{self.kind} has no drop rate, got {self.drop_rate}")
         phi = self.phi
         if not isinstance(phi, np.ndarray) or phi.dtype != np.float64:
@@ -365,13 +366,6 @@ def save_posterior(fp: FittedPosterior, directory: str | Path, extra: dict | Non
     (directory / "posterior.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
 
 
-def _json_number(name: str, value) -> float:
-    # what json read as a number, which no bool is; a cast would also take "1e-6"
-    if type(value) not in (int, float):
-        raise ValueError(f"{name} must be int or float, got {type(value).__name__} {value!r}")
-    return float(value)
-
-
 def load_posterior(directory: str | Path) -> FittedPosterior:
     """Read a posterior written by :func:`save_posterior`.
 
@@ -399,15 +393,9 @@ def load_posterior(directory: str | Path) -> FittedPosterior:
         if key not in manifest:
             raise ValueError(f"{manifest_path}: missing key {key!r}")
     try:
-        drop_rate = _json_number("drop_rate", manifest["drop_rate"])
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: {exc}") from None
-    try:
         fields = manifest["spec"]
-        spec = ArchitectureSpec(
-            fields["input_dim"], fields["hidden_widths"], fields["hidden_activation"],
-            _json_number("variance_floor", fields["variance_floor"]),
-        )
+        spec = ArchitectureSpec(fields["input_dim"], fields["hidden_widths"],
+                                fields["hidden_activation"], fields["variance_floor"])
     except KeyError as exc:
         raise ValueError(f"{manifest_path}: missing key 'spec.{exc.args[0]}'") from None
     except (TypeError, ValueError) as exc:
@@ -422,6 +410,7 @@ def load_posterior(directory: str | Path) -> FittedPosterior:
     except (OSError, EOFError, ValueError) as exc:
         raise ValueError(f"{params_path}: {exc}") from None
     try:
-        return FittedPosterior(manifest["kind"], spec, phi, manifest["sample_count"], drop_rate)
+        return FittedPosterior(manifest["kind"], spec, phi, manifest["sample_count"],
+                               manifest["drop_rate"])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{manifest_path} and {_PARAMS_FILE}: {exc}") from None

@@ -7,6 +7,7 @@ same (seed, key) pair always yields the same stream regardless of call order.
 
 from __future__ import annotations
 
+import numbers
 import operator
 
 import numpy as np
@@ -19,6 +20,13 @@ def _check_int(name: str, value) -> int:
     if isinstance(value, bool) or not hasattr(value, "__index__"):
         raise ValueError(f"{name} must be int, got {type(value).__name__} {value!r}")
     return operator.index(value)
+
+
+def _check_real(name: str, value) -> float:
+    """A Python or numpy real number as a float; a bool, str or None raises a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be int or float, got {type(value).__name__} {value!r}")
+    return float(value)
 
 
 def _normalize(seed: int) -> int:

@@ -1050,6 +1050,19 @@ class TestCli:
         assert manifest["error"]
         assert sorted(manifest["environment"]) == ENVIRONMENT_KEYS
 
+    def test_failed_manifest_goes_to_the_resolved_out_dir(self, tmp_path, capsys, monkeypatch):
+        # the run made " runA", but its failed manifest used to strip the flag and land in "runA"
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(OUT_DIR_ENV_VAR, raising=False)
+        self._write_config(tmp_path / "dec.cfg", {"posterior_dir": "nowhere"})
+        (tmp_path / "in.csv").write_text("x\n0.5\n")
+        argv = ["decompose", "--config", "dec.cfg", "--dataset", "in.csv", "--out-dir", " runA"]
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == [" runA", "dec.cfg", "in.csv"]
+        manifest = json.loads((tmp_path / " runA" / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and manifest["config"]["out_dir"] == " runA"
+
     def test_malformed_posterior_fails_with_manifest(self, tmp_path, capsys):
         spec = ArchitectureSpec(1, (3,))
         phi = np.stack([init_parameters(spec, seed=k) for k in range(2)])

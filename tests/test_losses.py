@@ -366,20 +366,28 @@ class TestTrain:
                 _point_draw, batch_mean=True,
             )
 
-    @pytest.mark.parametrize("where", ["inputs", "targets"])
-    def test_non_finite_data_rejected_before_training(self, where):
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("inputs", "inputs contain non-finite values"),
+            ("targets", "training needs one finite target per input row, and at least one "
+                        "row: got targets of shape (1000,) for 1000 rows"),
+        ],
+        ids=["inputs", "targets"],
+    )
+    def test_non_finite_data_rejected_before_training(self, where, message):
         data = self._sine()
         X, y = data.inputs.copy(), data.targets.copy()
         (X if where == "inputs" else y)[5] = np.nan
         spec = ArchitectureSpec(1, (4,))
         bad = SimpleNamespace(inputs=X, targets=y)
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             train(spec, init_parameters(spec, seed=2), bad, TrainingConfig(epochs=1))
 
     def test_wrong_input_width_rejected(self):
         data = self._sine()
         spec = ArchitectureSpec(2, (4,))
-        with pytest.raises(ValueError, match="shapes"):
+        with pytest.raises(ValueError, match=r"^inputs have shape \(1000, 1\), expected \(n, 2\)$"):
             train(spec, init_parameters(spec, seed=2), data, TrainingConfig(epochs=1))
 
     def test_trace_kl_is_zero_without_a_prior(self):

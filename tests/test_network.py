@@ -66,6 +66,17 @@ class TestArchitectureSpec:
             covered[slot.start : slot.stop] += 1
         assert np.all(covered == 1)
 
+    @pytest.mark.parametrize("widths", [(1,), (32, 32), (64, 64, 64)])
+    @pytest.mark.parametrize("input_dim", [1, 32])
+    def test_layout_is_contiguous_in_order_and_ends_at_the_count(self, input_dim, widths):
+        spec = ArchitectureSpec(input_dim, widths)
+        slots = parameter_layout(spec)
+        assert spec.n_parameters == slots[-1].stop and slots[0].start == 0
+        assert all(a.stop == b.start for a, b in zip(slots, slots[1:]))
+        assert all(s.stop - s.start == math.prod(s.block) for s in slots)
+        hidden = [f"hidden{i}.{part}" for i in range(len(widths)) for part in "Wb"]
+        assert [s.name for s in slots] == [*hidden, "mean.W", "mean.b", "variance.W", "variance.b"]
+
     def test_weight_mask_counts_biases(self):
         spec = ArchitectureSpec(1, (32, 32))
         wpos = weight_position_mask(spec)
@@ -218,6 +229,18 @@ class TestInit:
         assert np.all(params[~wpos] == 0.0)
         bound = math.sqrt(6.0 / 3.0)  # widest bound is the first layer's
         assert np.all(np.abs(params[wpos]) <= bound)
+
+    @pytest.mark.parametrize("widths", [(1,), (5, 3), (64, 64, 64)])
+    def test_matches_per_weight_array_draws_bit_for_bit(self, widths):
+        # the draw of each weight as its (fan_in, fan_out) array, raveled, and of each
+        # head's as a (width,) vector, in layout order with zero biases between
+        rng, parts = spawn_rng(17), []
+        hidden = [((fan_in, fan_out), fan_out) for fan_in, fan_out in zip((3, *widths), widths)]
+        for shape, n_bias in hidden + [((widths[-1],), 1)] * 2:
+            bound = np.sqrt(6.0 / shape[0])
+            parts += [rng.uniform(-bound, bound, size=shape).ravel(), np.zeros(n_bias)]
+        expected = np.concatenate(parts)
+        assert init_parameters(ArchitectureSpec(3, widths), 17).tobytes() == expected.tobytes()
 
     def test_negative_seed_accepted(self):
         spec = ArchitectureSpec(1, (4,))

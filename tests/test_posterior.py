@@ -715,6 +715,32 @@ class TestRecordValidation:
             FittedPosterior(kind, spec, np.zeros((rows, spec.n_parameters)), sample_count, drop_rate)
 
 
+_RECORDS = {
+    "sampler": lambda kind, count, rate: PosteriorSampler(kind, count, drop_rate=rate),
+    "fitted": lambda kind, count, rate: FittedPosterior(
+        kind, ArchitectureSpec(1, (2,)), np.zeros((1, 10)), count, rate
+    ),
+}
+
+
+@pytest.mark.parametrize("record", _RECORDS)
+@pytest.mark.parametrize(
+    "kind, count, rate, message",
+    [
+        ("bootstrap", 5, 0.1, f"kind must be one of {SAMPLER_KINDS}, got 'bootstrap'"),
+        ("mc_dropconnect", 0, 0.1, "sample_count must be >= 1, got 0"),
+        ("mc_dropconnect", 2.5, 0.1, "sample_count must be int, got float 2.5"),
+        ("mc_dropconnect", 5, 1.0, "drop_rate must lie in [0, 1), got 1.0"),
+        ("mc_dropconnect", 5, -0.1, "drop_rate must lie in [0, 1), got -0.1"),
+        ("mc_dropconnect", 5, "0.1", "drop_rate must be int or float, got str '0.1'"),
+    ],
+    ids=["kind", "count-zero", "count-float", "rate-one", "rate-negative", "rate-string"],
+)
+def test_both_records_reject_the_same_knobs_alike(record, kind, count, rate, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        _RECORDS[record](kind, count, rate)
+
+
 class TestSamplerValidation:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):

@@ -2,6 +2,8 @@
 
 A float, bool or str used to be cast with ``int``, so ``seed=1.9`` ran seed 1
 and ``n_draws=2.9`` took two draws; numpy integers are integers and pass.
+The float fields of the records likewise take real numbers only, never a bool
+or a str, which ``float`` would cast.
 """
 
 import re
@@ -12,7 +14,7 @@ import pytest
 from winduq.data import make_sine_dataset
 from winduq.losses import TrainingConfig
 from winduq.network import ArchitectureSpec, init_parameters
-from winduq.posterior import FittedPosterior, draw_parameter_matrix
+from winduq.posterior import FittedPosterior, PosteriorSampler, draw_parameter_matrix
 from winduq.seeding import derive_seed, spawn_rng
 from winduq.uncertainty import decompose_batch
 
@@ -78,3 +80,39 @@ def _comparable(result):
 def test_numpy_integers_pass_as_their_value(entry, cast):
     got, want = ENTRY_POINTS[entry](cast(3)), ENTRY_POINTS[entry](3)
     assert np.array_equal(_comparable(got), _comparable(want))
+
+
+_LR = "an lr_schedule rate or factor"
+FLOAT_FIELDS = {  # entry: (name in the message, constructor)
+    "beta": ("beta", lambda v: TrainingConfig(beta=v)),
+    "kl_weight": ("kl_weight", lambda v: TrainingConfig(kl_weight=v)),
+    "lr-initial": (_LR, lambda v: TrainingConfig(lr_schedule=(v, 10, 0.1))),
+    "lr-factor": (_LR, lambda v: TrainingConfig(lr_schedule=(1e-3, 10, v))),
+    "variance_floor": ("variance_floor", lambda v: ArchitectureSpec(1, (4,), "relu", v)),
+    "sampler.drop_rate": ("drop_rate", lambda v: PosteriorSampler("mc_dropconnect", 3, drop_rate=v)),
+    "init_sigma": ("init_sigma", lambda v: PosteriorSampler("bayes_by_backprop", 3, init_sigma=v)),
+    "fitted.drop_rate": ("drop_rate", lambda v: FittedPosterior(
+        "mc_dropconnect", SPEC, init_parameters(SPEC, 3)[None], 5, v)),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [(entry, value) for entry in FLOAT_FIELDS for value in (True, np.bool_(False), "0.5", None)
+     if not (entry == "kl_weight" and value is None)],  # None is the unset kl_weight
+    ids=repr,
+)
+def test_non_reals_rejected_not_cast(entry, value):
+    # each used to construct, or raise a TypeError: float(True) is 1.0, float("0.5") 0.5
+    name, build = FLOAT_FIELDS[entry]
+    message = f"{name} must be int or float, got {type(value).__name__} {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(value)
+
+
+def test_numpy_reals_become_floats():
+    tc = TrainingConfig(beta=np.float32(0.5), kl_weight=np.int64(2),
+                        lr_schedule=(np.float16(0.5), 5, np.int8(1)))
+    spec = ArchitectureSpec(1, (4,), "relu", np.int64(0))
+    fields = (tc.beta, tc.kl_weight, tc.lr_schedule[0], tc.lr_schedule[2], spec.variance_floor)
+    assert [type(f) for f in fields] == [float] * 5
