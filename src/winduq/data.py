@@ -434,10 +434,11 @@ def window_univariate_series(
 
 
 def subsample_dataset(ds: RegressionDataset, ratio: float, seed: int) -> RegressionDataset:
-    """Uniform subset without replacement, size round(ratio * n).
+    """Uniform subset without replacement, size floor(ratio * n + 0.5).
 
     Subsets for different ratios are drawn independently (not nested).  Row
-    order is preserved.  ratio = 1.0 returns the dataset unchanged.
+    order is preserved.  ratio = 1.0 returns a copy of every row, whose
+    provenance, like any subset's, gains `` | subsampled ratio=1.0``.
     """
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")

@@ -31,7 +31,6 @@ when their six-significant-digit file tags agree.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import hashlib
 import json
@@ -95,9 +94,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # defaults
 
-_TRAINING_KEYS = ("experiment", "out_dir", "seeds", "samplers", "hidden_widths", "activation",
-                  "variance_floor", "batch_size", "betas", "epochs", "lr", "mc_samples",
-                  "ensemble_size", "drop_rate", "init_sigma", "kl_weight", "save_posteriors")
+_TRAINING_KEYS = ("experiment", "out_dir", "seeds", "samplers", "hidden_widths", "variance_floor",
+                  "batch_size", "betas", "epochs", "lr", "mc_samples", "ensemble_size",
+                  "drop_rate", "init_sigma", "kl_weight", "save_posteriors")
 
 # Per experiment, the ExperimentConfig fields it reads (any other key is
 # rejected), and those of their defaults that are not the dataclass's:
@@ -148,8 +147,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1,)
     dataset: Path | None = None
     # network
-    hidden_widths: tuple[int, ...] = (32, 32)
-    activation: str = "relu"
+    hidden_widths: tuple[int, ...] = (32, 32)  # relu layers
     variance_floor: float = 1e-6
     # training
     batch_size: int = 128
@@ -218,21 +216,6 @@ def _parse_list(raw: str) -> list[str]:
     return items
 
 
-def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(_parse_float(v) for v in _parse_list(raw))
-
-
-def _parse_ints(raw: str) -> tuple[int, ...]:
-    return tuple(_parse_int(v) for v in _parse_list(raw))
-
-
-def _parse_lr(raw: str) -> tuple[float, int, float]:
-    parts = _parse_list(raw)
-    if len(parts) != 3:
-        raise ConfigError(f"lr wants 'initial, decay_step, decay_factor', got {raw!r}")
-    return (_parse_float(parts[0]), _parse_int(parts[1]), _parse_float(parts[2]))
-
-
 def _parse_kl_weight(raw: str) -> float | None:
     if raw.strip().lower() == "auto":
         return None
@@ -252,38 +235,33 @@ def _parse_path(raw: str) -> Path:
     return Path(raw)
 
 
-def _parse_samplers(raw: str) -> tuple[str, ...]:
-    kinds = tuple(_parse_list(raw))
-    bad = [k for k in kinds if k not in SAMPLER_KINDS]
-    if bad:
-        raise ConfigError(f"unknown sampler kinds {bad}; valid: {list(SAMPLER_KINDS)}")
-    return kinds
+_SCALAR_PARSERS = {int: _parse_int, float: _parse_float, bool: _parse_bool, str: str,
+                   Path: _parse_path}
 
 
-def _parse_band(raw: str) -> tuple[float, float]:
-    lo_hi = _parse_floats(raw)
-    if len(lo_hi) != 2 or lo_hi[0] >= lo_hi[1]:
-        raise ConfigError(f"band wants 'low, high' with low < high, got {raw!r}")
-    return lo_hi
+def _parse(hint, raw: str):
+    """``raw`` read as the annotation ``hint``: a scalar, ``T | None`` or a ``dict[str, T]``
+    value as ``T``, and a ``tuple[T, ...]`` or fixed tuple as comma-separated items."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is dict:
+        return _parse(args[1], raw)
+    if origin is tuple:
+        items = _parse_list(raw)
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(items)
+        elif len(items) != len(args):
+            raise ConfigError(f"expected {len(args)} comma-separated values, got {raw!r}")
+        return tuple(_parse(arg, item) for arg, item in zip(args, items))
+    if origin is not None:  # X | None
+        (hint,) = (arg for arg in args if arg is not type(None))
+    return _SCALAR_PARSERS[hint](raw)
 
 
-# Every ExperimentConfig field but the per-sampler dicts is the config key
-# of the same name, parsed by its annotated type unless it has its own parser.
-_TYPE_PARSERS: dict[object, Callable[[str], object]] = {
-    int: _parse_int, float: _parse_float, bool: _parse_bool, str: str, Path: _parse_path,
-    Path | None: _parse_path, tuple[int, ...]: _parse_ints, tuple[float, ...]: _parse_floats,
-}
-_OWN_PARSERS = {"samplers": _parse_samplers, "kl_weight": _parse_kl_weight, "band": _parse_band}
-# ``betas = ...`` sets every sampler, ``<kind>.betas = ...`` one of them
-_PER_SAMPLER_PARSERS = {"betas": _parse_floats, "epochs": _parse_int, "lr": _parse_lr}
-_KEY_PARSERS = {
-    name: _OWN_PARSERS.get(name) or _TYPE_PARSERS[hint]
-    for name, hint in typing.get_type_hints(ExperimentConfig).items()
-    if name not in _PER_SAMPLER_PARSERS
-}
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)} | {
-    f"{kind}.{name}" for kind in SAMPLER_KINDS for name in _PER_SAMPLER_PARSERS
-}
+# Every ExperimentConfig field is a config key parsed by its annotation, but kl_weight by its
+# own grammar; ``betas = ...`` sets every sampler's entry of a dict field, ``<kind>.betas`` one.
+_HINTS = typing.get_type_hints(ExperimentConfig)
+_PER_SAMPLER = tuple(name for name, hint in _HINTS.items() if typing.get_origin(hint) is dict)
+_CONFIG_KEYS = set(_HINTS) | {f"{kind}.{name}" for kind in SAMPLER_KINDS for name in _PER_SAMPLER}
 
 
 def read_config_file(path: str | Path) -> dict[str, str]:
@@ -339,16 +317,20 @@ def build_config(experiment: str, entries: dict[str, str]) -> ExperimentConfig:
     for key in sorted(entries, key=lambda k: "." in k):
         kind, _, name = key.rpartition(".")
         try:
-            value = (_PER_SAMPLER_PARSERS.get(name) or _KEY_PARSERS[name])(entries[key])
+            raw = entries[key]
+            value = _parse_kl_weight(raw) if name == "kl_weight" else _parse(_HINTS[name], raw)
         except ConfigError as exc:
             raise ConfigError(f"key {key!r}: {exc}") from exc
         if kind:
             getattr(cfg, name)[kind] = value
-        elif name in _PER_SAMPLER_PARSERS:
-            setattr(cfg, name, {k: value for k in SAMPLER_KINDS})
         else:
-            setattr(cfg, name, value)
-    # validate: a key the experiment does not read keeps its default, which passes;
+            setattr(cfg, name, {k: value for k in SAMPLER_KINDS} if name in _PER_SAMPLER else value)
+    # validate: a key the experiment does not read keeps its default, which passes
+    if bad := [k for k in cfg.samplers if k not in SAMPLER_KINDS]:
+        raise ConfigError(f"key 'samplers': unknown sampler kinds {bad}; "
+                          f"valid: {list(SAMPLER_KINDS)}")
+    if cfg.band[0] >= cfg.band[1]:
+        raise ConfigError(f"key 'band': band wants 'low, high' with low < high, got {cfg.band}")
     # every entry names its own cells' files, betas and ratios by _token, which
     # keeps six significant digits
     cell_keys = {"seeds": cfg.seeds, "samplers": cfg.samplers, "ratios": cfg.ratios}
@@ -517,7 +499,7 @@ def write_failed_manifest(experiment: str, entries: dict[str, str], cfg: Experim
 
 
 def _network_spec(cfg: ExperimentConfig, input_dim: int) -> ArchitectureSpec:
-    return ArchitectureSpec(input_dim, cfg.hidden_widths, cfg.activation, cfg.variance_floor)
+    return ArchitectureSpec(input_dim, cfg.hidden_widths, cfg.variance_floor)
 
 
 def _sampler_for(cfg: ExperimentConfig, kind: str) -> PosteriorSampler:

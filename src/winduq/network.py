@@ -1,7 +1,7 @@
 """Fully-connected two-head Gaussian regression networks, implemented in numpy.
 
 A network maps an input vector to the mean and variance of a Gaussian
-predictive distribution.  Both heads share a stack of hidden layers; the mean
+predictive distribution.  Both heads share a stack of relu hidden layers; the mean
 head is linear and the variance head passes through a softplus plus a floor,
 so the predicted variance is always positive.  A network is a spec plus one
 flat (P,) float64 parameter vector, with no object around the pair; the
@@ -31,21 +31,18 @@ import numpy as np
 
 from .seeding import _check_int, _check_real, spawn_rng
 
-_ACTIVATIONS = ("relu", "sigmoid")
-
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
     """Static description of a two-head network.
 
-    ``hidden_widths`` lists the hidden layer sizes in order; the two output
-    heads are single linear units on top of the last hidden layer.
+    ``hidden_widths`` lists the sizes of the relu hidden layers in order; the
+    two output heads are single linear units on top of the last hidden layer.
     ``variance_floor`` is added to the softplus output of the variance head.
     """
 
     input_dim: int
     hidden_widths: tuple[int, ...]
-    hidden_activation: str = "relu"
     variance_floor: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -59,12 +56,8 @@ class ArchitectureSpec:
             raise ValueError("hidden_widths must be non-empty")
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError(f"hidden widths must be positive, got {self.hidden_widths}")
-        if self.hidden_activation not in _ACTIVATIONS:
-            raise ValueError(
-                f"hidden_activation must be one of {_ACTIVATIONS}, got {self.hidden_activation!r}"
-            )
-        if not np.isfinite(self.variance_floor) or self.variance_floor < 0:
-            raise ValueError(f"variance_floor must be finite and >= 0, got {self.variance_floor}")
+        if self.variance_floor < 0:
+            raise ValueError(f"variance_floor must be >= 0, got {self.variance_floor}")
 
     @property
     def n_parameters(self) -> int:
@@ -212,10 +205,7 @@ class _Pass:
         for i, out in enumerate(self.hs):
             h = np.matmul(h, views[2 * i], out=out)
             h += views[2 * i + 1]
-            if spec.hidden_activation == "relu":
-                np.maximum(h, 0.0, out=h)
-            else:
-                h[...] = sigmoid(h)
+            np.maximum(h, 0.0, out=h)
         mu, s, sigma2, _ = self.heads
         np.matmul(h, views[-4], out=mu)
         mu += views[-3]
@@ -242,12 +232,7 @@ class _Pass:
         for i in reversed(range(len(self.hs))):
             # gh becomes this layer's pre-activation gradient, in place; a relu
             # output is positive exactly where its pre-activation is
-            a = hs[i + 1]
-            if self.spec.hidden_activation == "relu":
-                gh *= a > 0.0
-            else:
-                gh *= a
-                gh *= 1.0 - a
+            gh *= hs[i + 1] > 0.0
             np.matmul(hs[i].transpose(0, 2, 1), gh, out=grads[2 * i])
             np.sum(gh, axis=1, out=grads[2 * i + 1])
             if i > 0:

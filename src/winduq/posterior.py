@@ -28,7 +28,7 @@ A saved posterior is ``posterior.json`` plus phi as one ``params.npy``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -358,7 +358,8 @@ def save_posterior(fp: FittedPosterior, directory: str | Path, extra: dict | Non
         "kind": fp.kind,
         "sample_count": fp.sample_count,
         "drop_rate": fp.drop_rate,
-        "spec": asdict(fp.spec),
+        "spec": {"input_dim": fp.spec.input_dim, "hidden_widths": fp.spec.hidden_widths,
+                 "hidden_activation": "relu", "variance_floor": fp.spec.variance_floor},
     }
     if extra:
         manifest["training"] = extra
@@ -373,9 +374,9 @@ def load_posterior(directory: str | Path) -> FittedPosterior:
     ``posterior.json`` that is not a JSON object, a missing or ill-typed key (JSON
     integers for ``sample_count``, ``spec.input_dim`` and each hidden width, a
     list of them, numbers for ``drop_rate`` and ``spec.variance_floor``), a
-    missing ``params.npy``, or a phi that is not a ``.npy`` array, pickled, not
-    float64, not finite or of the wrong shape for the kind and spec raises a
-    one-line ``ValueError`` naming the file.
+    ``spec.hidden_activation`` other than ``"relu"``, a missing ``params.npy``, or a
+    phi that is not a ``.npy`` array, pickled, not float64, not finite or of the
+    wrong shape for the kind and spec raises a one-line ``ValueError`` naming the file.
     """
     directory = Path(directory)
     manifest_path = directory / "posterior.json"
@@ -394,8 +395,10 @@ def load_posterior(directory: str | Path) -> FittedPosterior:
             raise ValueError(f"{manifest_path}: missing key {key!r}")
     try:
         fields = manifest["spec"]
+        if fields["hidden_activation"] != "relu":
+            raise ValueError(f"hidden layers are relu only, got {fields['hidden_activation']!r}")
         spec = ArchitectureSpec(fields["input_dim"], fields["hidden_widths"],
-                                fields["hidden_activation"], fields["variance_floor"])
+                                fields["variance_floor"])
     except KeyError as exc:
         raise ValueError(f"{manifest_path}: missing key 'spec.{exc.args[0]}'") from None
     except (TypeError, ValueError) as exc:

@@ -7,6 +7,7 @@ same (seed, key) pair always yields the same stream regardless of call order.
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 
@@ -23,10 +24,18 @@ def _check_int(name: str, value) -> int:
 
 
 def _check_real(name: str, value) -> float:
-    """A Python or numpy real number as a float; a bool, str or None raises a ValueError."""
+    """A finite Python or numpy real number as a float; a bool, str, None, NaN or inf raises."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be int or float, got {type(value).__name__} {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
     return float(value)
+
+
+def _check_key(k) -> int:
+    if (k := _check_int("a spawn key", k)) < 0:  # int() would alias 2.7, True to 2, 1
+        raise ValueError(f"a spawn key must be >= 0, got {k}")
+    return k
 
 
 def _normalize(seed: int) -> int:
@@ -36,7 +45,7 @@ def _normalize(seed: int) -> int:
 
 def spawn_rng(seed: int, *key: int) -> np.random.Generator:
     """Return a Generator for the stream identified by (seed, key)."""
-    ss = np.random.SeedSequence(_normalize(seed), spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(_normalize(seed), spawn_key=tuple(map(_check_key, key)))
     return np.random.default_rng(ss)
 
 
@@ -46,5 +55,5 @@ def derive_seed(seed: int, *key: int) -> int:
     Children with distinct keys are statistically independent, and the
     derivation does not depend on how many siblings were derived before.
     """
-    ss = np.random.SeedSequence(_normalize(seed), spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(_normalize(seed), spawn_key=tuple(map(_check_key, key)))
     return int(ss.generate_state(1, np.uint64)[0])

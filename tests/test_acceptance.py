@@ -46,6 +46,8 @@ from winduq.posterior import (
 from winduq.seeding import spawn_rng
 from winduq.uncertainty import decompose_arrays, decompose_batch
 
+from relu_kink import assert_clear_of_the_kink, with_random_biases
+
 SAMPLERS = ("deep_ensemble", "mc_dropconnect", "bayes_by_backprop")
 
 REAL_SCADA_ENV = "WINDUQ_SCADA_CSV"
@@ -91,11 +93,12 @@ def test_full_network_gradients_match_finite_differences():
         spec = ArchitectureSpec(
             int(rng.integers(1, 5)),
             tuple(int(w) for w in rng.integers(3, 8, size=int(rng.integers(1, 3)))),
-            "sigmoid",
         )
         params = init_parameters(spec, seed=int(rng.integers(100_000)))
+        params = with_random_biases(spec, params, rng)
         X = rng.normal(size=(int(rng.integers(1, 4)), spec.input_dim))
         y = rng.normal(size=X.shape[0])
+        assert_clear_of_the_kink(spec, params, X, h)
         mu0, sigma20 = forward_batch(spec, params, X)
         for beta in (0.0, 0.5, 1.0):
             # the variance-power weight is frozen at the base point by construction

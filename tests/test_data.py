@@ -267,6 +267,9 @@ class TestSubsampling:
         full = subsample_dataset(ds, 1.0, seed=3)
         assert np.array_equal(full.inputs, ds.inputs)
         assert np.array_equal(full.targets, ds.targets)
+        # a copy, not the dataset itself: its provenance names the subsampling
+        assert full.inputs is not ds.inputs
+        assert full.provenance == f"{ds.provenance} | subsampled ratio=1.0"
 
     def test_validation(self):
         ds = self._dataset(100)

@@ -317,7 +317,8 @@ class TestBuildConfig:
         [
             ("bayes_by_backprop.epochs", "-1", "bayes_by_backprop: epochs must be >= 0"),
             ("batch_size", "0", "batch_size must be >= 1"),
-            ("activation", "tanh", "hidden_activation must be one of"),
+            # hidden layers are relu only, so no key selects an activation
+            ("activation", "tanh", r"unknown config keys \['activation'\]"),
             # Adam is the only optimizer, so there is no key that selects one
             ("optimizer", "adam", r"unknown config keys \['optimizer'\]"),
             ("drop_rate", "1.5", "mc_dropconnect: drop_rate must lie in"),
@@ -339,6 +340,57 @@ class TestBuildConfig:
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         per_sampler = {f"{k}.{n}" for k in SAMPLER_KINDS for n in ("betas", "epochs", "lr")}
         assert sorted(listed) == sorted(fields | per_sampler)
+
+    @staticmethod
+    def _render(value) -> str:
+        # the config text of a resolved value; None is only ever kl_weight's auto
+        if value is None:
+            return "auto"
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, tuple):
+            return ", ".join(map(TestBuildConfig._render, value))
+        return repr(value) if isinstance(value, float) else str(value)
+
+    @pytest.mark.parametrize("experiment, entries", [
+        ("synthetic_ood", {}),
+        ("data_property", {}),
+        ("dataset_scaling", {}),
+        ("decompose", {"posterior_dir": "p", "dataset": "x.csv"}),
+        ("synthetic_ood", {"save_posteriors": "yes", "kl_weight": "1/316"}),
+        ("data_property", {"dataset": "scada.csv", "band": "3.5, 12"}),
+    ])
+    def test_every_read_key_round_trips_through_its_text(self, experiment, entries):
+        cfg = build_config(experiment, entries)
+        text = {}
+        for key in _EXPERIMENT_DEFAULTS[experiment][0]:
+            value = getattr(cfg, key)
+            if isinstance(value, dict):  # one <kind>.key per sampler
+                text.update((f"{kind}.{key}", self._render(v)) for kind, v in value.items())
+            elif value is not None or key == "kl_weight":  # a None path has no text
+                text[key] = self._render(value)
+        back = build_config(experiment, text)
+        # repr tells 10 from 10.0 and True from 1, which == does not
+        assert back == cfg and repr(back) == repr(cfg)
+
+    @pytest.mark.parametrize("key, raw, want", [
+        ("lr", "1e-2, 10", "expected 3 comma-separated values, got '1e-2, 10'"),
+        ("mc_dropconnect.lr", "1e-2, 10, 0.5, 2", "expected 3 comma-separated values"),
+        ("band", "2.0", "expected 2 comma-separated values, got '2.0'"),
+        ("band", "1, 2, 3", "expected 2 comma-separated values, got '1, 2, 3'"),
+    ])
+    def test_fixed_tuples_want_their_length(self, key, raw, want):
+        with pytest.raises(ConfigError, match=f"^key '{re.escape(key)}': {re.escape(want)}"):
+            build_config("data_property", {key: raw})
+
+    def test_band_order_and_sampler_kinds_are_checked_after_parsing(self):
+        with pytest.raises(ConfigError) as exc:
+            build_config("data_property", {"band": "9.0, 1.5"})
+        assert str(exc.value) == "key 'band': band wants 'low, high' with low < high, got (9.0, 1.5)"
+        with pytest.raises(ConfigError) as exc:
+            build_config("data_property", {"samplers": "deep_ensemble, bootstrap, gp"})
+        assert str(exc.value) == ("key 'samplers': unknown sampler kinds ['bootstrap', 'gp']; "
+                                  f"valid: {list(SAMPLER_KINDS)}")
 
     @pytest.mark.parametrize(
         "experiment, entries, unread",

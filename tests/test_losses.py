@@ -32,6 +32,8 @@ from winduq.network import (
 )
 from winduq.seeding import spawn_rng
 
+from relu_kink import assert_clear_of_the_kink, with_random_biases
+
 
 def output_grads(mu, sigma2, y, beta):
     """beta_nll_grads of one prediction, as Python floats."""
@@ -146,16 +148,19 @@ class TestBetaGradients:
 class TestFullNetworkGradients:
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_composed_gradient_matches_finite_differences(self, beta):
-        rng = np.random.default_rng(555)
+        # seed 555 put a pre-activation 6.8e-4 from the relu kink
+        rng = np.random.default_rng(556)
         for _ in range(6):
             spec = ArchitectureSpec(
                 int(rng.integers(1, 4)),
                 tuple(int(w) for w in rng.integers(3, 7, size=2)),
-                "sigmoid",
             )
             params = init_parameters(spec, seed=int(rng.integers(10_000)))
+            params = with_random_biases(spec, params, rng)
             X = rng.normal(size=(3, spec.input_dim))
             y = rng.normal(size=3)
+            h = 1e-5
+            assert_clear_of_the_kink(spec, params, X, h)
             mu0, sigma20 = forward_batch(spec, params, X)
             frozen_w = sigma20**beta
 
@@ -167,7 +172,6 @@ class TestFullNetworkGradients:
 
             d_mean, d_var = beta_nll_grads(mu0, sigma20, y, beta)
             analytic = backward_batch(spec, params, X, d_mean, d_var)
-            h = 1e-5
             numeric = np.zeros_like(analytic)
             for i in range(analytic.size):
                 up = params.copy()

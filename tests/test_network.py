@@ -27,6 +27,8 @@ from winduq.losses import TrainingConfig, train
 from winduq.posterior import _dropconnect_draw, sample_weight_mask
 from winduq.seeding import spawn_rng
 
+from relu_kink import assert_clear_of_the_kink, with_random_biases
+
 
 def fd_gradient(fun, theta, h=1e-5):
     """Central finite differences of a scalar function of the flat parameters."""
@@ -59,7 +61,7 @@ class TestArchitectureSpec:
         assert spec.n_parameters == 64 + 1056 + 33 + 33 == 1186
 
     def test_layout_covers_vector_exactly_once(self):
-        spec = ArchitectureSpec(3, (7, 5), "sigmoid")
+        spec = ArchitectureSpec(3, (7, 5))
         slots = parameter_layout(spec)
         covered = np.zeros(spec.n_parameters, dtype=int)
         for slot in slots:
@@ -100,13 +102,19 @@ class TestArchitectureSpec:
             {"input_dim": 0, "hidden_widths": (4,)},
             {"input_dim": 2, "hidden_widths": ()},
             {"input_dim": 2, "hidden_widths": (4, 0)},
-            {"input_dim": 2, "hidden_widths": (4,), "hidden_activation": "tanh"},
             {"input_dim": 2, "hidden_widths": (4,), "variance_floor": -1.0},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ArchitectureSpec(**kwargs)
+
+    def test_hidden_layers_are_relu_only(self):
+        # a stale activation in the third place now fails as the variance floor
+        with pytest.raises(ValueError, match="^variance_floor must be int or float, got str 'relu'$"):
+            ArchitectureSpec(2, (4,), "relu")
+        with pytest.raises(TypeError, match="hidden_activation"):
+            ArchitectureSpec(2, (4,), hidden_activation="relu")
 
     @pytest.mark.parametrize(
         "input_dim, widths, message",
@@ -133,7 +141,7 @@ class TestArchitectureSpec:
 class TestForward:
     def test_hand_computed_tiny_network(self):
         # one input, one hidden relu unit, hand-set weights
-        spec = ArchitectureSpec(1, (1,), "relu", variance_floor=1e-6)
+        spec = ArchitectureSpec(1, (1,), variance_floor=1e-6)
         params = np.array([0.5, 0.1, 2.0, 0.3, -1.0, 0.2])
         mean, variance = predict_one(spec, params, [2.0])
         h = max(0.5 * 2.0 + 0.1, 0.0)
@@ -158,7 +166,7 @@ class TestForward:
 
     def test_batch_matches_single_rows(self):
         rng = np.random.default_rng(6)
-        spec = ArchitectureSpec(4, (6, 5), "sigmoid")
+        spec = ArchitectureSpec(4, (6, 5))
         params = init_parameters(spec, seed=3)
         X = rng.normal(size=(10, 4))
         mu, sigma2 = forward_batch(spec, params, X)
@@ -250,18 +258,19 @@ class TestInit:
 
 
 class TestBackward:
-    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
-    def test_matches_finite_differences(self, activation):
-        rng = np.random.default_rng(1234)
+    @pytest.mark.parametrize("seed", [1234, 4321])
+    def test_matches_finite_differences(self, seed):
+        rng = np.random.default_rng(seed)
         for trial in range(8):
             spec = ArchitectureSpec(
                 int(rng.integers(1, 4)),
                 tuple(int(w) for w in rng.integers(3, 8, size=int(rng.integers(1, 3)))),
-                activation,
             )
             params = init_parameters(spec, seed=int(rng.integers(10_000)))
+            params = with_random_biases(spec, params, rng)
             x = rng.normal(size=spec.input_dim)
             c1, c2 = rng.normal(size=2)
+            assert_clear_of_the_kink(spec, params, x[None], h=1e-5)
 
             def value(theta, spec=spec, x=x, c1=c1, c2=c2):
                 mean, variance = predict_one(spec, theta, x)
@@ -279,8 +288,8 @@ class TestBackward:
 
     def test_batch_gradient_is_sum_of_rows(self):
         rng = np.random.default_rng(88)
-        spec = ArchitectureSpec(3, (5,), "sigmoid")
-        params = init_parameters(spec, seed=21)
+        spec = ArchitectureSpec(3, (5,))
+        params = with_random_biases(spec, init_parameters(spec, seed=21), rng)
         X = rng.normal(size=(6, 3))
         dm = rng.normal(size=6)
         dv = rng.normal(size=6)
@@ -297,9 +306,9 @@ class TestBackward:
 class TestStackedBlock:
     """The private pass runs K networks as one (K, P) block."""
 
-    def _block(self, activation, k=3, batch=7):
-        rng = np.random.default_rng(61)
-        spec = ArchitectureSpec(2, (5, 4), activation)
+    def _block(self, seed, k=3, batch=7):
+        rng = np.random.default_rng(seed)
+        spec = ArchitectureSpec(2, (5, 4))
         params = np.stack([init_parameters(spec, seed=s) for s in range(10, 10 + k)])
         # nonzero biases keep relu pre-activations off the kink at exactly 0,
         # where finite differences straddle the subgradient
@@ -307,9 +316,9 @@ class TestStackedBlock:
         X = rng.normal(size=(k, batch, 2))
         return spec, params, X, rng.normal(size=(k, batch)), rng.normal(size=(k, batch))
 
-    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
-    def test_rows_equal_single_networks_exactly(self, activation):
-        spec, params, X, dm, dv = self._block(activation)
+    @pytest.mark.parametrize("seed", [61, 16])
+    def test_rows_equal_single_networks_exactly(self, seed):
+        spec, params, X, dm, dv = self._block(seed)
         net = _Pass(spec, *X.shape[:2], True)
         block_mu, block_sigma2 = net.forward(params, X)
         grads = net.backward(dm, dv)
@@ -319,11 +328,13 @@ class TestStackedBlock:
             assert np.array_equal(block_mu[k], mu) and np.array_equal(block_sigma2[k], sigma2)
             assert np.array_equal(grads[k], backward_batch(spec, params[k], X[k], dm[k], dv[k]))
 
-    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
-    def test_block_gradient_matches_finite_differences(self, activation):
+    @pytest.mark.parametrize("seed", [61, 16])
+    def test_block_gradient_matches_finite_differences(self, seed):
         # one scalar over the whole block: a row that read another row's
         # weights or activations would show up off the diagonal
-        spec, params, X, dm, dv = self._block(activation, batch=4)
+        spec, params, X, dm, dv = self._block(seed, batch=4)
+        for k in range(len(params)):
+            assert_clear_of_the_kink(spec, params[k], X[k], h=1e-5)
         net = _Pass(spec, *X.shape[:2], True)
 
         def objective(flat):
@@ -377,6 +388,7 @@ class TestWeightMask:
         draw = _dropconnect_draw(spec, 0.3, seed=5)
         X = rng.normal(size=(3, 2))
         c1, c2 = rng.normal(size=3), rng.normal(size=3)
+        assert_clear_of_the_kink(spec, draw(phi, 0, 0)[0], X, h=1e-5)
 
         def objective(phi_):
             theta, _, prior = draw(phi_, 0, 0)

@@ -54,6 +54,8 @@ from winduq.posterior import (
 )
 from winduq.seeding import derive_seed, spawn_rng
 
+from relu_kink import assert_clear_of_the_kink
+
 
 def _rho_for_std(std):
     return np.array([softplus_inverse(s) for s in np.atleast_1d(std)])
@@ -179,11 +181,11 @@ class TestEnsembleFit:
         for a, b in zip(small.phi, big.phi):
             assert a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
-    def test_stacked_fit_equals_members_trained_alone(self, activation):
+    @pytest.mark.parametrize("widths", [(6, 5), (7,)])
+    def test_stacked_fit_equals_members_trained_alone(self, widths):
         # 50 rows in batches of 16 leave a partial last batch of 2
         data = _tiny_sine(n=50)
-        spec = ArchitectureSpec(1, (6, 5), activation)
+        spec = ArchitectureSpec(1, widths)
         cfg = TrainingConfig(beta=0.5, epochs=3, batch_size=16, lr_schedule=(1e-2, 2, 0.5), seed=7)
         fp, traces = fit(PosteriorSampler("deep_ensemble", 3, ensemble_size=3), spec, data, cfg)
         for k in range(3):
@@ -400,7 +402,7 @@ class TestVariationalFit:
         # the pullback is the phi-gradient of one batch objective, prior
         # term included, at the batch's fixed eps
         rng = np.random.default_rng(17)
-        spec = ArchitectureSpec(2, (4, 3), "sigmoid")
+        spec = ArchitectureSpec(2, (4, 3))
         p = spec.n_parameters
         phi = np.concatenate(
             [rng.normal(scale=0.5, size=p), _rho_for_std(rng.uniform(0.1, 0.5, size=p))]
@@ -408,6 +410,9 @@ class TestVariationalFit:
         draw = _variational_draw(p, 0.3, seed=6)
         X = rng.normal(size=(3, 2))
         c1, c2 = rng.normal(size=3), rng.normal(size=3)
+        h = 1e-6
+        # every bias of the drawn theta is nonzero: the means and the eps both are
+        assert_clear_of_the_kink(spec, draw(phi, 1, 2)[0], X, h)
 
         def objective(phi_):
             theta, _, prior = draw(phi_, 1, 2)
@@ -417,7 +422,6 @@ class TestVariationalFit:
         theta, pullback, prior = draw(phi, 1, 2)
         assert prior == pytest.approx(0.3 * _kl(phi[:p], phi[p:])[0], rel=1e-15)
         analytic = pullback(backward_batch(spec, theta, X, c1, c2))
-        h = 1e-6
         numeric = np.zeros_like(phi)
         for i in range(phi.size):
             up, dn = phi.copy(), phi.copy()
@@ -619,6 +623,17 @@ _MALFORMED = {
     "drop-rate-string": (
         _set_field("drop_rate", "0.0"), "drop_rate must be int or float, got str", "posterior.json"
     ),
+    # hidden layers are relu only; json writes and reads NaN and Infinity
+    "activation-sigmoid": (
+        _set_field("spec.hidden_activation", "sigmoid"),
+        "spec: hidden layers are relu only, got 'sigmoid'", "posterior.json",
+    ),
+    "drop-rate-nan": (_set_field("drop_rate", float("nan")), "drop_rate must be finite, got nan",
+                      "posterior.json"),
+    "floor-inf": (
+        _set_field("spec.variance_floor", float("inf")), "spec: variance_floor must be finite",
+        "posterior.json",
+    ),
 }
 
 
@@ -686,6 +701,13 @@ class TestPersistence:
             load_posterior(tmp_path / "vp")
         assert file in str(exc.value) and "\n" not in str(exc.value)
         assert "unsafely" not in str(exc.value)
+
+    def test_spec_keeps_its_keys_and_records_relu(self, tmp_path):
+        # the spec has no activation field, but every saved posterior.json names relu
+        save_posterior(self._dropconnect(self._specs()), tmp_path / "p")
+        spec = json.loads((tmp_path / "p" / "posterior.json").read_text(encoding="utf-8"))["spec"]
+        assert list(spec.items()) == [("input_dim", 2), ("hidden_widths", [5, 3]),
+                                      ("hidden_activation", "relu"), ("variance_floor", 1e-5)]
 
     def test_unknown_format_version_rejected(self, tmp_path):
         spec = self._specs()

@@ -42,7 +42,6 @@ def posteriors(draw):
     spec = ArchitectureSpec(
         draw(st.integers(1, 3)),
         tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))),
-        draw(st.sampled_from(["relu", "sigmoid"])),
         draw(st.floats(0.0, 1.0)),
     )
     kind = draw(st.sampled_from(SAMPLER_KINDS))
@@ -55,9 +54,9 @@ def posteriors(draw):
 
 
 def _exact_entries():
-    """One DropConnect posterior of a sigmoid network whose first three
-    parameters are 1/3, 1e-300 and -0.0."""
-    spec = ArchitectureSpec(2, (9, 3), "sigmoid", variance_floor=1e-5)
+    """One DropConnect posterior of a network whose first three parameters
+    are 1/3, 1e-300 and -0.0."""
+    spec = ArchitectureSpec(2, (9, 3), variance_floor=1e-5)
     params = init_parameters(spec, seed=77)
     params[:3] = [1.0 / 3.0, 1e-300, -0.0]
     return FittedPosterior("mc_dropconnect", spec, params[None], 5, 1.0 / 3.0)

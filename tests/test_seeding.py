@@ -1,11 +1,13 @@
-"""Seeds and draw counts must be integers at every seeded entry point.
+"""Seeds, spawn keys and draw counts must be integers at every seeded entry point.
 
-A float, bool or str used to be cast with ``int``, so ``seed=1.9`` ran seed 1
-and ``n_draws=2.9`` took two draws; numpy integers are integers and pass.
-The float fields of the records likewise take real numbers only, never a bool
-or a str, which ``float`` would cast.
+A float, bool or str used to be cast with ``int``, so ``seed=1.9`` ran seed 1,
+``n_draws=2.9`` took two draws and spawn key 2.7 reused the stream of key 2;
+numpy integers are integers and pass.  The float fields of the records likewise
+take finite real numbers only, never a bool or a str, which ``float`` would
+cast, nor NaN or infinity.
 """
 
+import math
 import re
 
 import numpy as np
@@ -88,7 +90,7 @@ FLOAT_FIELDS = {  # entry: (name in the message, constructor)
     "kl_weight": ("kl_weight", lambda v: TrainingConfig(kl_weight=v)),
     "lr-initial": (_LR, lambda v: TrainingConfig(lr_schedule=(v, 10, 0.1))),
     "lr-factor": (_LR, lambda v: TrainingConfig(lr_schedule=(1e-3, 10, v))),
-    "variance_floor": ("variance_floor", lambda v: ArchitectureSpec(1, (4,), "relu", v)),
+    "variance_floor": ("variance_floor", lambda v: ArchitectureSpec(1, (4,), v)),
     "sampler.drop_rate": ("drop_rate", lambda v: PosteriorSampler("mc_dropconnect", 3, drop_rate=v)),
     "init_sigma": ("init_sigma", lambda v: PosteriorSampler("bayes_by_backprop", 3, init_sigma=v)),
     "fitted.drop_rate": ("drop_rate", lambda v: FittedPosterior(
@@ -113,6 +115,51 @@ def test_non_reals_rejected_not_cast(entry, value):
 def test_numpy_reals_become_floats():
     tc = TrainingConfig(beta=np.float32(0.5), kl_weight=np.int64(2),
                         lr_schedule=(np.float16(0.5), 5, np.int8(1)))
-    spec = ArchitectureSpec(1, (4,), "relu", np.int64(0))
+    spec = ArchitectureSpec(1, (4,), np.int64(0))
     fields = (tc.beta, tc.kl_weight, tc.lr_schedule[0], tc.lr_schedule[2], spec.variance_floor)
     assert [type(f) for f in fields] == [float] * 5
+
+
+_NON_FINITE = [("kl_weight", math.nan), ("lr-initial", math.nan), ("lr-factor", math.inf),
+               ("init_sigma", math.nan), ("init_sigma", math.inf)]
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    _NON_FINITE + [(entry, value) for entry in FLOAT_FIELDS
+                   for value in (math.nan, -math.inf, np.float64(math.inf))
+                   if (entry, value) not in _NON_FINITE],
+    ids=repr,
+)
+def test_non_finite_reals_rejected(entry, value):
+    # the first five used to construct, since nan <= 0 is False, and failed only
+    # as a TrainingDivergedError at the first batch
+    name, build = FLOAT_FIELDS[entry]
+    message = f"{name} must be finite, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(value)
+
+
+SPAWNERS = {"spawn_rng": spawn_rng, "derive_seed": derive_seed}
+
+
+@pytest.mark.parametrize("key", [2.7, 2.0, np.float64(1.0), True, "3"], ids=repr)
+@pytest.mark.parametrize("spawner", SPAWNERS)
+def test_non_integer_spawn_keys_rejected_not_cast(spawner, key):
+    # int() made derive_seed(1, 2.7) == derive_seed(1, 2) and True alias key 1
+    message = f"a spawn key must be int, got {type(key).__name__} {key!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SPAWNERS[spawner](1, 0, key)
+
+
+@pytest.mark.parametrize("spawner", SPAWNERS)
+def test_negative_spawn_keys_rejected_by_name(spawner):
+    # SeedSequence's own error said only "expected non-negative integer"
+    with pytest.raises(ValueError, match=r"^a spawn key must be >= 0, got -1$"):
+        SPAWNERS[spawner](1, 3, np.int64(-1))
+
+
+def test_numpy_integer_spawn_keys_pass_as_their_value():
+    assert derive_seed(1, np.uint8(2), np.int64(0)) == derive_seed(1, 2, 0)
+    got, want = spawn_rng(5, np.int32(103), 0).random(3), spawn_rng(5, 103, 0).random(3)
+    assert np.array_equal(got, want)

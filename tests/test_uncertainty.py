@@ -250,8 +250,8 @@ class TestStreamedDraws:
         "spec",
         [
             ArchitectureSpec(1, (6, 5)),
-            ArchitectureSpec(1, (4,), "sigmoid"),
-            ArchitectureSpec(3, (7, 4), "sigmoid"),
+            ArchitectureSpec(1, (4,)),
+            ArchitectureSpec(3, (7, 4)),
             ArchitectureSpec(5, (8, 3, 6)),
         ],
         ids=str,
